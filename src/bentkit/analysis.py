@@ -3,8 +3,7 @@ Rayleigh-quotient distributions, character sums, and exhaustive censuses.
 
 Everything here is exact integer arithmetic.  Census enumeration order is
 the lexicographic combination order, so reports are deterministic and a
-re-run (or any split-and-merge over selection index ranges) reproduces
-byte-identical output.
+re-run reproduces byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ import numpy as np
 
 from .boolfun import (
     TruthTable,
-    popcount_array,
+    _pack_values,
+    _weights_array,
     symmetric_bent,
     symmetric_value_pattern,
 )
@@ -28,6 +28,7 @@ from .field import GF2k
 from .golden import REFERENCE_DISTRIBUTION
 from .spectral import (
     Pairing,
+    _bent_quantities,
     _bent_spectrum,
     _dual_from_spectrum,
     _pairing_perm,
@@ -39,6 +40,7 @@ from .spectral import (
 from .spreads import (
     SpreadLine,
     SpreadSelection,
+    _general_family,
     desarguesian,
     line_dual,
     line_points,
@@ -46,7 +48,6 @@ from .spreads import (
     ps_plus,
     psap_from_g,
     selection,
-    validate_subspace_family,
 )
 
 
@@ -132,38 +133,31 @@ def metric_identity_check(f: TruthTable, pairing: Pairing = None) -> MetricIdent
 # closed-form distances for partial-spread functions
 # ----------------------------------------------------------------------
 
-def _dist_formula_minus(f: TruthTable, dual_point_sets: Sequence) -> int:
-    n = f.n
-    k = n // 2
-    hits = sum(
-        sum(f[x] for x in pts) for pts in dual_point_sets
-    )
+def _dist_formula(f: TruthTable, dual_point_sets: Sequence) -> int:
+    """The counting form: support hits of a partial-spread f on the dual
+    subspaces, origin excluded.  f(0) = 1 marks the plus type; the minus
+    type never contains the origin."""
+    n, k = f.n, f.n // 2
+    hits = sum(f[x] for pts in dual_point_sets for x in pts if x != 0)
+    if f[0]:
+        return (1 << n) + (1 << k) - 2 - 2 * hits
     return (1 << n) - (1 << k) - 2 * hits
 
 
-def _dist_formula_plus(f: TruthTable, dual_point_sets: Sequence) -> int:
-    n = f.n
-    k = n // 2
-    hits = sum(
-        sum(f[x] for x in pts if x != 0) for pts in dual_point_sets
-    )
-    return (1 << n) + (1 << k) - 2 - 2 * hits
+def _dual_lines_points(sel: SpreadSelection) -> list[frozenset[int]]:
+    return [line_points(sel.ctx, line_dual(sel.ctx, L)) for L in sel.lines]
 
 
 def dist_formula_ps_minus(sel: SpreadSelection) -> int:
     """Distance to the dual of ps_minus(sel) by counting support hits on the
     dual lines; never runs a transform."""
-    f = ps_minus(sel)
-    duals = [line_points(sel.ctx, line_dual(sel.ctx, L)) for L in sel.lines]
-    return _dist_formula_minus(f, duals)
+    return _dist_formula(ps_minus(sel), _dual_lines_points(sel))
 
 
 def dist_formula_ps_plus(sel: SpreadSelection) -> int:
     """Same counting form for ps_plus(sel), with the origin excluded from
     each dual line."""
-    f = ps_plus(sel)
-    duals = [line_points(sel.ctx, line_dual(sel.ctx, L)) for L in sel.lines]
-    return _dist_formula_plus(f, duals)
+    return _dist_formula(ps_plus(sel), _dual_lines_points(sel))
 
 
 def dual_subspace_points(n: int, points: Sequence[int]) -> list[int]:
@@ -178,20 +172,8 @@ def dual_subspace_points(n: int, points: Sequence[int]) -> list[int]:
 def dist_formula_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> int:
     """The counting form over explicit disjoint subspaces (standard pairing);
     minus or plus type by the family size."""
-    spans = validate_subspace_family(n, subspace_bases)
-    k = n // 2
-    count = len(spans)
-    union: set[int] = set()
-    for pts in spans:
-        union |= set(pts)
-    duals = [dual_subspace_points(n, pts) for pts in spans]
-    if count == 1 << (k - 1):
-        f = TruthTable.from_support(n, union - {0})
-        return _dist_formula_minus(f, duals)
-    if count == (1 << (k - 1)) + 1:
-        f = TruthTable.from_support(n, union)
-        return _dist_formula_plus(f, duals)
-    raise ValueError(f"family size {count} fits neither form")
+    spans, f = _general_family(n, subspace_bases)
+    return _dist_formula(f, [dual_subspace_points(n, pts) for pts in spans])
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +301,7 @@ def census(
         d_formula = (1 << (sel.n - 1)) - nf_formula(sel) // 2
         d = d_formula
         if spot:
-            d_spectral = dist_to_dual(ps_minus(sel), pairing=ctx, verify=True)
+            d_spectral = dist_to_dual(ps_minus(sel), pairing=ctx)
             checked += 1
             if d_spectral != d_formula:
                 mismatches += 1
@@ -414,24 +396,19 @@ def balanced_g_functions(k: int):
         yield TruthTable.from_support(k, supp)
 
 
-def selfdual_counts(k: int, verify: bool | None = None) -> tuple[int, int]:
+def selfdual_counts(k: int) -> tuple[int, int]:
     """(spread-form count, quotient-form count) of self-dual functions.
 
     The spread form counts selections of 2^(k-1) lines closed under line
     duality; the quotient form can never select E_0 or the infinity line, so
-    its count is the smaller binomial.  For k <= 3 both values are verified
-    by exhaustive enumeration with the spectral oracle (pass verify=False to
-    skip).
+    its count is the smaller binomial.  For k <= EXHAUSTIVE_K_MAX both values
+    are verified by exhaustive enumeration with the spectral oracle.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     spread_form = comb(1 << (k - 1), 1 << (k - 2))
     g_form = comb((1 << (k - 1)) - 1, 1 << (k - 2))
-    if verify is None:
-        verify = k <= 3
-    if verify:
-        if k > EXHAUSTIVE_K_MAX:
-            raise ValueError("exhaustive verification is capped at k <= 3")
+    if k <= EXHAUSTIVE_K_MAX:
         ctx = GF2k(k)
         found_spread = sum(
             dist_to_dual(ps_minus(selection(ctx, combo)), pairing=ctx) == 0
@@ -569,7 +546,7 @@ class SymmetricRecord:
 def _symmetric_dual_formula(n: int, c: Sequence[int]) -> TruthTable:
     """The closed-form dual of a symmetric bent function with weight-value
     list c: both n/2-parity branches, including the full-weight special case."""
-    w = popcount_array(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
+    w = _weights_array(n).astype(np.int64)
     carr = np.asarray(c, dtype=np.int64)
     if (n // 2) % 2 == 0:
         vals = (w + carr[w] + n // 4) & 1
@@ -577,9 +554,7 @@ def _symmetric_dual_formula(n: int, c: Sequence[int]) -> TruthTable:
         shifted = carr[np.minimum(w + 1, n)]
         vals = (w + shifted + n // 4) & 1
         vals[-1] = (n + 1 + c[1] + n // 4) & 1  # the single weight-n point
-    return TruthTable(n, int.from_bytes(
-        np.packbits(vals.astype(np.uint8), bitorder="little").tobytes(), "little"
-    ))
+    return TruthTable(n, _pack_values(vals.astype(np.uint8)))
 
 
 def _symmetric_nf_prediction(n: int, c: Sequence[int]) -> int:
@@ -603,7 +578,7 @@ def symmetric_report(n: int) -> list[SymmetricRecord]:
         spec = _bent_spectrum(f, None)
         true_dual = _dual_from_spectrum(spec)
         formula_dual = _symmetric_dual_formula(n, c)
-        _, n_actual = rayleigh(f)
+        _, n_actual, _ = _bent_quantities(f, spec)
         n_pred = _symmetric_nf_prediction(n, c)
         records.append(
             SymmetricRecord(

@@ -45,6 +45,12 @@ def _pack_values(values: np.ndarray) -> int:
     )
 
 
+def _unpack_values(bits: int, n: int) -> np.ndarray:
+    """Inverse of _pack_values: a uint8 0/1 array of length 2^n."""
+    raw = np.frombuffer(bits.to_bytes(((1 << n) + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[: 1 << n]
+
+
 class TruthTable:
     """A Boolean function on 2^n points, bit-packed into an int."""
 
@@ -73,12 +79,13 @@ class TruthTable:
 
     @classmethod
     def from_support(cls, n: int, support: Iterable[int]) -> "TruthTable":
-        bits = 0
-        for x in support:
+        points = list(support)
+        for x in points:
             if not 0 <= x < (1 << n):
                 raise ValueError(f"support point {x} out of range for n={n}")
-            bits |= 1 << x
-        return cls(n, bits)
+        vals = np.zeros(1 << n, dtype=np.uint8)
+        vals[points] = 1
+        return cls(n, _pack_values(vals))
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int], int]) -> "TruthTable":
@@ -121,9 +128,7 @@ class TruthTable:
 
     def values(self) -> np.ndarray:
         """The table as a uint8 0/1 array of length 2^n."""
-        nbytes = (self.size + 7) // 8
-        raw = np.frombuffer(self.bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[: self.size]
+        return _unpack_values(self.bits, self.n)
 
     def complement(self) -> "TruthTable":
         return TruthTable(self.n, self.bits ^ ((1 << self.size) - 1))
@@ -209,9 +214,7 @@ class AnfPoly:
         return total
 
     def to_truth_table(self) -> TruthTable:
-        nbytes = ((1 << self.n) + 7) // 8
-        raw = np.frombuffer(self.coeffs.to_bytes(nbytes, "little"), dtype=np.uint8)
-        vals = np.unpackbits(raw, bitorder="little")[: 1 << self.n]
+        vals = _unpack_values(self.coeffs, self.n)
         return TruthTable(self.n, _pack_values(_moebius(vals)))
 
     def __eq__(self, other: object) -> bool:
@@ -230,12 +233,15 @@ class AnfPoly:
 # ----------------------------------------------------------------------
 
 def reduce_basis(vectors: Iterable[int]) -> list[int]:
-    """Row-reduce a set of point masks; the result is a basis of their span."""
+    """Row-reduce a set of point masks to a basis of their span, in fully
+    reduced echelon form: each vector's leading bit is set in no other, and
+    the vectors come in descending order of that bit."""
     basis: list[int] = []
     for v in vectors:
         for b in basis:
             v = min(v, v ^ b)
         if v:
+            basis = [min(b, b ^ v) for b in basis]
             basis.append(v)
             basis.sort(reverse=True)
     return basis

@@ -23,13 +23,13 @@ from .boolfun import TruthTable
 from .field import GF2k
 from .spectral import (
     NotBentError,
-    dist_to_dual,
+    _bent_quantities,
+    _bent_spectrum,
+    _duality_class,
+    _is_flat,
+    _nonlinearity,
     dual,
-    duality_class,
     hamming_dist,
-    is_bent,
-    nonlinearity,
-    rayleigh,
     wht,
 )
 from .spreads import (
@@ -136,9 +136,10 @@ def _cmd_wht(args) -> int:
 
 def _cmd_bent(args) -> int:
     f = _read_tt(args)[0]
+    spec = wht(f)
     _emit_json(
         args,
-        {"n": f.n, "bent": is_bent(f), "nonlinearity": nonlinearity(f)},
+        {"n": f.n, "bent": _is_flat(spec), "nonlinearity": _nonlinearity(spec)},
     )
     return 0
 
@@ -160,8 +161,7 @@ def _cmd_rayleigh(args) -> int:
     f = _read_tt(args)[0]
     pairing = _pairing_for(args, f)
     try:
-        s, n_f = rayleigh(f, pairing)
-        d = dist_to_dual(f, pairing)
+        s, n_f, d = _bent_quantities(f, _bent_spectrum(f, pairing))
     except NotBentError as exc:
         raise UsageError(str(exc)) from exc
     _emit_json(args, {"n": f.n, "S": s, "N": n_f, "dist": d})
@@ -175,16 +175,17 @@ def _cmd_dist(args) -> int:
 
 
 def _metadata(f: TruthTable, pairing) -> dict:
-    bent = is_bent(f)
+    spec = wht(f, pairing)
+    bent = _is_flat(spec)
     meta = {"n": f.n, "tt": f.to_hex(), "bent": bent, "weight": f.weight()}
     if bent:
-        s, n_f = rayleigh(f, pairing)
+        s, n_f, d = _bent_quantities(f, spec)
         meta.update(
             {
                 "S": s,
                 "N": n_f,
-                "dist": dist_to_dual(f, pairing),
-                "duality": duality_class(f, pairing).tag.value,
+                "dist": d,
+                "duality": _duality_class(f.n, d).tag.value,
             }
         )
     return meta

@@ -14,6 +14,8 @@ bits(x) + 2^k * bits(y).
 
 from __future__ import annotations
 
+from .boolfun import reduce_basis
+
 # Low-weight irreducible defaults.  Larger k must supply a polynomial.
 DEFAULT_POLYS = {
     1: 0b11,         # x + 1
@@ -67,25 +69,6 @@ def reducible_factor(poly: int) -> int | None:
     return None
 
 
-def _invert_rows(rows: list[int], size: int) -> list[int]:
-    """Inverse of a binary matrix given as row masks (Gauss-Jordan over F_2)."""
-    work = list(rows)
-    inv = [1 << i for i in range(size)]
-    for col in range(size):
-        pivot = next(
-            (r for r in range(col, size) if (work[r] >> col) & 1), None
-        )
-        if pivot is None:
-            raise ValueError("matrix is singular over F_2")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        for r in range(size):
-            if r != col and (work[r] >> col) & 1:
-                work[r] ^= work[col]
-                inv[r] ^= inv[col]
-    return inv
-
-
 class GF2k:
     """Arithmetic context for GF(2^k).
 
@@ -121,7 +104,15 @@ class GF2k:
         self.gram_rows = [
             self._gram_row(i) for i in range(k)
         ]
-        self.gram_inv_rows = _invert_rows(self.gram_rows, k)
+        # Fully reducing the augmented rows [G | I] leaves [I | G^-1].  The
+        # basis comes in descending pivot order; reversed, vector i is e_i
+        # followed by row i of G^-1.
+        reduced = reduce_basis(
+            (row << k) | (1 << i) for i, row in enumerate(self.gram_rows)
+        )[::-1]
+        if [v >> k for v in reduced] != [1 << i for i in range(k)]:
+            raise ValueError("matrix is singular over F_2")
+        self.gram_inv_rows = [v & self.mask for v in reduced]
         self._trace_table = [self._trace_slow(a) for a in range(self.order)]
 
     def _gram_row(self, i: int) -> int:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfun import TruthTable, _pack_values, popcount_array
+from .boolfun import TruthTable, _pack_values, popcount_array, reduce_basis
 from .field import GF2k
 
 Pairing = GF2k | None
@@ -58,6 +58,14 @@ def _fwht(signs: np.ndarray) -> np.ndarray:
     return a
 
 
+def _linear_index_map(images: Sequence[int]) -> np.ndarray:
+    """Index array u -> uA of the linear map sending point 2^b to images[b]."""
+    perm = np.zeros(1 << len(images), dtype=np.int64)
+    for b, img in enumerate(images):
+        perm[1 << b: 2 << b] = perm[: 1 << b] ^ img
+    return perm
+
+
 _PERM_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
 
 
@@ -66,11 +74,7 @@ def _pairing_perm(ctx: GF2k, n: int) -> np.ndarray:
     key = (ctx.k, ctx.poly, n)
     perm = _PERM_CACHE.get(key)
     if perm is None:
-        perm = np.zeros(1 << n, dtype=np.int64)
-        for b in range(n):
-            img = ctx.gram_map(1 << b)
-            half = 1 << b
-            perm[half: 2 * half] = perm[:half] ^ img
+        perm = _linear_index_map([ctx.gram_map(1 << b) for b in range(n)])
         _PERM_CACHE[key] = perm
     return perm
 
@@ -138,17 +142,24 @@ def wht_restricted(f: TruthTable, u: int, subset: str = "even") -> int:
     return int(signs[mask].sum())
 
 
+def _nonlinearity(spec: WalshSpectrum) -> int:
+    return (1 << (spec.n - 1)) - spec.max_abs() // 2
+
+
+def _is_flat(spec: WalshSpectrum) -> bool:
+    # Parseval (asserted by wht) makes max|W| = 2^(n/2) equivalent to every
+    # |W(u)| = 2^(n/2), and impossible for odd n.
+    return spec.max_abs() == 1 << (spec.n // 2)
+
+
 def nonlinearity(f: TruthTable) -> int:
     """Distance to the nearest affine function: 2^(n-1) - max|W|/2."""
-    return (1 << (f.n - 1)) - wht(f).max_abs() // 2
+    return _nonlinearity(wht(f))
 
 
 def is_bent(f: TruthTable) -> bool:
     """True iff the whole spectrum is flat at +-2^(n/2) (needs even n)."""
-    if f.n % 2:
-        return False
-    target = 1 << (f.n // 2)
-    return bool(np.all(np.abs(wht(f).values) == target))
+    return f.n % 2 == 0 and _is_flat(wht(f))
 
 
 def _bent_spectrum(f: TruthTable, pairing: Pairing) -> WalshSpectrum:
@@ -172,18 +183,36 @@ def dual(f: TruthTable, pairing: Pairing = None) -> TruthTable:
     return _dual_from_spectrum(_bent_spectrum(f, pairing))
 
 
+def _rayleigh_sum(f: TruthTable, spec: WalshSpectrum) -> int:
+    """S = sum_x (-1)^f(x) W(x) from f's own spectrum."""
+    signs = 1 - 2 * f.values().astype(np.int64)
+    return int(signs @ spec.values)
+
+
+def _bent_quantities(f: TruthTable, spec: WalshSpectrum) -> tuple[int, int, int]:
+    """(S, N, dist to the dual) of a bent f from its bent spectrum.
+
+    The spectral distance 2^(n-1) - N/2 is always cross-checked against a
+    direct comparison with the dual truth table.
+    """
+    s = _rayleigh_sum(f, spec)
+    n_f = s >> (f.n // 2)
+    d = (1 << (f.n - 1)) - n_f // 2
+    direct = hamming_dist(f, _dual_from_spectrum(spec))
+    if direct != d:
+        raise AssertionError(f"spectral distance {d} != direct distance {direct}")
+    return s, n_f, d
+
+
 def rayleigh_quotient(f: TruthTable, pairing: Pairing = None) -> int:
     """S = sum_x (-1)^f(x) W(x); defined for every function."""
-    signs = 1 - 2 * f.values().astype(np.int64)
-    return int(signs @ wht(f, pairing).values)
+    return _rayleigh_sum(f, wht(f, pairing))
 
 
 def rayleigh(f: TruthTable, pairing: Pairing = None) -> tuple[int, int]:
     """(S, N) for a bent function: N = S / 2^(n/2) = sum (-1)^(f + f~)."""
-    spec = _bent_spectrum(f, pairing)
-    signs = 1 - 2 * f.values().astype(np.int64)
-    s = int(signs @ spec.values)
-    return s, s >> (f.n // 2)
+    s, n_f, _ = _bent_quantities(f, _bent_spectrum(f, pairing))
+    return s, n_f
 
 
 def hamming_dist(f: TruthTable, g: TruthTable) -> int:
@@ -192,23 +221,10 @@ def hamming_dist(f: TruthTable, g: TruthTable) -> int:
     return (f.bits ^ g.bits).bit_count()
 
 
-def dist_to_dual(f: TruthTable, pairing: Pairing = None, verify: bool = True) -> int:
-    """Hamming distance from a bent f to its dual, 2^(n-1) - N/2.
-
-    With verify=True the spectral value is cross-checked against a direct
-    comparison with the dual truth table.
-    """
-    spec = _bent_spectrum(f, pairing)
-    signs = 1 - 2 * f.values().astype(np.int64)
-    n_f = int(signs @ spec.values) >> (f.n // 2)
-    d = (1 << (f.n - 1)) - n_f // 2
-    if verify:
-        direct = hamming_dist(f, _dual_from_spectrum(spec))
-        if direct != d:
-            raise AssertionError(
-                f"spectral distance {d} != direct distance {direct}"
-            )
-    return d
+def dist_to_dual(f: TruthTable, pairing: Pairing = None) -> int:
+    """Hamming distance from a bent f to its dual, 2^(n-1) - N/2, cross-checked
+    against a direct comparison with the dual truth table."""
+    return _bent_quantities(f, _bent_spectrum(f, pairing))[2]
 
 
 class Duality(Enum):
@@ -223,16 +239,19 @@ class DualityClass:
     dist: int
 
 
-def duality_class(f: TruthTable, pairing: Pairing = None) -> DualityClass:
-    """Distance-equivalence data of a bent function: its distance to the dual."""
-    d = dist_to_dual(f, pairing)
+def _duality_class(n: int, d: int) -> DualityClass:
     if d == 0:
         tag = Duality.SELF_DUAL
-    elif d == 1 << f.n:
+    elif d == 1 << n:
         tag = Duality.ANTI_SELF_DUAL
     else:
         tag = Duality.NEITHER
     return DualityClass(tag, d)
+
+
+def duality_class(f: TruthTable, pairing: Pairing = None) -> DualityClass:
+    """Distance-equivalence data of a bent function: its distance to the dual."""
+    return _duality_class(f.n, dist_to_dual(f, pairing))
 
 
 # ----------------------------------------------------------------------
@@ -259,17 +278,6 @@ def row_masks(matrix: Sequence, n: int) -> list[int]:
     return out
 
 
-def _rank(rows: Sequence[int]) -> int:
-    basis: list[int] = []
-    for v in rows:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
-
-
 def is_orthogonal(matrix: Sequence, n: int) -> bool:
     """True iff A A^T = I over F_2."""
     rows = row_masks(matrix, n)
@@ -286,13 +294,9 @@ def affine_transform(f: TruthTable, matrix: Sequence, shift: int = 0) -> TruthTa
     Row-vector convention: (xA)_j = sum_i x_i A[i][j].
     """
     rows = row_masks(matrix, f.n)
-    if _rank(rows) != f.n:
+    if len(reduce_basis(rows)) != f.n:
         raise SingularMatrixError("matrix is singular over F_2")
     if not 0 <= shift < f.size:
         raise ValueError(f"shift {shift} out of range")
-    perm = np.zeros(f.size, dtype=np.int64)
-    for b in range(f.n):
-        half = 1 << b
-        perm[half: 2 * half] = perm[:half] ^ rows[b]
-    perm ^= shift
+    perm = _linear_index_map(rows) ^ shift
     return TruthTable(f.n, _pack_values(f.values()[perm]))

@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
-from .boolfun import TruthTable, reduce_basis, subspace_span
+import numpy as np
+
+from .boolfun import TruthTable, _pack_values, reduce_basis, subspace_span
 from .field import GF2k
 
 
@@ -151,16 +153,13 @@ def psap_from_g(ctx: GF2k, g: TruthTable) -> TruthTable:
     Equals ps_minus of the matching line selection (see selection_from_g).
     """
     _check_quotient_g(ctx, g)
-    k = ctx.k
-    bits = 0
+    gv = g.values()
+    vals = np.zeros((ctx.order, ctx.order), dtype=np.uint8)  # row y, column x
+    # the y = 0 row is g(0) = 0 everywhere
     for y in ctx.nonzero():
         iy = ctx.inv(y)
-        base = y << k
-        for x in ctx.elements():
-            if g[ctx.mul(x, iy)]:
-                bits |= 1 << (base | x)
-    # the y = 0 row is g(0) = 0 everywhere
-    return TruthTable(2 * k, bits)
+        vals[y] = gv[[ctx.mul(x, iy) for x in ctx.elements()]]
+    return TruthTable(2 * ctx.k, _pack_values(vals.reshape(-1)))
 
 
 def selection_from_g(ctx: GF2k, g: TruthTable) -> SpreadSelection:
@@ -226,9 +225,11 @@ def validate_subspace_family(
     return spans
 
 
-def ps_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> TruthTable:
-    """Partial-spread function over arbitrary disjoint k-dim subspaces of
-    F_2^n (standard pairing); minus or plus type by the family size."""
+def _general_family(
+    n: int, subspace_bases: Sequence[Sequence[int]]
+) -> tuple[list[list[int]], TruthTable]:
+    """The validated point lists of a disjoint subspace family and its
+    partial-spread function; minus or plus type by the family size."""
     spans = validate_subspace_family(n, subspace_bases)
     k = n // 2
     count = len(spans)
@@ -236,10 +237,16 @@ def ps_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> TruthTable:
     for pts in spans:
         union |= set(pts)
     if count == 1 << (k - 1):
-        return TruthTable.from_support(n, union - {0})
-    if count == (1 << (k - 1)) + 1:
-        return TruthTable.from_support(n, union)
-    raise ValueError(
-        f"family size {count} is neither 2^(k-1) = {1 << (k - 1)} nor "
-        f"2^(k-1)+1 = {(1 << (k - 1)) + 1}"
-    )
+        union.discard(0)
+    elif count != (1 << (k - 1)) + 1:
+        raise ValueError(
+            f"family size {count} is neither 2^(k-1) = {1 << (k - 1)} nor "
+            f"2^(k-1)+1 = {(1 << (k - 1)) + 1}"
+        )
+    return spans, TruthTable.from_support(n, union)
+
+
+def ps_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> TruthTable:
+    """Partial-spread function over arbitrary disjoint k-dim subspaces of
+    F_2^n (standard pairing); minus or plus type by the family size."""
+    return _general_family(n, subspace_bases)[1]

@@ -298,7 +298,7 @@ def test_selfdual_counts_desk_scale():
 
 
 def test_selfdual_counts_binomials_only_for_larger_k():
-    assert selfdual_counts(4, verify=False) == (70, 35)
+    assert selfdual_counts(4) == (70, 35)
 
 
 def test_selfdual_counts_independent_enumeration():

@@ -70,6 +70,13 @@ def test_constructor_validation():
         TruthTable(2, 1 << 16)
     with pytest.raises(ValueError):
         TruthTable.from_support(2, [4])
+    with pytest.raises(ValueError, match="support point -1"):
+        TruthTable.from_support(3, [1, -1, 9])
+    assert TruthTable.from_support(3, {1, 6}) == TruthTable.from_values(
+        3, [0, 1, 0, 0, 0, 0, 1, 0]
+    )
+    assert TruthTable.from_support(3, [6, 1, 6, 1]).weight() == 2
+    assert TruthTable.from_support(3, []) == TruthTable(3)
     with pytest.raises(ValueError):
         TruthTable.from_values(2, [0, 1])
 
@@ -211,6 +218,18 @@ def test_subspace_span_and_reduce():
     assert sorted(subspace_span([1, 4])) == [0, 1, 4, 5]
     assert len(reduce_basis([1, 2, 3])) == 2
     assert len(reduce_basis([1, 2, 4])) == 3
+    rng = random.Random(5)
+    for _ in range(50):
+        vs = [rng.randrange(1 << 6) for _ in range(rng.randrange(1, 6))]
+        basis = reduce_basis(vs)
+        # fully reduced: each leading bit is set in exactly one basis vector
+        for b in basis:
+            pivot = 1 << (b.bit_length() - 1)
+            assert sum(1 for c in basis if c & pivot) == 1
+        span = {0}
+        for v in vs:
+            span |= {s ^ v for s in span}
+        assert 2 ** len(basis) == len(span)
 
 
 def test_indicator_support_size_is_power_of_dim():

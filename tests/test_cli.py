@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import bentkit.spectral
 from bentkit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -235,3 +236,39 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["rayleigh", "6ca0"], {"N": 16, "S": 64, "dist": 0, "n": 4}),
+        (["dual", "6ca0"], {"n": 4, "tt": "6ca0"}),
+        (["bent", "6ca0"], {"bent": True, "n": 4, "nonlinearity": 6}),
+        (
+            ["construct", "ps-", "--k", "3", "--lines", "2,3,5,inf"],
+            {
+                "N": 8, "S": 64, "bent": True, "dist": 28, "duality": "neither",
+                "lines": ["2", "3", "5", "inf"], "n": 6,
+                "tt": "718d8b2d53936500", "weight": 28,
+            },
+        ),
+        (
+            ["construct", "psap", "--k", "2", "--g", "6"],
+            {
+                "N": 4, "S": 16, "bent": True, "dist": 6, "duality": "neither",
+                "lines": ["1", "3"], "n": 4, "tt": "ac60", "weight": 6,
+            },
+        ),
+    ],
+)
+def test_one_transform_per_request(capsys, monkeypatch, argv, expected):
+    calls = []
+    fwht = bentkit.spectral._fwht
+
+    def counting_fwht(signs):
+        calls.append(signs.size)
+        return fwht(signs)
+
+    monkeypatch.setattr(bentkit.spectral, "_fwht", counting_fwht)
+    assert run_json(capsys, *argv) == {"schema": 1, **expected}
+    assert len(calls) == 1
