@@ -92,7 +92,7 @@ def metric_identity_check(f: TruthTable, pairing: Pairing = None) -> MetricIdent
     fv = f.values()
     sign0 = -1 if f[0] else 1
 
-    supp_sum = int(spec.values[fv.astype(bool)].sum())
+    supp_sum = int(spec.values[fv.astype(bool)].sum(dtype=np.int64))
     form1 = (
         (1 << (n - 1))
         - sign0 * (1 << (k - 1))

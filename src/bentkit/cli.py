@@ -170,7 +170,11 @@ def _cmd_rayleigh(args) -> int:
 
 def _cmd_dist(args) -> int:
     f, g = _read_tt(args, count=2)
-    _emit_json(args, {"n": f.n, "dist": hamming_dist(f, g)})
+    try:
+        d = hamming_dist(f, g)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    _emit_json(args, {"n": f.n, "dist": d})
     return 0
 
 

@@ -14,7 +14,9 @@ bits(x) + 2^k * bits(y).
 
 from __future__ import annotations
 
-from .boolfun import reduce_basis
+import numpy as np
+
+from .boolfun import popcount_array, reduce_basis
 
 # Low-weight irreducible defaults.  Larger k must supply a polynomial.
 DEFAULT_POLYS = {
@@ -100,6 +102,11 @@ class GF2k:
         self.poly = poly
         self.order = 1 << k
         self.mask = self.order - 1
+        # Tr is F_2-linear: Tr(a) is the parity of a & tmask, where bit i of
+        # tmask is Tr(x^i).
+        tmask = sum(self._trace_slow(1 << i) << i for i in range(k))
+        elems = np.arange(self.order, dtype=np.uint32)
+        self._trace_table = (popcount_array(elems & tmask) & 1).tolist()
         # Gram matrix of the trace form: gram[i][j] = Tr(x^i * x^j), row masks.
         self.gram_rows = [
             self._gram_row(i) for i in range(k)
@@ -113,12 +120,11 @@ class GF2k:
         if [v >> k for v in reduced] != [1 << i for i in range(k)]:
             raise ValueError("matrix is singular over F_2")
         self.gram_inv_rows = [v & self.mask for v in reduced]
-        self._trace_table = [self._trace_slow(a) for a in range(self.order)]
 
     def _gram_row(self, i: int) -> int:
         row = 0
         for j in range(self.k):
-            row |= self._trace_slow(self.mul(1 << i, 1 << j)) << j
+            row |= self.trace(self.mul(1 << i, 1 << j)) << j
         return row
 
     # ------------------------------------------------------------------

@@ -11,7 +11,9 @@ The trace-form spectrum is the standard spectrum re-indexed through the
 context's Gram map (one audited butterfly, one bijective remap), so
 bentness never depends on the pairing while duals and distances do.
 
-Spectrum values are 64-bit signed integers; |W| <= 2^24 fits comfortably.
+Spectrum values are 32-bit signed integers: every butterfly intermediate is
+a partial Walsh sum, so |W| <= 2^n <= 2^24.  Sums that can exceed that range
+(Parseval's sum of squares, the Rayleigh sum) accumulate exactly in int64.
 """
 
 from __future__ import annotations
@@ -44,37 +46,58 @@ class SingularMatrixError(ValueError):
 
 
 def _fwht(signs: np.ndarray) -> np.ndarray:
-    """In-place size-2^n butterfly; O(n 2^n) integer adds."""
-    a = signs.astype(np.int64, copy=True)
+    """Size-2^n butterfly on an int32 copy of the signs; O(n 2^n) integer adds.
+
+    Each level runs in place through one half-size scratch buffer:
+    tmp <- x; x += y; y <- tmp - y.
+    """
+    a = signs.astype(np.int32)
+    tmp = np.empty(a.size // 2, dtype=np.int32)
     h = 1
     while h < a.size:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bot = a[:, 0, :] - a[:, 1, :]
-        a[:, 0, :] = top
-        a[:, 1, :] = bot
-        a = a.reshape(-1)
+        pairs = a.reshape(-1, 2, h)
+        x, y = pairs[:, 0, :], pairs[:, 1, :]
+        t = tmp.reshape(-1, h)
+        np.copyto(t, x)
+        x += y
+        np.subtract(t, y, out=y)
         h *= 2
     return a
 
 
+def _dot64(a: np.ndarray, b: np.ndarray) -> int:
+    """Exact sum of a * b, accumulated in int64 without an int64 copy."""
+    return int(np.einsum("i,i->", a, b, dtype=np.int64))
+
+
 def _linear_index_map(images: Sequence[int]) -> np.ndarray:
-    """Index array u -> uA of the linear map sending point 2^b to images[b]."""
-    perm = np.zeros(1 << len(images), dtype=np.int64)
-    for b, img in enumerate(images):
-        perm[1 << b: 2 << b] = perm[: 1 << b] ^ img
-    return perm
+    """Index array u -> uA of the linear map sending point 2^b to images[b].
+
+    The maps of the low and the high half of the images combine with one
+    outer XOR, so the full-size array is written once.
+    """
+    if len(images) < 2:
+        return np.array([0, *images], dtype=np.int64)
+    h = len(images) // 2
+    lo = _linear_index_map(images[:h])
+    hi = _linear_index_map(images[h:])
+    return (hi[:, None] ^ lo).ravel()
 
 
+# At n = 24 one entry is 128 MiB, so only the most recent few are kept.
+_PERM_CACHE_MAX = 4
 _PERM_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
 
 
 def _pairing_perm(ctx: GF2k, n: int) -> np.ndarray:
-    """Index permutation u -> gram_map(u), built once per (field, n)."""
+    """Index permutation u -> gram_map(u), cached per (field, n), oldest
+    entry evicted first."""
     key = (ctx.k, ctx.poly, n)
     perm = _PERM_CACHE.get(key)
     if perm is None:
         perm = _linear_index_map([ctx.gram_map(1 << b) for b in range(n)])
+        if len(_PERM_CACHE) >= _PERM_CACHE_MAX:
+            del _PERM_CACHE[next(iter(_PERM_CACHE))]
         _PERM_CACHE[key] = perm
     return perm
 
@@ -91,16 +114,20 @@ class WalshSpectrum:
         return int(self.values[u])
 
     def max_abs(self) -> int:
-        return int(np.max(np.abs(self.values)))
+        return max(int(self.values.max()), -int(self.values.min()))
 
     def parseval_ok(self) -> bool:
-        return int(self.values @ self.values) == 1 << (2 * self.n)
+        return _dot64(self.values, self.values) == 1 << (2 * self.n)
+
+
+def _signs(f: TruthTable) -> np.ndarray:
+    """(-1)^f(x) for every x, as int8."""
+    return 1 - 2 * f.values().astype(np.int8)
 
 
 def wht(f: TruthTable, pairing: Pairing = None) -> WalshSpectrum:
     """Walsh-Hadamard transform W(u) = sum_x (-1)^(f(x) + <u, x>)."""
-    signs = 1 - 2 * f.values().astype(np.int64)
-    vals = _fwht(signs)
+    vals = _fwht(_signs(f))
     if pairing is not None:
         if f.n != 2 * pairing.k:
             raise ValueError(
@@ -164,18 +191,17 @@ def is_bent(f: TruthTable) -> bool:
 
 def _bent_spectrum(f: TruthTable, pairing: Pairing) -> WalshSpectrum:
     spec = wht(f, pairing)
-    if f.n % 2:
-        raise NotBentError(f.n, 0, spec[0])
-    target = 1 << (f.n // 2)
-    bad = np.nonzero(np.abs(spec.values) != target)[0]
-    if bad.size:
-        u = int(bad[0])
+    # Under Parseval a non-flat spectrum (every odd-n one included) has a
+    # point with |W(u)| != 2^(n//2); the first one is the witness.
+    if not _is_flat(spec):
+        target = 1 << (f.n // 2)
+        u = int(np.flatnonzero(np.abs(spec.values) != target)[0])
         raise NotBentError(f.n, u, spec[u])
     return spec
 
 
 def _dual_from_spectrum(spec: WalshSpectrum) -> TruthTable:
-    return TruthTable(spec.n, _pack_values((spec.values < 0).astype(np.uint8)))
+    return TruthTable(spec.n, _pack_values(spec.values < 0))
 
 
 def dual(f: TruthTable, pairing: Pairing = None) -> TruthTable:
@@ -185,8 +211,7 @@ def dual(f: TruthTable, pairing: Pairing = None) -> TruthTable:
 
 def _rayleigh_sum(f: TruthTable, spec: WalshSpectrum) -> int:
     """S = sum_x (-1)^f(x) W(x) from f's own spectrum."""
-    signs = 1 - 2 * f.values().astype(np.int64)
-    return int(signs @ spec.values)
+    return _dot64(_signs(f), spec.values)
 
 
 def _bent_quantities(f: TruthTable, spec: WalshSpectrum) -> tuple[int, int, int]:

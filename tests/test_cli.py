@@ -227,6 +227,14 @@ def test_dist_subcommand(capsys, monkeypatch):
     assert payload["dist"] == 0
 
 
+def test_dist_of_different_n_is_usage_error(capsys, monkeypatch):
+    code, out, err = run_cli(
+        capsys, "dist", stdin="6ca0\n00\n", monkeypatch=monkeypatch
+    )
+    assert code == 2 and out == ""
+    assert "variable counts differ" in err and "Traceback" not in err
+
+
 def test_bad_hex_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "wht", "zz")
     assert code == 2

@@ -160,6 +160,17 @@ def test_trace_matches_conjugate_sum_oracle():
             assert ctx.trace(a) == trace_oracle(ctx, a)
 
 
+@pytest.mark.parametrize(
+    "k, poly", sorted(DEFAULT_POLYS.items()) + [(12, 0x1053)]
+)
+def test_trace_table_built_by_linearity_matches_conjugate_sum(k, poly):
+    ctx = GF2k(k, poly)
+    assert [ctx.trace(a) for a in ctx.elements()] == [
+        ctx._trace_slow(a) for a in ctx.elements()
+    ]
+    assert all(type(ctx.trace(a)) is int for a in ctx.elements())
+
+
 def test_trace_specific_values():
     assert GF2k(2).trace(0) == 0
     assert GF2k(2).trace(0b10) == 1  # w + w^2 = 1

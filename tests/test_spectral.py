@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
+import bentkit.spectral
 from bentkit.boolfun import TruthTable, mm_bent, symmetric_bent
-from bentkit.field import GF2k
+from bentkit.field import DEFAULT_POLYS, GF2k
 from bentkit.spectral import (
     Duality,
     NotBentError,
@@ -42,6 +44,17 @@ def random_tt(n, rng):
     return TruthTable(n, rng.getrandbits(1 << n))
 
 
+def fwht_int64_reference(f: TruthTable) -> np.ndarray:
+    """Out-of-place int64 butterfly over the +-1 signs of f."""
+    a = np.array([1 - 2 * f[x] for x in range(f.size)], dtype=np.int64)
+    h = 1
+    while h < a.size:
+        a = a.reshape(-1, 2, h)
+        a = np.stack([a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]], axis=1).reshape(-1)
+        h *= 2
+    return a
+
+
 # ----------------------------------------------------------------------
 # the transform itself
 # ----------------------------------------------------------------------
@@ -66,6 +79,31 @@ def test_wht_matches_naive_oracle():
             assert spec[u] == wht_oracle(f, u)
 
 
+def test_wht_matches_int64_reference_butterfly():
+    rng = random.Random(3)
+    for n in range(2, 17):
+        f = random_tt(n, rng)
+        assert wht(f).values.tolist() == fwht_int64_reference(f).tolist()
+
+
+def test_constant_function_at_n24_stays_exact():
+    # W(0) = 2^24 is the largest value a spectrum can hold, and the sums of
+    # W^2 (2^48) and of (-1)^f W (2^24) must not wrap.
+    f = TruthTable(24)
+    spec = wht(f)
+    assert spec[0] == 1 << 24
+    assert spec.max_abs() == 1 << 24
+    assert np.count_nonzero(spec.values) == 1
+    assert spec.parseval_ok()
+    assert rayleigh_quotient(f) == 1 << 24
+
+
+def test_self_dual_rayleigh_sum_at_n24_exceeds_int32():
+    # x . y on F_2^12 x F_2^12 is self-dual: S = 2^12 * N = 2^36.
+    f = mm_bent(list(range(1 << 12)), TruthTable(12))
+    assert rayleigh(f) == (1 << 36, 1 << 24)
+
+
 def test_parseval_on_random_functions():
     rng = random.Random(2)
     for _ in range(100):
@@ -82,6 +120,29 @@ def test_trace_spectrum_is_gram_permutation_of_standard():
         tr = wht(f, pairing=ctx)
         for u in range(f.size):
             assert tr[u] == std[ctx.gram_map(u)]
+
+
+def test_linear_index_map_matches_pointwise_images():
+    rng = random.Random(4)
+    for n in range(0, 10):
+        images = [rng.getrandbits(max(n, 1)) for _ in range(n)]
+        want = [_apply_rows(images, u) for u in range(1 << n)]
+        assert bentkit.spectral._linear_index_map(images).tolist() == want
+
+
+def test_pairing_perm_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(bentkit.spectral, "_PERM_CACHE", {})
+    cache_max = bentkit.spectral._PERM_CACHE_MAX
+    rng = random.Random(5)
+    ctxs = [GF2k(k) for k in sorted(DEFAULT_POLYS)] + [GF2k(3)]
+    assert len(ctxs) > cache_max
+    for ctx in ctxs:
+        n = 2 * ctx.k
+        perm = bentkit.spectral._pairing_perm(ctx, n)
+        assert len(bentkit.spectral._PERM_CACHE) <= cache_max
+        for u in [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(200)]:
+            assert perm[u] == ctx.gram_map(u)
+    assert len(bentkit.spectral._PERM_CACHE) == cache_max
 
 
 def test_trace_pairing_arity_mismatch():
@@ -152,6 +213,29 @@ def test_dual_error_carries_witness():
         dual(f)
     u = err.value.u
     assert abs(wht_oracle(f, u)) != 4
+
+
+def test_dual_error_witness_at_odd_n():
+    f = TruthTable.from_support(3, [0, 1, 2])  # |W(0)| = 2 = 2^(3//2)
+    with pytest.raises(NotBentError) as err:
+        dual(f)
+    u = err.value.u
+    assert err.value.value == wht_oracle(f, u)
+    assert abs(err.value.value) != 2
+
+
+def test_dual_error_witness_on_one_bit_flip_at_n12():
+    rng = random.Random(9)
+    pi = list(range(64))
+    rng.shuffle(pi)
+    f = mm_bent(pi, TruthTable(6, rng.getrandbits(64)))
+    assert is_bent(f)
+    g = f ^ TruthTable.from_support(12, [rng.randrange(1 << 12)])
+    with pytest.raises(NotBentError) as err:
+        dual(g)
+    u = err.value.u
+    assert err.value.value == wht_oracle(g, u)
+    assert abs(err.value.value) != 1 << 6
 
 
 # ----------------------------------------------------------------------
