@@ -31,8 +31,7 @@ from .spectral import (
     _bent_quantities,
     _bent_spectrum,
     _dual_from_spectrum,
-    _pairing_perm,
-    _parity_table,
+    _rayleigh_sum,
     dist_to_dual,
     hamming_dist,
     rayleigh,
@@ -78,54 +77,33 @@ def _exact_div(a: int, b: int, what: str) -> int:
 
 
 def metric_identity_check(f: TruthTable, pairing: Pairing = None) -> MetricIdentity:
-    """Evaluate both closed forms of dist(f, f~) and the zero-sum corollary.
+    """Evaluate both closed forms of dist(f, f~) and the zero-sum corollary,
+    all from the one bent spectrum of f.
 
-    form1 rewrites the distance through the spectrum over the support of f;
-    form2 through the spectra of all directional derivatives, split over the
-    isotropic/anisotropic halves of the domain.  For the trace pairing the
-    dot products, the dual, and the weight-parity split are all replaced by
-    their trace-form counterparts.
+    form1 rewrites the distance through the spectrum over the support of f.
+    form2 is the derivative form: the spectra of all directional derivatives,
+    split over the isotropic/anisotropic halves of the domain.  The pairing
+    map P is symmetric, so those derivative sums collapse to
+    sum_x (-1)^(f(x) + <x, x>) W(x), the split cancels, and form2 is
+    2^(n-1) - S / 2^(k+1) with S = sum_x (-1)^f(x) W(x) the Rayleigh sum.
+    The O(4^n) derivative loop is kept only as a test oracle.  The residual
+    2 * (support sum) + S - (-1)^f(0) 2^n is sum_u W(u) - (-1)^f(0) 2^n,
+    zero by the inverse transform at x = 0, so it still checks the transform.
     """
     n, k = f.n, f.n // 2
     spec = _bent_spectrum(f, pairing)
     direct = hamming_dist(f, _dual_from_spectrum(spec))
-    fv = f.values()
     sign0 = -1 if f[0] else 1
 
-    supp_sum = int(spec.values[fv.astype(bool)].sum(dtype=np.int64))
+    supp_sum = int(spec.values[f.values().astype(bool)].sum(dtype=np.int64))
     form1 = (
         (1 << (n - 1))
         - sign0 * (1 << (k - 1))
         + _exact_div(supp_sum, 1 << k, "support spectrum sum")
     )
-
-    xs = np.arange(f.size, dtype=np.int64)
-    par = _parity_table(n)
-    if pairing is None:
-        perm = xs
-        aniso = par.astype(bool)  # odd-weight points
-    else:
-        perm = _pairing_perm(pairing, n)
-        tr = np.array([pairing.trace(a) for a in pairing.elements()], dtype=np.uint8)
-        aniso = (tr[xs & pairing.mask] ^ tr[xs >> pairing.k]).astype(bool)
-
-    deriv_total = 0
-    deriv_aniso = 0
-    for u in range(f.size):
-        dv = fv ^ fv[xs ^ u]
-        chi = par[xs & int(perm[u])]
-        s = 1 - 2 * (dv ^ chi).astype(np.int64)
-        deriv_total += int(s.sum())
-        deriv_aniso += int(s[aniso].sum())
-
-    form2 = (
-        (1 << (n - 1))
-        - _exact_div(deriv_total, 1 << (k + 1), "derivative spectrum sum")
-        + _exact_div(deriv_aniso, 1 << k, "restricted derivative sum")
-    )
-    residual = (
-        2 * supp_sum + deriv_total - 2 * deriv_aniso - sign0 * (1 << n)
-    )
+    s = _rayleigh_sum(f, spec)
+    form2 = (1 << (n - 1)) - _exact_div(s, 1 << (k + 1), "Rayleigh sum")
+    residual = 2 * supp_sum + s - sign0 * (1 << n)
     return MetricIdentity(direct, form1, form2, residual)
 
 
@@ -213,6 +191,20 @@ def nf_formula(sel: SpreadSelection) -> int:
 
 EXHAUSTIVE_K_MAX = 3
 SAMPLE_K_MAX = 7
+_CENSUS_K_MAX = {"exhaustive": EXHAUSTIVE_K_MAX, "sample": SAMPLE_K_MAX}
+
+
+def _census_size_check(mode: str, k: int) -> None:
+    """Raise ValueError for an unknown census mode or a k above its cap.
+
+    Callers may run it before building GF2k(k), so a capped k is reported
+    as capped even where no default polynomial exists.
+    """
+    if mode not in _CENSUS_K_MAX:
+        raise ValueError(f"unknown census mode {mode!r}")
+    cap = _CENSUS_K_MAX[mode]
+    if k > cap:
+        raise ValueError(f"{mode} census is capped at k <= {cap}, got {k}")
 
 
 @dataclass
@@ -275,22 +267,13 @@ def census(
     (k <= 7) draws `samples` selections from a seeded PRNG and spectrally
     spot-checks a deterministic subset.
     """
+    _census_size_check(mode, ctx.k)
     if mode == "exhaustive":
-        if ctx.k > EXHAUSTIVE_K_MAX:
-            raise ValueError(
-                f"exhaustive census is capped at k <= {EXHAUSTIVE_K_MAX}, got {ctx.k}"
-            )
         seed = None
-    elif mode == "sample":
-        if ctx.k > SAMPLE_K_MAX:
-            raise ValueError(
-                f"sample census is capped at k <= {SAMPLE_K_MAX}, got {ctx.k}"
-            )
+    else:
         if not samples or samples <= 0:
             raise ValueError("sample mode needs a positive sample count")
         seed = 0 if seed is None else seed
-    else:
-        raise ValueError(f"unknown census mode {mode!r}")
 
     class_sizes: dict[int, int] = {}
     mismatches = 0
@@ -641,18 +624,17 @@ def _check_transform_examples() -> SuiteCheck:
     return SuiteCheck("affine-transform-examples", ok, got)
 
 
-def _check_census(k: int) -> SuiteCheck:
+def _check_census(report: CensusReport) -> SuiteCheck:
     from .golden import REFERENCE_CENSUS
 
-    report = census(GF2k(k), mode="exhaustive")
-    total, selfdual, classes = REFERENCE_CENSUS[k]
+    total, selfdual, classes = REFERENCE_CENSUS[report.k]
     ok = (
         report.total_selections == total
         and report.selfdual_count == selfdual
         and report.class_sizes == classes
         and report.formula_mismatches == 0
     )
-    return SuiteCheck(f"census-k{k}", ok, report.to_json_dict())
+    return SuiteCheck(f"census-k{report.k}", ok, report.to_json_dict())
 
 
 def _check_metric_identities() -> SuiteCheck:
@@ -734,27 +716,28 @@ def _check_charsum() -> SuiteCheck:
     return SuiteCheck("charsum-derived-relation", not bad, {"failures": bad})
 
 
-def _check_distribution_golden() -> SuiteCheck:
+def _check_distribution_golden(rows: dict[int, DistributionRow]) -> SuiteCheck:
     bad = []
     for n, (nf_ref, dist_ref) in REFERENCE_DISTRIBUTION.items():
-        row = distribution_table(n)
+        row = rows[n]
         if tuple(row.nf_values) != nf_ref or tuple(row.dist_values) != dist_ref:
             bad.append({"n": n})
     return SuiteCheck("distribution-reference-rows", not bad, {"failures": bad})
 
 
-def _check_no_antiselfdual() -> SuiteCheck:
+def _check_no_antiselfdual(
+    reports: Sequence[CensusReport], rows: dict[int, DistributionRow]
+) -> SuiteCheck:
     bad = []
-    for n in range(4, 25, 2):
-        row = distribution_table(n)
+    for n, row in rows.items():
         if not anti_selfdual_check(row):
             bad.append({"n": n})
         nz = [d for d in row.dist_values if d]
         if nz and min(nz) < 1 << (n // 2):
             bad.append({"n": n, "min_nonzero": min(nz)})
-    for k in (2, 3):
-        if not anti_selfdual_check(census(GF2k(k))):
-            bad.append({"census_k": k})
+    for report in reports:
+        if not anti_selfdual_check(report):
+            bad.append({"census_k": report.k})
     return SuiteCheck("no-anti-self-dual", not bad, {"failures": bad})
 
 
@@ -770,16 +753,21 @@ def _check_selfdual_counts() -> SuiteCheck:
 
 
 def run_verification_suite() -> list[SuiteCheck]:
-    """Every identity and proposition check the library asserts, in one list."""
+    """Every identity and proposition check the library asserts, in one list.
+
+    Each exhaustive census and each distribution row is built once and
+    shared by the checks that read it.
+    """
+    reports = [census(GF2k(k)) for k in (2, 3)]
+    rows = {n: distribution_table(n) for n in range(4, 25, 2)}
     return [
-        _check_census(2),
-        _check_census(3),
+        *(_check_census(report) for report in reports),
         _check_selfdual_counts(),
         _check_metric_identities(),
         _check_distance_formulas(),
         _check_symmetric(),
         _check_charsum(),
-        _check_distribution_golden(),
-        _check_no_antiselfdual(),
+        _check_distribution_golden(rows),
+        _check_no_antiselfdual(reports, rows),
         _check_transform_examples(),
     ]

@@ -17,6 +17,8 @@ from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
+_HEX_DIGITS = "0123456789abcdef"
+
 
 def popcount_array(arr: np.ndarray) -> np.ndarray:
     """Per-element popcount of a uint32 array (SWAR; values below 2^32)."""
@@ -95,6 +97,10 @@ class TruthTable:
     def from_hex(cls, text: str, n: int | None = None) -> "TruthTable":
         """Parse the hex serialization; n is inferred from the digit count."""
         text = text.strip().lower()
+        # int(text, 16) alone would also take a 0x prefix, "_" and a sign.
+        if not text.isascii() or text.encode().translate(None, _HEX_DIGITS.encode()):
+            bad = next(c for c in text if c not in _HEX_DIGITS)
+            raise ValueError(f"non-hex character {bad!r} in hex truth table")
         if n is None:
             digits = len(text)
             if digits == 0 or digits & (digits - 1):

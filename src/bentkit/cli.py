@@ -15,6 +15,7 @@ import sys
 from .analysis import (
     EXHAUSTIVE_K_MAX,
     SAMPLE_K_MAX,
+    _census_size_check,
     census,
     distribution_table,
     run_verification_suite,
@@ -93,7 +94,9 @@ def _read_tt(args: argparse.Namespace, count: int = 1) -> list[TruthTable]:
 def _pairing_for(args: argparse.Namespace, f: TruthTable):
     if getattr(args, "pairing", "standard") != "trace":
         return None
-    k = getattr(args, "k", None) or f.n // 2
+    k = getattr(args, "k", None)
+    if k is None:
+        k = f.n // 2
     if f.n != 2 * k:
         raise UsageError(f"trace pairing needs n = 2k, got n={f.n}, k={k}")
     return _field_for(args, k)
@@ -197,6 +200,8 @@ def _metadata(f: TruthTable, pairing) -> dict:
 
 def _cmd_construct(args) -> int:
     if args.family == "psap":
+        if args.k is None or args.g is None:
+            raise UsageError("construct psap needs --k and --g")
         ctx = _field_for(args, args.k)
         g = _read_tt_arg(args.g, ctx.k)
         try:
@@ -207,6 +212,8 @@ def _cmd_construct(args) -> int:
         payload = _metadata(f, ctx)
         payload["lines"] = [str(L) for L in lines]
     elif args.family in ("ps-", "ps+"):
+        if args.k is None:
+            raise UsageError(f"construct {args.family} needs --k")
         ctx = _field_for(args, args.k)
         if not args.lines:
             raise UsageError("--lines is required for spread constructions")
@@ -246,10 +253,9 @@ def _read_tt_arg(text: str, n: int) -> TruthTable:
 
 
 def _cmd_census(args) -> int:
-    cap = EXHAUSTIVE_K_MAX if args.mode == "exhaustive" else SAMPLE_K_MAX
-    if args.k > cap:
-        raise UsageError(f"{args.mode} census is capped at k <= {cap}, got {args.k}")
     try:
+        # Before GF2k(k), so a capped k with no default polynomial says "capped".
+        _census_size_check(args.mode, args.k)
         report = census(
             _field_for(args, args.k),
             mode=args.mode,
@@ -390,12 +396,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "construct" and args.family == "psap":
-            if args.k is None or args.g is None:
-                raise UsageError("construct psap needs --k and --g")
-        if args.command == "construct" and args.family in ("ps-", "ps+"):
-            if args.k is None:
-                raise UsageError(f"construct {args.family} needs --k")
         return args.handler(args)
     except UsageError as exc:
         print(f"bentkit: error: {exc}", file=sys.stderr)

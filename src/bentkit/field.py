@@ -90,6 +90,8 @@ class GF2k:
                     f"no default reduction polynomial for k={k}; supply one"
                 )
             poly = DEFAULT_POLYS[k]
+        if poly < 0:
+            raise ValueError(f"polynomial mask must be non-negative, got {poly}")
         if poly.bit_length() - 1 != k:
             raise ValueError(
                 f"polynomial {poly_str(poly)} has degree {poly.bit_length() - 1}, "

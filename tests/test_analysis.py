@@ -1,10 +1,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+import bentkit.analysis
 from bentkit.analysis import (
     CensusReport,
+    _exact_div,
     anti_selfdual_check,
     balanced_g_functions,
     census,
@@ -18,13 +21,14 @@ from bentkit.analysis import (
     metric_identity_check,
     nf_formula,
     rayleigh_vs_charsum,
+    run_verification_suite,
     selfdual_counts,
     symmetric_report,
 )
 from bentkit.boolfun import TruthTable, mm_bent, symmetric_bent
 from bentkit.field import GF2k
 from bentkit.golden import REFERENCE_CENSUS, REFERENCE_DISTRIBUTION
-from bentkit.spectral import dist_to_dual, rayleigh
+from bentkit.spectral import _pairing_perm, _parity_table, dist_to_dual, rayleigh, wht
 from bentkit.spreads import (
     LINE_INFINITY,
     SpreadLine,
@@ -91,6 +95,103 @@ def test_metric_identity_rejects_non_bent():
 
     with pytest.raises(NotBentError):
         metric_identity_check(TruthTable(4, 1))
+
+
+# ----------------------------------------------------------------------
+# form2 by the derivative route: the O(4^n) oracle for the Rayleigh form
+# ----------------------------------------------------------------------
+
+def _derivative_sums(f, pairing):
+    """Sum the spectra of all 2^n directional derivatives D_u f at their
+    paired point Pu, over the whole domain and over its anisotropic half
+    {x : <x, x> = 1}.  Returns (total, anisotropic sum, anisotropic mask)."""
+    n = f.n
+    fv = f.values()
+    xs = np.arange(f.size, dtype=np.int64)
+    par = _parity_table(n)
+    if pairing is None:
+        perm = xs
+        aniso = par.astype(bool)  # odd-weight points
+    else:
+        perm = _pairing_perm(pairing, n)
+        tr = np.array([pairing.trace(a) for a in pairing.elements()], dtype=np.uint8)
+        aniso = (tr[xs & pairing.mask] ^ tr[xs >> pairing.k]).astype(bool)
+
+    deriv_total = 0
+    deriv_aniso = 0
+    for u in range(f.size):
+        dv = fv ^ fv[xs ^ u]
+        chi = par[xs & int(perm[u])]
+        s = 1 - 2 * (dv ^ chi).astype(np.int64)
+        deriv_total += int(s.sum())
+        deriv_aniso += int(s[aniso].sum())
+    return deriv_total, deriv_aniso, aniso
+
+
+def _form2_by_derivatives(f, pairing, sums=None):
+    """(form2, corollary residual) of f by the derivative route."""
+    n, k = f.n, f.n // 2
+    deriv_total, deriv_aniso, _ = sums or _derivative_sums(f, pairing)
+    spec = wht(f, pairing)
+    supp_sum = int(spec.values[f.values().astype(bool)].sum(dtype=np.int64))
+    sign0 = -1 if f[0] else 1
+    form2 = (
+        (1 << (n - 1))
+        - _exact_div(deriv_total, 1 << (k + 1), "derivative spectrum sum")
+        + _exact_div(deriv_aniso, 1 << k, "restricted derivative sum")
+    )
+    residual = 2 * supp_sum + deriv_total - 2 * deriv_aniso - sign0 * (1 << n)
+    return form2, residual
+
+
+def _derivative_oracle_corpus():
+    """(f, pairing): every k = 3 ps- and ps+ under the trace pairing, every
+    symmetric bent at n = 4..10, and seeded MM bents at n = 4..10 under the
+    standard and the trace pairing."""
+    for size in (4, 5):
+        for sel in all_selections(F8, size):
+            yield (ps_minus if size == 4 else ps_plus)(sel), F8
+    for n in range(4, 11, 2):
+        for e1, e2 in itertools.product((0, 1), repeat=2):
+            yield symmetric_bent(n, e1, e2), None
+    rng = random.Random(4242)
+    for n in range(4, 11, 2):
+        k = n // 2
+        for pairing in (None, GF2k(k)):
+            for _ in range(3):
+                pi = list(range(1 << k))
+                rng.shuffle(pi)
+                yield mm_bent(pi, TruthTable(k, rng.getrandbits(1 << k))), pairing
+
+
+def test_form2_and_residual_match_the_derivative_oracle():
+    plus_type = 0
+    for f, pairing in _derivative_oracle_corpus():
+        res = metric_identity_check(f, pairing)
+        sums = _derivative_sums(f, pairing)
+        assert (res.form2, res.corollary_residual) == _form2_by_derivatives(
+            f, pairing, sums
+        )
+        assert res.consistent
+        plus_type += f[0]
+
+        # The collapse: with P symmetric, the derivative sums are
+        # sum_x (-1)^(f(x) + q(x)) W(x) with q(x) = <x, x>, so the
+        # anisotropic one is -sum_{q(x) = 1} (-1)^f(x) W(x).
+        deriv_total, deriv_aniso, aniso = sums
+        if pairing is None:
+            q = np.array([x.bit_count() & 1 for x in range(f.size)], dtype=bool)
+        else:
+            q = np.array(
+                [pairing.trace_pairing(pairing.unpack(x), pairing.unpack(x))
+                 for x in range(f.size)],
+                dtype=bool,
+            )
+        assert np.array_equal(q, aniso)
+        signed = (1 - 2 * f.values().astype(np.int64)) * wht(f, pairing).values
+        assert deriv_total == int(np.where(q, -signed, signed).sum())
+        assert deriv_aniso == -int(signed[q].sum())
+    assert plus_type  # the residual's (-1)^f(0) term is exercised
 
 
 # ----------------------------------------------------------------------
@@ -435,3 +536,34 @@ def test_antiselfdual_check_detects_a_planted_row():
         formula_mismatches=0, spectral_checked=1,
     )
     assert not anti_selfdual_check(bad)
+
+
+# ----------------------------------------------------------------------
+# the verification battery
+# ----------------------------------------------------------------------
+
+def test_verification_suite_runs_each_census_once(monkeypatch):
+    calls = []
+    real_census = bentkit.analysis.census
+
+    def counting_census(ctx, *args, **kwargs):
+        calls.append(ctx.k)
+        return real_census(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(bentkit.analysis, "census", counting_census)
+    checks = run_verification_suite()
+    assert [c.name for c in checks] == [
+        "census-k2",
+        "census-k3",
+        "selfdual-counts",
+        "metric-identities",
+        "ps-distance-formulas",
+        "symmetric-propositions",
+        "charsum-derived-relation",
+        "distribution-reference-rows",
+        "no-anti-self-dual",
+        "affine-transform-examples",
+    ]
+    assert all(c.ok for c in checks)
+    # the two exhaustive reports, and one per row cross-validated at n = 4, 6
+    assert len(calls) <= 4

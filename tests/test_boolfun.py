@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bentkit.boolfun import (
     TruthTable,
@@ -59,6 +60,28 @@ def test_hex_rejects_bad_lengths():
         TruthTable.from_hex("abc")  # 3 digits is not a power of two
     with pytest.raises(ValueError):
         TruthTable.from_hex("ab", n=4)  # n=4 needs 4 digits
+
+
+@pytest.mark.parametrize("text", ["0x6c", "6_c0", "+6ca", "-6ca", "6c a0", "6cg0"])
+def test_hex_rejects_non_hex_characters(text):
+    # int(text, 16) accepts the first four of these
+    with pytest.raises(ValueError, match="non-hex character"):
+        TruthTable.from_hex(text)
+
+
+@given(st.data())
+def test_hex_round_trip_and_single_bad_character_property(data):
+    n = data.draw(st.integers(2, 12), label="n")
+    t = TruthTable(n, data.draw(st.integers(0, (1 << (1 << n)) - 1), label="bits"))
+    text = t.to_hex()
+    assert TruthTable.from_hex(text) == t
+    assert TruthTable.from_hex(text.upper(), n) == t
+    pos = data.draw(st.integers(0, len(text) - 1), label="pos")
+    bad = data.draw(
+        st.characters(exclude_characters="0123456789abcdefABCDEF"), label="bad"
+    )
+    with pytest.raises(ValueError):
+        TruthTable.from_hex(text[:pos] + bad + text[pos + 1:], n)
 
 
 def test_constructor_validation():

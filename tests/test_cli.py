@@ -116,6 +116,16 @@ def test_poly_flag_accepts_hex_masks(capsys):
     assert code == 2 and "reducible" in err
 
 
+def test_negative_poly_is_usage_error(capsys):
+    # argparse takes "-13" as the value, and int("-13", 16) is -19
+    code, out, err = run_cli(
+        capsys, "census", "--k", "4", "--poly", "-13", "--mode", "sample",
+        "--samples", "1",
+    )
+    assert code == 2 and out == ""
+    assert "non-negative" in err and "Traceback" not in err
+
+
 # ----------------------------------------------------------------------
 # construct
 # ----------------------------------------------------------------------
@@ -238,6 +248,19 @@ def test_dist_of_different_n_is_usage_error(capsys, monkeypatch):
 def test_bad_hex_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "wht", "zz")
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["0x6c", "6_c0", "+6ca", "6c a0"])
+def test_non_hex_table_is_usage_error(capsys, text):
+    code, out, err = run_cli(capsys, "wht", text)
+    assert code == 2 and out == ""
+    assert "non-hex character" in err
+
+
+def test_trace_pairing_with_k_zero_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "wht", "6ca0", "--pairing", "trace", "--k", "0")
+    assert code == 2 and out == ""
+    assert "trace pairing needs n = 2k" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -86,6 +86,13 @@ def test_construction_validates_degree_and_range():
         GF2k(9)  # no default polynomial
 
 
+def test_negative_polynomial_mask_is_rejected():
+    # -19 has bit_length 5, so only an explicit sign check keeps it out of
+    # the trial division, which never terminates on a negative mask.
+    with pytest.raises(ValueError, match="non-negative"):
+        GF2k(4, -19)
+
+
 def test_reducible_factor_agrees_with_oracle_for_degree_4():
     for poly in range(1 << 4, 1 << 5):
         assert (reducible_factor(poly) is None) == is_irreducible_oracle(poly)
