@@ -253,6 +253,20 @@ def reduce_basis(vectors: Iterable[int]) -> list[int]:
     return basis
 
 
+def _linear_index_map(images: Sequence[int]) -> np.ndarray:
+    """Index array u -> uA of the linear map sending point 2^b to images[b].
+
+    The maps of the low and the high half of the images combine with one
+    outer XOR, so the full-size array is written once.
+    """
+    if len(images) < 2:
+        return np.array([0, *images], dtype=np.int64)
+    h = len(images) // 2
+    lo = _linear_index_map(images[:h])
+    hi = _linear_index_map(images[h:])
+    return (hi[:, None] ^ lo).ravel()
+
+
 def subspace_span(basis: Sequence[int]) -> list[int]:
     """All 2^dim points of the span of an independent basis."""
     span = [0]

@@ -64,12 +64,22 @@ def _emit_json(args: argparse.Namespace, payload: dict) -> None:
     _emit(args, json.dumps(payload, sort_keys=True) + "\n")
 
 
+def _int_token(tok: str, base: int, what: str) -> int:
+    """int(tok, base) without the signs, "_" separators and non-ASCII
+    digits that int() also takes."""
+    if not tok.isascii() or set(tok) & set("+-_"):
+        raise UsageError(
+            f"bad {what} {tok!r}: write a non-negative integer without sign or '_'"
+        )
+    try:
+        return int(tok, base)
+    except ValueError as exc:
+        raise UsageError(f"bad {what} {tok!r}") from exc
+
+
 def _field_for(args: argparse.Namespace, k: int) -> GF2k:
     poly = getattr(args, "poly", None)
-    try:
-        mask = int(poly, 16) if poly else None
-    except ValueError as exc:
-        raise UsageError(f"bad polynomial mask {poly!r}") from exc
+    mask = _int_token(poly, 16, "polynomial mask") if poly else None
     try:
         return GF2k(k, mask)
     except ValueError as exc:
@@ -109,21 +119,15 @@ def _parse_lines(text: str, ctx: GF2k) -> list[SpreadLine]:
         if tok in ("inf", "infinity"):
             out.append(LINE_INFINITY)
         else:
-            try:
-                out.append(SpreadLine(int(tok, 0)))
-            except ValueError as exc:
-                raise UsageError(f"bad line token {tok!r}") from exc
+            out.append(SpreadLine(_int_token(tok, 0, "line token")))
     return out
 
 
 def _parse_point(tok: str, n: int) -> int:
     tok = tok.strip()
-    try:
-        if set(tok) <= {"0", "1"} and len(tok) == n:
-            return int(tok, 2)
-        return int(tok, 0)
-    except ValueError as exc:
-        raise UsageError(f"bad point {tok!r}") from exc
+    if set(tok) <= {"0", "1"} and len(tok) == n:
+        return int(tok, 2)
+    return _int_token(tok, 0, "point")
 
 
 # ----------------------------------------------------------------------

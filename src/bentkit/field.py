@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boolfun import popcount_array, reduce_basis
+from .boolfun import _linear_index_map, popcount_array, reduce_basis
 
 # Low-weight irreducible defaults.  Larger k must supply a polynomial.
 DEFAULT_POLYS = {
@@ -78,7 +78,9 @@ class GF2k:
     threads.  A GF2k doubles as the trace-form pairing marker for the
     spectral layer: passing one as `pairing` selects the bilinear form
     Tr(xx') + Tr(yy') on F_{2^k} x F_{2^k} instead of the standard dot
-    product.
+    product.  That form is diag(G, G) with G the k x k Gram matrix, so the
+    spectral layer views a spectrum as a 2^k x 2^k grid (row y, column x)
+    and re-indexes both axes through `gram_index`: W_tr(x, y) = W(Gx, Gy).
     """
 
     def __init__(self, k: int, poly: int | None = None):
@@ -113,6 +115,10 @@ class GF2k:
         self.gram_rows = [
             self._gram_row(i) for i in range(k)
         ]
+        # Index array x -> Gx over the whole field (2^k entries).  G is
+        # symmetric, so row i is the image of x^i.
+        self.gram_index = _linear_index_map(self.gram_rows)
+        self.gram_index.flags.writeable = False
         # Fully reducing the augmented rows [G | I] leaves [I | G^-1].  The
         # basis comes in descending pivot order; reversed, vector i is e_i
         # followed by row i of G^-1.

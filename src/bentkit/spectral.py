@@ -7,9 +7,11 @@ product on the domain:
   * a ``GF2k`` ctx  -- the trace form Tr(xx') + Tr(yy') on
                        F_{2^k} x F_{2^k}, for functions on n = 2k variables.
 
-The trace-form spectrum is the standard spectrum re-indexed through the
-context's Gram map (one audited butterfly, one bijective remap), so
-bentness never depends on the pairing while duals and distances do.
+The trace form is diag(G, G) with G the field's k x k Gram matrix, so the
+trace-form spectrum is the standard one viewed as a 2^k x 2^k grid (row y,
+column x) with rows and columns re-indexed through the field's k-bit Gram
+index: W_tr(x, y) = W(Gx, Gy).  One audited butterfly serves both pairings,
+so bentness never depends on the pairing while duals and distances do.
 
 Spectrum values are 32-bit signed integers: every butterfly intermediate is
 a partial Walsh sum, so |W| <= 2^n <= 2^24.  Sums that can exceed that range
@@ -24,7 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolfun import TruthTable, _pack_values, popcount_array, reduce_basis
+from .boolfun import (
+    TruthTable,
+    _linear_index_map,
+    _pack_values,
+    popcount_array,
+    reduce_basis,
+)
 from .field import GF2k
 
 Pairing = GF2k | None
@@ -70,38 +78,6 @@ def _dot64(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.einsum("i,i->", a, b, dtype=np.int64))
 
 
-def _linear_index_map(images: Sequence[int]) -> np.ndarray:
-    """Index array u -> uA of the linear map sending point 2^b to images[b].
-
-    The maps of the low and the high half of the images combine with one
-    outer XOR, so the full-size array is written once.
-    """
-    if len(images) < 2:
-        return np.array([0, *images], dtype=np.int64)
-    h = len(images) // 2
-    lo = _linear_index_map(images[:h])
-    hi = _linear_index_map(images[h:])
-    return (hi[:, None] ^ lo).ravel()
-
-
-# At n = 24 one entry is 128 MiB, so only the most recent few are kept.
-_PERM_CACHE_MAX = 4
-_PERM_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
-
-
-def _pairing_perm(ctx: GF2k, n: int) -> np.ndarray:
-    """Index permutation u -> gram_map(u), cached per (field, n), oldest
-    entry evicted first."""
-    key = (ctx.k, ctx.poly, n)
-    perm = _PERM_CACHE.get(key)
-    if perm is None:
-        perm = _linear_index_map([ctx.gram_map(1 << b) for b in range(n)])
-        if len(_PERM_CACHE) >= _PERM_CACHE_MAX:
-            del _PERM_CACHE[next(iter(_PERM_CACHE))]
-        _PERM_CACHE[key] = perm
-    return perm
-
-
 @dataclass
 class WalshSpectrum:
     """Full spectrum of one function under one pairing."""
@@ -133,25 +109,16 @@ def wht(f: TruthTable, pairing: Pairing = None) -> WalshSpectrum:
             raise ValueError(
                 f"trace pairing needs n = 2k = {2 * pairing.k}, got n = {f.n}"
             )
-        vals = vals[_pairing_perm(pairing, f.n)]
+        # Row y, column x: W_tr(x, y) = W(Gx, Gy).  With mode="clip" the
+        # second take writes straight into the spectrum ("raise" buffers a
+        # copy); g is a permutation of the grid's axis, so nothing is clipped.
+        grid = vals.reshape(pairing.order, pairing.order)
+        g = pairing.gram_index
+        np.take(np.take(grid, g, axis=0), g, axis=1, out=grid, mode="clip")
     spec = WalshSpectrum(f.n, vals, pairing)
     if not spec.parseval_ok():
         raise AssertionError("Parseval identity violated; transform is broken")
     return spec
-
-
-_PARITY_CACHE: dict[int, np.ndarray] = {}
-
-
-def _parity_table(n: int) -> np.ndarray:
-    """parity(popcount(x)) for x in 0..2^n-1, as uint8."""
-    tab = _PARITY_CACHE.get(n)
-    if tab is None:
-        tab = (popcount_array(np.arange(1 << n, dtype=np.uint32)) & 1).astype(
-            np.uint8
-        )
-        _PARITY_CACHE[n] = tab
-    return tab
 
 
 def wht_restricted(f: TruthTable, u: int, subset: str = "even") -> int:
@@ -161,10 +128,11 @@ def wht_restricted(f: TruthTable, u: int, subset: str = "even") -> int:
     """
     if subset not in ("even", "odd"):
         raise ValueError(f"subset must be 'even' or 'odd', got {subset!r}")
-    par = _parity_table(f.n)
-    mask = par == (1 if subset == "odd" else 0)
-    xs = np.arange(f.size, dtype=np.int64)
-    chi = par[xs & u]
+    if not 0 <= u < f.size:
+        raise ValueError(f"point {u} out of range for n={f.n}")
+    xs = np.arange(f.size, dtype=np.uint32)
+    mask = (popcount_array(xs) & 1) == (1 if subset == "odd" else 0)
+    chi = popcount_array(xs & u) & 1
     signs = 1 - 2 * (f.values() ^ chi).astype(np.int64)
     return int(signs[mask].sum())
 

@@ -28,7 +28,7 @@ from bentkit.analysis import (
 from bentkit.boolfun import TruthTable, mm_bent, symmetric_bent
 from bentkit.field import GF2k
 from bentkit.golden import REFERENCE_CENSUS, REFERENCE_DISTRIBUTION
-from bentkit.spectral import _pairing_perm, _parity_table, dist_to_dual, rayleigh, wht
+from bentkit.spectral import dist_to_dual, rayleigh, wht
 from bentkit.spreads import (
     LINE_INFINITY,
     SpreadLine,
@@ -104,16 +104,16 @@ def test_metric_identity_rejects_non_bent():
 def _derivative_sums(f, pairing):
     """Sum the spectra of all 2^n directional derivatives D_u f at their
     paired point Pu, over the whole domain and over its anisotropic half
-    {x : <x, x> = 1}.  Returns (total, anisotropic sum, anisotropic mask)."""
-    n = f.n
+    {x : <x, x> = 1}.  Returns (total, anisotropic sum, anisotropic mask).
+
+    The paired point comes pointwise from `gram_map` and parities from
+    int.bit_count, independent of the spectral layer's grid re-index."""
     fv = f.values()
     xs = np.arange(f.size, dtype=np.int64)
-    par = _parity_table(n)
+    par = np.array([x.bit_count() & 1 for x in range(f.size)], dtype=np.uint8)
     if pairing is None:
-        perm = xs
         aniso = par.astype(bool)  # odd-weight points
     else:
-        perm = _pairing_perm(pairing, n)
         tr = np.array([pairing.trace(a) for a in pairing.elements()], dtype=np.uint8)
         aniso = (tr[xs & pairing.mask] ^ tr[xs >> pairing.k]).astype(bool)
 
@@ -121,7 +121,8 @@ def _derivative_sums(f, pairing):
     deriv_aniso = 0
     for u in range(f.size):
         dv = fv ^ fv[xs ^ u]
-        chi = par[xs & int(perm[u])]
+        pu = u if pairing is None else pairing.gram_map(u)
+        chi = par[xs & pu]
         s = 1 - 2 * (dv ^ chi).astype(np.int64)
         deriv_total += int(s.sum())
         deriv_aniso += int(s[aniso].sum())

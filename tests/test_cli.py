@@ -103,12 +103,16 @@ def test_census_sample_byte_stable(capsys):
 
 def test_poly_flag_accepts_hex_masks(capsys):
     # x^4 + x + 1 both with and without the 0x prefix
+    outs = []
     for spelling in ("0x13", "13"):
-        payload = run_json(
+        code, out, err = run_cli(
             capsys, "census", "--k", "4", "--mode", "sample", "--samples", "5",
             "--seed", "1", "--poly", spelling,
         )
-        assert payload["formula_mismatches"] == 0
+        assert code == 0, err
+        assert json.loads(out)["formula_mismatches"] == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
     code, _, err = run_cli(
         capsys, "census", "--k", "4", "--mode", "sample", "--samples", "5",
         "--poly", "0x18",  # x^4 + x^3 = x^3(x+1), reducible
@@ -124,6 +128,43 @@ def test_negative_poly_is_usage_error(capsys):
     )
     assert code == 2 and out == ""
     assert "non-negative" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--k", "4", "--mode", "sample", "--samples", "1", "--poly", "1_3"),
+        ("census", "--k", "4", "--mode", "sample", "--samples", "1", "--poly", "+13"),
+        ("construct", "ps-", "--k", "4", "--lines", "1_0,2,3,4,inf"),
+        ("construct", "ps-", "--k", "3", "--lines", "+1,2,3,inf"),
+        ("construct", "ps-", "--k", "3", "--lines=2,-1,3,inf"),
+        ("construct", "ps-general", "--n", "4", "--subspace", "+1,0100"),
+        ("construct", "ps-general", "--n", "4", "--subspace", "0b0_1,0100"),
+        ("construct", "ps-general", "--n", "4", "--subspace=-1,0100"),
+    ],
+)
+def test_signed_or_underscored_int_tokens_are_usage_errors(capsys, argv):
+    # int() takes "_" separators and signs; the CLI's integer tokens do not
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "without sign or '_'" in err and "Traceback" not in err
+
+
+def test_prefixed_int_tokens_still_parse(capsys):
+    plain = run_json(capsys, "construct", "ps-", "--k", "3", "--lines", "2,3,5,inf")
+    prefixed = run_json(
+        capsys, "construct", "ps-", "--k", "3", "--lines", "0x2,0b11,5,inf"
+    )
+    assert prefixed == plain
+    bits = run_json(
+        capsys, "construct", "ps-general", "--n", "4",
+        "--subspace", "0001,0100", "--subspace", "0010,1000",
+    )
+    prefixed = run_json(
+        capsys, "construct", "ps-general", "--n", "4",
+        "--subspace", "0b1,0x4", "--subspace", "2,8",
+    )
+    assert prefixed == bits
 
 
 # ----------------------------------------------------------------------

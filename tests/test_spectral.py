@@ -1,9 +1,10 @@
 import random
+import sys
 
 import numpy as np
 import pytest
 
-import bentkit.spectral
+import bentkit.boolfun
 from bentkit.boolfun import TruthTable, mm_bent, symmetric_bent
 from bentkit.field import DEFAULT_POLYS, GF2k
 from bentkit.spectral import (
@@ -112,13 +113,17 @@ def test_parseval_on_random_functions():
 
 
 def test_trace_spectrum_is_gram_permutation_of_standard():
-    for k in (2, 3):
-        ctx = GF2k(k)
-        rng = random.Random(k)
-        f = random_tt(2 * k, rng)
+    ctxs = [GF2k(k) for k in sorted(DEFAULT_POLYS)] + [GF2k(12, 0x1053)]
+    for ctx in ctxs:
+        rng = random.Random(ctx.k)
+        f = random_tt(2 * ctx.k, rng)
         std = wht(f)
         tr = wht(f, pairing=ctx)
-        for u in range(f.size):
+        if ctx.k <= 4:
+            points = range(f.size)
+        else:
+            points = [0, f.size - 1] + [rng.randrange(f.size) for _ in range(300)]
+        for u in points:
             assert tr[u] == std[ctx.gram_map(u)]
 
 
@@ -127,22 +132,27 @@ def test_linear_index_map_matches_pointwise_images():
     for n in range(0, 10):
         images = [rng.getrandbits(max(n, 1)) for _ in range(n)]
         want = [_apply_rows(images, u) for u in range(1 << n)]
-        assert bentkit.spectral._linear_index_map(images).tolist() == want
+        assert bentkit.boolfun._linear_index_map(images).tolist() == want
 
 
-def test_pairing_perm_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(bentkit.spectral, "_PERM_CACHE", {})
-    cache_max = bentkit.spectral._PERM_CACHE_MAX
-    rng = random.Random(5)
-    ctxs = [GF2k(k) for k in sorted(DEFAULT_POLYS)] + [GF2k(3)]
-    assert len(ctxs) > cache_max
-    for ctx in ctxs:
-        n = 2 * ctx.k
-        perm = bentkit.spectral._pairing_perm(ctx, n)
-        assert len(bentkit.spectral._PERM_CACHE) <= cache_max
-        for u in [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(200)]:
-            assert perm[u] == ctx.gram_map(u)
-    assert len(bentkit.spectral._PERM_CACHE) == cache_max
+def test_no_module_level_array_caches():
+    f = random_tt(8, random.Random(6))
+    for pairing in (None, GF2k(4), GF2k(4, 0b11001)):
+        wht(f, pairing)
+    wht_restricted(f, 5)
+    for name, mod in list(sys.modules.items()):
+        if name == "bentkit" or name.startswith("bentkit."):
+            for value in vars(mod).values():
+                if isinstance(value, dict):
+                    assert not any(
+                        isinstance(v, np.ndarray) for v in value.values()
+                    ), name
+    # the one index the trace pairing keeps lives on its field, read-only
+    for k in sorted(DEFAULT_POLYS):
+        g = GF2k(k).gram_index
+        assert len(g) == 1 << k
+        with pytest.raises(ValueError):
+            g[0] = 1
 
 
 def test_trace_pairing_arity_mismatch():
@@ -170,6 +180,10 @@ def test_restricted_specific_values():
     assert wht_restricted(f, 0, "odd") == 0
     with pytest.raises(ValueError):
         wht_restricted(f, 0, "both")
+    g = random_tt(6, random.Random(7))
+    for u in (-1, 1 << 6, (1 << 6) | 1):
+        with pytest.raises(ValueError):
+            wht_restricted(g, u)
 
 
 # ----------------------------------------------------------------------
