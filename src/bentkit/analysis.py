@@ -39,10 +39,11 @@ from .spectral import (
 from .spreads import (
     SpreadLine,
     SpreadSelection,
-    _general_family,
+    _unmatched_lines,
     desarguesian,
     line_dual,
     line_points,
+    ps_general,
     ps_minus,
     ps_plus,
     psap_from_g,
@@ -149,9 +150,12 @@ def dual_subspace_points(n: int, points: Sequence[int]) -> list[int]:
 
 def dist_formula_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> int:
     """The counting form over explicit disjoint subspaces (standard pairing);
-    minus or plus type by the family size."""
-    spans, f = _general_family(n, subspace_bases)
-    return _dist_formula(f, [dual_subspace_points(n, pts) for pts in spans])
+    minus or plus type by the family size.  The annihilator of a span is the
+    annihilator of its basis."""
+    f = ps_general(n, subspace_bases)
+    return _dist_formula(
+        f, [dual_subspace_points(n, basis) for basis in subspace_bases]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -161,28 +165,22 @@ def dist_formula_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> int
 def intersection_index(sel: SpreadSelection) -> tuple[bool, int]:
     """(E_1 selected?, number of selected lines whose dual is also selected).
 
+    The count is 2^(k-1) - h, with h the unmatched lines of the selection.
     E_1 is its own dual, so a selection containing it always has index >= 1.
     """
-    want = 1 << (sel.k - 1)
-    if len(sel) != want:
-        raise ValueError(f"expected a ps_minus selection of {want} lines")
-    chosen = set(sel.lines)
-    i = sum(1 for L in sel.lines if line_dual(sel.ctx, L) in chosen)
-    return SpreadLine(1) in chosen, i
+    return SpreadLine(1) in sel, len(sel) - _unmatched_lines(sel)
+
+
+def _nf_value(k: int, h: int) -> int:
+    """N = 2^n - 4h(2^k - 1) for a minus-type selection with h unmatched lines."""
+    return (1 << (2 * k)) - 4 * h * ((1 << k) - 1)
 
 
 def nf_formula(sel: SpreadSelection) -> int:
     """Normalized Rayleigh quotient of ps_minus(sel) from the line bookkeeping
-    alone: 2^n - 4(2^(k-1) - i)(2^k - 1), with the index shifted by one when
-    E_1 is selected."""
-    k = sel.k
-    has_e1, i = intersection_index(sel)
-    if has_e1:
-        j = i - 1
-        gap = (1 << (k - 1)) - j - 1
-    else:
-        gap = (1 << (k - 1)) - i
-    return (1 << sel.n) - 4 * gap * ((1 << k) - 1)
+    alone: 2^n - 4h(2^k - 1), where h counts the selected lines whose dual
+    is not selected.  The distance to the dual is then h(2^(k+1) - 2)."""
+    return _nf_value(sel.k, _unmatched_lines(sel))
 
 
 # ----------------------------------------------------------------------
@@ -334,19 +332,17 @@ class DistributionRow:
 
 def distribution_table(n: int) -> DistributionRow:
     """Every realizable (N, dist) value for minus-type Desarguesian spread
-    functions on n variables: one class per intersection index i = 0..2^(k-1).
+    functions on n variables: one class per unmatched-line count
+    h = 0..2^(k-1).
 
     For n <= 6 the row is cross-validated against the exhaustive census.
     """
     if n % 2 or not 4 <= n <= 24:
         raise ValueError(f"need even n in 4..24, got {n}")
     k = n // 2
-    step = (1 << (k + 1)) - 2
-    count = (1 << (k - 1)) + 1
-    nf_values = [
-        (1 << n) - 4 * ((1 << (k - 1)) - i) * ((1 << k) - 1) for i in range(count)
-    ]
-    dist_values = sorted(step * ((1 << (k - 1)) - i) for i in range(count))
+    # N rises as h falls; dist = 2^(n-1) - N/2 rises with h
+    nf_values = [_nf_value(k, h) for h in range(1 << (k - 1), -1, -1)]
+    dist_values = [(1 << (n - 1)) - nf // 2 for nf in reversed(nf_values)]
     row = DistributionRow(n, nf_values, dist_values)
     if n <= 6:
         realized = census(GF2k(k), mode="exhaustive")
@@ -382,10 +378,11 @@ def balanced_g_functions(k: int):
 def selfdual_counts(k: int) -> tuple[int, int]:
     """(spread-form count, quotient-form count) of self-dual functions.
 
-    The spread form counts selections of 2^(k-1) lines closed under line
-    duality; the quotient form can never select E_0 or the infinity line, so
-    its count is the smaller binomial.  For k <= EXHAUSTIVE_K_MAX both values
-    are verified by exhaustive enumeration with the spectral oracle.
+    Both count the h = 0 selections, whose lines are all matched.  For
+    k >= 2 those leave out E_1 and choose 2^(k-2) of the 2^(k-1) dual pairs;
+    the quotient form lacks the pair {E_0, inf}, so it chooses among
+    2^(k-1) - 1.  For k <= EXHAUSTIVE_K_MAX both values are verified by
+    exhaustive enumeration with the spectral oracle.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")

@@ -18,7 +18,8 @@ import numpy as np
 
 from .boolfun import _linear_index_map, popcount_array, reduce_basis
 
-# Low-weight irreducible defaults.  Larger k must supply a polynomial.
+# Low-weight irreducible defaults for every k a spread table reaches
+# (n = 2k <= 24).  k = 13..16 must supply a polynomial.
 DEFAULT_POLYS = {
     1: 0b11,         # x + 1
     2: 0b111,        # x^2 + x + 1
@@ -28,6 +29,10 @@ DEFAULT_POLYS = {
     6: 0b1000011,    # x^6 + x + 1
     7: 0b10000011,   # x^7 + x + 1
     8: 0b100011011,  # x^8 + x^4 + x^3 + x + 1
+    9: 0x211,        # x^9 + x^4 + 1
+    10: 0x409,       # x^10 + x^3 + 1
+    11: 0x805,       # x^11 + x^2 + 1
+    12: 0x1053,      # x^12 + x^6 + x^4 + x + 1
 }
 
 

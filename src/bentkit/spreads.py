@@ -170,24 +170,24 @@ def selection_from_g(ctx: GF2k, g: TruthTable) -> SpreadSelection:
     )
 
 
-def is_selfdual_selection(sel: SpreadSelection) -> bool:
-    """Self-duality test for a minus-type selection, by line bookkeeping:
-    E_1 absent, E_0 and the infinity line both in or both out, and the rest
-    closed under inversion."""
+def _unmatched_lines(sel: SpreadSelection) -> int:
+    """h: how many selected lines have an unselected trace dual.
+
+    The dual pairs are {E_0, inf} and {E_a, E_{1/a}}; E_1 is its own dual.
+    Every line-counting claim about ps_minus(sel) reads this one number.
+    """
     want = 1 << (sel.k - 1)
     if len(sel) != want:
         raise ValueError(f"expected a ps_minus selection of {want} lines")
-    lines = set(sel.lines)
-    if SpreadLine(1) in lines:
-        return False
-    if (SpreadLine(0) in lines) != (LINE_INFINITY in lines):
-        return False
-    for line in lines:
-        if line.is_infinity or line.a in (0, 1):
-            continue
-        if SpreadLine(sel.ctx.inv(line.a)) not in lines:
-            return False
-    return True
+    chosen = set(sel.lines)
+    return sum(line_dual(sel.ctx, L) not in chosen for L in sel.lines)
+
+
+def is_selfdual_selection(sel: SpreadSelection) -> bool:
+    """Self-duality of ps_minus(sel): h = 0, every selected line's dual is
+    selected too.  For k >= 2 this excludes E_1, since 2^(k-1) lines cannot
+    be one self-dual line plus whole pairs."""
+    return _unmatched_lines(sel) == 0
 
 
 # ----------------------------------------------------------------------
@@ -225,11 +225,9 @@ def validate_subspace_family(
     return spans
 
 
-def _general_family(
-    n: int, subspace_bases: Sequence[Sequence[int]]
-) -> tuple[list[list[int]], TruthTable]:
-    """The validated point lists of a disjoint subspace family and its
-    partial-spread function; minus or plus type by the family size."""
+def ps_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> TruthTable:
+    """Partial-spread function over arbitrary disjoint k-dim subspaces of
+    F_2^n (standard pairing); minus or plus type by the family size."""
     spans = validate_subspace_family(n, subspace_bases)
     k = n // 2
     count = len(spans)
@@ -243,10 +241,4 @@ def _general_family(
             f"family size {count} is neither 2^(k-1) = {1 << (k - 1)} nor "
             f"2^(k-1)+1 = {(1 << (k - 1)) + 1}"
         )
-    return spans, TruthTable.from_support(n, union)
-
-
-def ps_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> TruthTable:
-    """Partial-spread function over arbitrary disjoint k-dim subspaces of
-    F_2^n (standard pairing); minus or plus type by the family size."""
-    return _general_family(n, subspace_bases)[1]
+    return TruthTable.from_support(n, union)

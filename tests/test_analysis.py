@@ -1,8 +1,10 @@
+import functools
 import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bentkit.analysis
 from bentkit.analysis import (
@@ -25,7 +27,7 @@ from bentkit.analysis import (
     selfdual_counts,
     symmetric_report,
 )
-from bentkit.boolfun import TruthTable, mm_bent, symmetric_bent
+from bentkit.boolfun import TruthTable, mm_bent, reduce_basis, symmetric_bent
 from bentkit.field import GF2k
 from bentkit.golden import REFERENCE_CENSUS, REFERENCE_DISTRIBUTION
 from bentkit.spectral import dist_to_dual, rayleigh, wht
@@ -33,6 +35,8 @@ from bentkit.spreads import (
     LINE_INFINITY,
     SpreadLine,
     desarguesian,
+    is_selfdual_selection,
+    line_points,
     ps_minus,
     ps_plus,
     psap_from_g,
@@ -256,6 +260,15 @@ def test_dual_subspace_points_matches_known_duality():
 
     assert span3 == sorted(subspace_span(E5))  # E3 and E5 are dual
     assert sorted(dual_subspace_points(4, E4)) == sorted(subspace_span(E4))
+    # the annihilator of a span is the annihilator of any basis of it
+    rng = random.Random(678)
+    for n in (6, 7, 8):
+        for _ in range(10):
+            dim = rng.randint(1, n)
+            basis = reduce_basis(rng.randrange(1, 1 << n) for _ in range(dim))
+            assert dual_subspace_points(n, basis) == dual_subspace_points(
+                n, subspace_span(basis)
+            )
 
 
 # ----------------------------------------------------------------------
@@ -288,6 +301,44 @@ def test_nf_formula_matches_rayleigh_exhaustively():
         for sel in all_selections(ctx, 1 << (ctx.k - 1)):
             _, n_f = rayleigh(ps_minus(sel), pairing=ctx)
             assert nf_formula(sel) == n_f
+
+
+@functools.cache
+def trace_dual_by_annihilator(k: int) -> dict:
+    """Each spread line of GF2k(k) mapped to the spread line whose points are
+    the trace annihilator of its points; uses only ctx.mul and ctx.trace."""
+    ctx = GF2k(k)
+    tr = np.array(
+        [[ctx.trace(ctx.mul(a, b)) for b in ctx.elements()] for a in ctx.elements()],
+        dtype=np.uint8,
+    )
+    by_points = {line_points(ctx, L): L for L in desarguesian(ctx)}
+    dual_of = {}
+    for pts, line in by_points.items():
+        # grid row y', column x' is the packed point x' + 2^k y'
+        zero = np.ones((ctx.order, ctx.order), dtype=bool)
+        for p in pts:
+            x, y = ctx.unpack(p)
+            zero &= (tr[y][:, None] ^ tr[x][None, :]) == 0
+        dual_of[line] = by_points[frozenset(np.flatnonzero(zero).tolist())]
+    return dual_of
+
+
+@settings(deadline=None)
+@given(k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_counting_layer_matches_spectra_on_seeded_selections(k, seed):
+    ctx = GF2k(k)
+    lines = random.Random(seed).sample(desarguesian(ctx), 1 << (k - 1))
+    sel = selection(ctx, lines)
+    f = ps_minus(sel)
+    _, n_f = rayleigh(f, pairing=ctx)
+    d = dist_to_dual(f, pairing=ctx)
+    assert nf_formula(sel) == n_f
+    assert is_selfdual_selection(sel) == (d == 0)
+    assert dist_formula_ps_minus(sel) == d
+    dual_of = trace_dual_by_annihilator(k)
+    matched = sum(dual_of[L] in sel.lines for L in sel.lines)
+    assert intersection_index(sel) == (SpreadLine(1) in sel.lines, matched)
 
 
 # ----------------------------------------------------------------------

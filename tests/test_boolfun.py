@@ -104,6 +104,14 @@ def test_constructor_validation():
         TruthTable.from_values(2, [0, 1])
 
 
+@given(st.data())
+def test_from_support_matches_from_values(data):
+    n = data.draw(st.integers(2, 10), label="n")
+    supp = data.draw(st.lists(st.integers(0, (1 << n) - 1)), label="support")
+    vals = [int(x in supp) for x in range(1 << n)]
+    assert TruthTable.from_support(n, supp) == TruthTable.from_values(n, vals)
+
+
 def test_xor_and_complement():
     f = tt_x1(4)
     assert (f ^ f).weight() == 0
@@ -151,6 +159,14 @@ def test_moebius_involution_exhaustive_n4():
             a = a.reshape(len(tables), 16)
             h *= 2
     assert np.array_equal(a, vals)
+
+
+@given(st.data())
+def test_moebius_involution_property(data):
+    n = data.draw(st.integers(2, 12), label="n")
+    f = TruthTable(n, data.draw(st.integers(0, (1 << (1 << n)) - 1), label="bits"))
+    assert f.anf().to_truth_table() == f
+    assert TruthTable(n, f.anf().coeffs).anf().coeffs == f.bits
 
 
 def test_anf_evaluation_reproduces_function():

@@ -1,13 +1,18 @@
 import io
 import json
+import random
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import bentkit.spectral
+from bentkit.boolfun import TruthTable, mm_bent
 from bentkit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -304,6 +309,19 @@ def test_trace_pairing_with_k_zero_is_usage_error(capsys):
     assert "trace pairing needs n = 2k" in err
 
 
+def test_trace_pairing_has_a_default_field_at_n18(capsys):
+    rng = random.Random(18)
+    pi = list(range(1 << 9))
+    rng.shuffle(pi)
+    tt = mm_bent(pi, TruthTable(9, rng.getrandbits(1 << 9))).to_hex()
+    for cmd in ("rayleigh", "dual"):
+        default = run_cli(capsys, cmd, tt, "--pairing", "trace")
+        assert default[0] == 0, default[2]
+        assert default == run_cli(
+            capsys, cmd, tt, "--pairing", "trace", "--poly", "0x211"
+        )
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -344,3 +362,34 @@ def test_one_transform_per_request(capsys, monkeypatch, argv, expected):
     monkeypatch.setattr(bentkit.spectral, "_fwht", counting_fwht)
     assert run_json(capsys, *argv) == {"schema": 1, **expected}
     assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------
+# the README examples
+# ----------------------------------------------------------------------
+
+def _readme_blocks() -> list[tuple[str, str]]:
+    return re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+def test_readme_cli_examples_exit_0(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # the census example writes report.json
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for lang, body in _readme_blocks()
+        if lang != "python"
+        for line in body.splitlines()
+        if line.startswith("bentkit ")
+    ]
+    assert len(commands) >= 10
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+
+
+def test_readme_quick_start_prints_its_census_comment(capsys):
+    (code,) = [body for lang, body in _readme_blocks() if lang == "python"]
+    comment = re.search(r"census\(F8\)\.class_sizes\)\s*#\s*(.*)", code)[1]
+    assert comment == "{0: 6, 14: 24, 28: 48, 42: 32, 56: 16}"
+    exec(compile(code, str(README), "exec"), {})
+    assert comment in capsys.readouterr().out.splitlines()

@@ -83,7 +83,7 @@ def test_construction_validates_degree_and_range():
     with pytest.raises(ValueError):
         GF2k(3, 0b111)  # degree 2, not 3
     with pytest.raises(ValueError):
-        GF2k(9)  # no default polynomial
+        GF2k(13)  # no default polynomial
 
 
 def test_negative_polynomial_mask_is_rejected():
@@ -167,9 +167,7 @@ def test_trace_matches_conjugate_sum_oracle():
             assert ctx.trace(a) == trace_oracle(ctx, a)
 
 
-@pytest.mark.parametrize(
-    "k, poly", sorted(DEFAULT_POLYS.items()) + [(12, 0x1053)]
-)
+@pytest.mark.parametrize("k, poly", sorted(DEFAULT_POLYS.items()))
 def test_trace_table_built_by_linearity_matches_conjugate_sum(k, poly):
     ctx = GF2k(k, poly)
     assert [ctx.trace(a) for a in ctx.elements()] == [

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import bentkit.boolfun
 from bentkit.boolfun import TruthTable, mm_bent, symmetric_bent
@@ -112,9 +113,19 @@ def test_parseval_on_random_functions():
         assert wht(f).parseval_ok()
 
 
+@given(st.data())
+def test_parseval_property_on_random_tables(data):
+    n = data.draw(st.integers(2, 10), label="n")
+    f = TruthTable(n, data.draw(st.integers(0, (1 << (1 << n)) - 1), label="bits"))
+    pairings = [None] + ([GF2k(n // 2)] if n % 2 == 0 else [])
+    for pairing in pairings:
+        spec = wht(f, pairing)
+        assert spec.parseval_ok()
+        assert int(np.square(spec.values.astype(np.int64)).sum()) == 1 << (2 * n)
+
+
 def test_trace_spectrum_is_gram_permutation_of_standard():
-    ctxs = [GF2k(k) for k in sorted(DEFAULT_POLYS)] + [GF2k(12, 0x1053)]
-    for ctx in ctxs:
+    for ctx in map(GF2k, sorted(DEFAULT_POLYS)):
         rng = random.Random(ctx.k)
         f = random_tt(2 * ctx.k, rng)
         std = wht(f)
@@ -219,6 +230,16 @@ def test_dual_involution_on_mm_family():
         d = dual(f)
         assert is_bent(d)
         assert dual(d) == f
+
+
+@given(k=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_dual_of_dual_on_seeded_mm_bents_under_both_pairings(k, seed):
+    rng = random.Random(seed)
+    pi = list(range(1 << k))
+    rng.shuffle(pi)
+    f = mm_bent(pi, TruthTable(k, rng.getrandbits(1 << k)))
+    for pairing in (None, GF2k(k)):
+        assert dual(dual(f, pairing), pairing) == f
 
 
 def test_dual_error_carries_witness():

@@ -229,7 +229,7 @@ def test_selection_with_unity_line_never_selfdual():
 
 
 def test_selfdual_selection_agrees_with_spectral_distance():
-    for ctx in (F4, F8):
+    for ctx in (GF2k(1), F4, F8):
         for sel in all_selections(ctx, 1 << (ctx.k - 1)):
             spectral = dist_to_dual(ps_minus(sel), pairing=ctx) == 0
             assert is_selfdual_selection(sel) == spectral
