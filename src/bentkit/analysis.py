@@ -21,6 +21,8 @@ from .boolfun import (
     TruthTable,
     _pack_values,
     _weights_array,
+    reduce_basis,
+    subspace_span,
     symmetric_bent,
     symmetric_value_pattern,
 )
@@ -39,10 +41,10 @@ from .spectral import (
 from .spreads import (
     SpreadLine,
     SpreadSelection,
+    _line_index,
     _unmatched_lines,
     desarguesian,
-    line_dual,
-    line_points,
+    dual_selection,
     ps_general,
     ps_minus,
     ps_plus,
@@ -112,40 +114,44 @@ def metric_identity_check(f: TruthTable, pairing: Pairing = None) -> MetricIdent
 # closed-form distances for partial-spread functions
 # ----------------------------------------------------------------------
 
-def _dist_formula(f: TruthTable, dual_point_sets: Sequence) -> int:
+def _dist_formula(f: TruthTable, dual_index: np.ndarray) -> int:
     """The counting form: support hits of a partial-spread f on the dual
-    subspaces, origin excluded.  f(0) = 1 marks the plus type; the minus
-    type never contains the origin."""
+    subspaces, a (2^k, m) index array whose origin row 0 is skipped.  f(0) = 1
+    marks the plus type; the minus type never contains the origin."""
     n, k = f.n, f.n // 2
-    hits = sum(f[x] for pts in dual_point_sets for x in pts if x != 0)
+    hits = int(f.values()[dual_index[1:]].sum(dtype=np.int64))
     if f[0]:
         return (1 << n) + (1 << k) - 2 - 2 * hits
     return (1 << n) - (1 << k) - 2 * hits
 
 
-def _dual_lines_points(sel: SpreadSelection) -> list[frozenset[int]]:
-    return [line_points(sel.ctx, line_dual(sel.ctx, L)) for L in sel.lines]
-
-
 def dist_formula_ps_minus(sel: SpreadSelection) -> int:
     """Distance to the dual of ps_minus(sel) by counting support hits on the
     dual lines; never runs a transform."""
-    return _dist_formula(ps_minus(sel), _dual_lines_points(sel))
+    return _dist_formula(ps_minus(sel), _line_index(sel.ctx, dual_selection(sel).lines))
 
 
 def dist_formula_ps_plus(sel: SpreadSelection) -> int:
     """Same counting form for ps_plus(sel), with the origin excluded from
     each dual line."""
-    return _dist_formula(ps_plus(sel), _dual_lines_points(sel))
+    return _dist_formula(ps_plus(sel), _line_index(sel.ctx, dual_selection(sel).lines))
 
 
 def dual_subspace_points(n: int, points: Sequence[int]) -> list[int]:
-    """Annihilator of a point set under the standard dot product (brute force)."""
-    return [
-        y
-        for y in range(1 << n)
-        if all(((y & p).bit_count() & 1) == 0 for p in points)
+    """Annihilator of a point set under the standard dot product, origin first.
+
+    In the fully reduced echelon basis each pivot bit is set in one vector
+    only, so e_j plus the pivots of the vectors with bit j set, for every
+    non-pivot bit j, is orthogonal to all of them; these span the annihilator.
+    """
+    basis = reduce_basis(points)
+    pivots = [b.bit_length() - 1 for b in basis]
+    free = [
+        (1 << j) | sum(1 << p for p, b in zip(pivots, basis) if (b >> j) & 1)
+        for j in range(n)
+        if j not in pivots
     ]
+    return subspace_span(free)
 
 
 def dist_formula_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> int:
@@ -153,9 +159,8 @@ def dist_formula_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> int
     minus or plus type by the family size.  The annihilator of a span is the
     annihilator of its basis."""
     f = ps_general(n, subspace_bases)
-    return _dist_formula(
-        f, [dual_subspace_points(n, basis) for basis in subspace_bases]
-    )
+    duals = [dual_subspace_points(n, basis) for basis in subspace_bases]
+    return _dist_formula(f, np.array(duals, dtype=np.int64).T)
 
 
 # ----------------------------------------------------------------------

@@ -130,7 +130,7 @@ class TruthTable:
         return self.weight() == 1 << (self.n - 1)
 
     def support(self) -> list[int]:
-        return [x for x in range(self.size) if (self.bits >> x) & 1]
+        return np.flatnonzero(self.values()).tolist()
 
     def values(self) -> np.ndarray:
         """The table as a uint8 0/1 array of length 2^n."""
@@ -194,30 +194,17 @@ class AnfPoly:
         return self.coeffs == 0
 
     def monomials(self) -> list[int]:
-        return [a for a in range(1 << self.n) if (self.coeffs >> a) & 1]
+        return np.flatnonzero(_unpack_values(self.coeffs, self.n)).tolist()
 
     def degree(self) -> int:
         """Max weight of a monomial index; the zero polynomial reports 0."""
-        if self.coeffs == 0:
-            return 0
-        deg = 0
-        c = self.coeffs
-        a = 0
-        while c:
-            step = (c & -c).bit_length() - 1
-            a += step
-            deg = max(deg, a.bit_count())
-            c >>= step + 1
-            a += 1
-        return deg
+        mons = np.flatnonzero(_unpack_values(self.coeffs, self.n))
+        return int(popcount_array(mons).max(initial=0))
 
     def evaluate(self, x: int) -> int:
-        """Direct monomial-sum evaluation; slow but independent of the transform."""
-        total = 0
-        for a in self.monomials():
-            if a & x == a:
-                total ^= 1
-        return total
+        """Direct monomial-sum evaluation, independent of the transform."""
+        mons = np.flatnonzero(_unpack_values(self.coeffs, self.n))
+        return int(np.count_nonzero((mons & x) == mons) & 1)
 
     def to_truth_table(self) -> TruthTable:
         vals = _unpack_values(self.coeffs, self.n)
@@ -231,7 +218,7 @@ class AnfPoly:
         )
 
     def __repr__(self) -> str:
-        return f"AnfPoly(n={self.n}, monomials={len(self.monomials())})"
+        return f"AnfPoly(n={self.n}, monomials={self.coeffs.bit_count()})"
 
 
 # ----------------------------------------------------------------------
@@ -253,18 +240,21 @@ def reduce_basis(vectors: Iterable[int]) -> list[int]:
     return basis
 
 
-def _linear_index_map(images: Sequence[int]) -> np.ndarray:
+def _linear_index_map(images: Sequence[int] | np.ndarray) -> np.ndarray:
     """Index array u -> uA of the linear map sending point 2^b to images[b].
 
-    The maps of the low and the high half of the images combine with one
-    outer XOR, so the full-size array is written once.
+    Trailing axes of `images` form a batch: row u of the result holds uA
+    for every map at once.  The maps of the low and the high half of the
+    images combine with one outer XOR, so the full-size array is written
+    once.
     """
+    images = np.asarray(images, dtype=np.int64)
     if len(images) < 2:
-        return np.array([0, *images], dtype=np.int64)
+        return np.concatenate([np.zeros((1, *images.shape[1:]), np.int64), images])
     h = len(images) // 2
     lo = _linear_index_map(images[:h])
     hi = _linear_index_map(images[h:])
-    return (hi[:, None] ^ lo).ravel()
+    return (hi[:, None] ^ lo).reshape(len(hi) * len(lo), *images.shape[1:])
 
 
 def subspace_span(basis: Sequence[int]) -> list[int]:

@@ -39,7 +39,6 @@ from .spreads import (
     ps_general,
     ps_minus,
     ps_plus,
-    psap_from_g,
     selection,
     selection_from_g,
 )
@@ -209,12 +208,11 @@ def _cmd_construct(args) -> int:
         ctx = _field_for(args, args.k)
         g = _read_tt_arg(args.g, ctx.k)
         try:
-            f = psap_from_g(ctx, g)
-            lines = selection_from_g(ctx, g).lines
+            sel = selection_from_g(ctx, g)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        payload = _metadata(f, ctx)
-        payload["lines"] = [str(L) for L in lines]
+        payload = _metadata(ps_minus(sel), ctx)
+        payload["lines"] = [str(L) for L in sel.lines]
     elif args.family in ("ps-", "ps+"):
         if args.k is None:
             raise UsageError(f"construct {args.family} needs --k")

@@ -17,7 +17,13 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .boolfun import TruthTable, _pack_values, reduce_basis, subspace_span
+from .boolfun import (
+    TruthTable,
+    _linear_index_map,
+    _pack_values,
+    reduce_basis,
+    subspace_span,
+)
 from .field import GF2k
 
 
@@ -89,11 +95,24 @@ def desarguesian(ctx: GF2k) -> list[SpreadLine]:
     return [SpreadLine(a) for a in ctx.elements()] + [LINE_INFINITY]
 
 
+def _line_index(ctx: GF2k, lines: Sequence[SpreadLine]) -> np.ndarray:
+    """Packed points of the lines as a (2^k, len(lines)) array: row x holds
+    (x, xa) for E_a and (0, x) for infinity, so row 0 is the origin.  x -> xa
+    is F_2-linear, so all lines are one batched index map of k images each."""
+    images = [
+        [
+            ctx.pack(0, 1 << i) if L.is_infinity
+            else ctx.pack(1 << i, ctx.mul(1 << i, L.a))
+            for L in lines
+        ]
+        for i in range(ctx.k)
+    ]
+    return _linear_index_map(np.array(images, dtype=np.int64))
+
+
 def line_points(ctx: GF2k, line: SpreadLine) -> frozenset[int]:
     """The 2^k packed points of a line (the origin included)."""
-    if line.is_infinity:
-        return frozenset(ctx.pack(0, y) for y in ctx.elements())
-    return frozenset(ctx.pack(x, ctx.mul(x, line.a)) for x in ctx.elements())
+    return frozenset(_line_index(ctx, [line])[:, 0].tolist())
 
 
 def line_dual(ctx: GF2k, line: SpreadLine) -> SpreadLine:
@@ -110,11 +129,12 @@ def dual_selection(sel: SpreadSelection) -> SpreadSelection:
     return selection(sel.ctx, [line_dual(sel.ctx, L) for L in sel.lines])
 
 
-def _union_support(sel: SpreadSelection) -> set[int]:
-    supp: set[int] = set()
-    for line in sel.lines:
-        supp |= line_points(sel.ctx, line)
-    return supp
+def _indicator(n: int, points: np.ndarray, origin: int) -> TruthTable:
+    """The function that is 1 on `points` (of any shape), with f(0) = origin."""
+    vals = np.zeros(1 << n, dtype=np.uint8)
+    vals[points] = 1
+    vals[0] = origin
+    return TruthTable(n, _pack_values(vals))
 
 
 def ps_minus(sel: SpreadSelection) -> TruthTable:
@@ -123,7 +143,7 @@ def ps_minus(sel: SpreadSelection) -> TruthTable:
     want = 1 << (sel.k - 1)
     if len(sel) != want:
         raise ValueError(f"ps_minus needs {want} lines, got {len(sel)}")
-    return TruthTable.from_support(sel.n, _union_support(sel) - {0})
+    return _indicator(sel.n, _line_index(sel.ctx, sel.lines), 0)
 
 
 def ps_plus(sel: SpreadSelection) -> TruthTable:
@@ -131,43 +151,31 @@ def ps_plus(sel: SpreadSelection) -> TruthTable:
     want = (1 << (sel.k - 1)) + 1
     if len(sel) != want:
         raise ValueError(f"ps_plus needs {want} lines, got {len(sel)}")
-    return TruthTable.from_support(sel.n, _union_support(sel))
+    return _indicator(sel.n, _line_index(sel.ctx, sel.lines), 1)
 
 
 # ----------------------------------------------------------------------
 # the quotient form f(x, y) = g(x / y)
 # ----------------------------------------------------------------------
 
-def _check_quotient_g(ctx: GF2k, g: TruthTable) -> None:
+def psap_from_g(ctx: GF2k, g: TruthTable) -> TruthTable:
+    """f(x, y) = g(x/y) with the convention x/0 = 0, for balanced g, g(0) = 0.
+
+    This is ps_minus of the matching line selection (see selection_from_g).
+    """
+    return ps_minus(selection_from_g(ctx, g))
+
+
+def selection_from_g(ctx: GF2k, g: TruthTable) -> SpreadSelection:
+    """The lines supporting g(x/y): points with x/y = u form E_{1/u} for u != 0."""
     if g.n != ctx.k:
         raise ValueError(f"g must be on k={ctx.k} variables, got {g.n}")
     if g[0] != 0:
         raise ValueError("quotient form needs g(0) = 0")
     if not g.is_balanced():
         raise ValueError("quotient form needs a balanced g")
-
-
-def psap_from_g(ctx: GF2k, g: TruthTable) -> TruthTable:
-    """f(x, y) = g(x/y) with the convention x/0 = 0, for balanced g, g(0) = 0.
-
-    Equals ps_minus of the matching line selection (see selection_from_g).
-    """
-    _check_quotient_g(ctx, g)
-    gv = g.values()
-    vals = np.zeros((ctx.order, ctx.order), dtype=np.uint8)  # row y, column x
-    # the y = 0 row is g(0) = 0 everywhere
-    for y in ctx.nonzero():
-        iy = ctx.inv(y)
-        vals[y] = gv[[ctx.mul(x, iy) for x in ctx.elements()]]
-    return TruthTable(2 * ctx.k, _pack_values(vals.reshape(-1)))
-
-
-def selection_from_g(ctx: GF2k, g: TruthTable) -> SpreadSelection:
-    """The lines supporting g(x/y): points with x/y = u form E_{1/u} for u != 0."""
-    _check_quotient_g(ctx, g)
-    return selection(
-        ctx, [SpreadLine(ctx.inv(u)) for u in ctx.nonzero() if g[u]]
-    )
+    supp = np.flatnonzero(g.values()).tolist()
+    return selection(ctx, [SpreadLine(ctx.inv(u)) for u in supp])
 
 
 def _unmatched_lines(sel: SpreadSelection) -> int:
@@ -231,14 +239,9 @@ def ps_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> TruthTable:
     spans = validate_subspace_family(n, subspace_bases)
     k = n // 2
     count = len(spans)
-    union: set[int] = set()
-    for pts in spans:
-        union |= set(pts)
-    if count == 1 << (k - 1):
-        union.discard(0)
-    elif count != (1 << (k - 1)) + 1:
+    if count not in (1 << (k - 1), (1 << (k - 1)) + 1):
         raise ValueError(
             f"family size {count} is neither 2^(k-1) = {1 << (k - 1)} nor "
             f"2^(k-1)+1 = {(1 << (k - 1)) + 1}"
         )
-    return TruthTable.from_support(n, union)
+    return _indicator(n, np.array(spans, dtype=np.int64), count != 1 << (k - 1))

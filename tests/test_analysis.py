@@ -27,7 +27,13 @@ from bentkit.analysis import (
     selfdual_counts,
     symmetric_report,
 )
-from bentkit.boolfun import TruthTable, mm_bent, reduce_basis, symmetric_bent
+from bentkit.boolfun import (
+    TruthTable,
+    mm_bent,
+    reduce_basis,
+    subspace_span,
+    symmetric_bent,
+)
 from bentkit.field import GF2k
 from bentkit.golden import REFERENCE_CENSUS, REFERENCE_DISTRIBUTION
 from bentkit.spectral import dist_to_dual, rayleigh, wht
@@ -254,6 +260,29 @@ def test_dist_formula_general_on_example_family():
     assert dist_formula_general(4, [E1, E3, E4]) == 12
 
 
+def annihilator_scan(n, points):
+    """Annihilator under the standard dot product, by brute force over F_2^n."""
+    return [
+        y
+        for y in range(1 << n)
+        if all(((y & p).bit_count() & 1) == 0 for p in points)
+    ]
+
+
+def test_dual_subspace_points_matches_brute_force_scan():
+    rng = random.Random(679)
+    for n in range(4, 11):
+        cases = [[], [0], list(range(1 << n))]
+        for _ in range(8):
+            dim = rng.randint(1, n)
+            basis = reduce_basis(rng.randrange(1, 1 << n) for _ in range(dim))
+            cases += [basis, subspace_span(basis)]
+        for points in cases:
+            got = dual_subspace_points(n, points)
+            assert sorted(got) == annihilator_scan(n, points)
+            assert got[0] == 0
+
+
 def test_dual_subspace_points_matches_known_duality():
     span3 = sorted(dual_subspace_points(4, [0b0011, 0b1101]))
     from bentkit.boolfun import subspace_span
@@ -301,6 +330,19 @@ def test_nf_formula_matches_rayleigh_exhaustively():
         for sel in all_selections(ctx, 1 << (ctx.k - 1)):
             _, n_f = rayleigh(ps_minus(sel), pairing=ctx)
             assert nf_formula(sel) == n_f
+
+
+def test_counting_formula_matches_spectra_at_k7_to_9():
+    rng = random.Random(97)
+    for k in (7, 8, 9):
+        ctx = GF2k(k)
+        lines = desarguesian(ctx)
+        for size, build, formula in (
+            (1 << (k - 1), ps_minus, dist_formula_ps_minus),
+            ((1 << (k - 1)) + 1, ps_plus, dist_formula_ps_plus),
+        ):
+            sel = selection(ctx, rng.sample(lines, size))
+            assert formula(sel) == dist_to_dual(build(sel), pairing=ctx)
 
 
 @functools.cache

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bentkit.boolfun import (
+    AnfPoly,
     TruthTable,
     mm_bent,
     mm_dual,
@@ -142,8 +143,28 @@ def test_degree_matches_naive_max_over_monomials():
     for _ in range(20):
         f = TruthTable(6, rng.getrandbits(64))
         p = f.anf()
-        naive = max((a.bit_count() for a in p.monomials()), default=0)
+        naive = max(
+            (a.bit_count() for a in range(64) if (p.coeffs >> a) & 1), default=0
+        )
         assert p.degree() == naive == f.degree()
+
+
+def test_bit_readers_match_per_bit_reads():
+    rng = random.Random(43)
+    for n in range(2, 13):
+        for bits in (0, (1 << (1 << n)) - 1, rng.getrandbits(1 << n)):
+            f = TruthTable(n, bits)
+            p = AnfPoly(n, bits)
+            per_bit = [x for x in range(1 << n) if (bits >> x) & 1]
+            assert f.support() == per_bit == p.monomials()
+            assert repr(p) == f"AnfPoly(n={n}, monomials={len(per_bit)})"
+
+
+def test_degree_at_n20():
+    p = symmetric_bent(20).anf()
+    assert p.degree() == symmetric_bent(20).degree() == 2
+    pairs = itertools.combinations(range(20), 2)
+    assert p.monomials() == sorted((1 << i) | (1 << j) for i, j in pairs)
 
 
 def test_moebius_involution_exhaustive_n4():

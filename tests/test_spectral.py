@@ -144,6 +144,20 @@ def test_linear_index_map_matches_pointwise_images():
         images = [rng.getrandbits(max(n, 1)) for _ in range(n)]
         want = [_apply_rows(images, u) for u in range(1 << n)]
         assert bentkit.boolfun._linear_index_map(images).tolist() == want
+    # a k x m batch of maps: column j is the map of images[:, j]
+    for k in range(1, 9):
+        for m in (0, 1, 5):
+            batch = np.array(
+                [[rng.getrandbits(12) for _ in range(m)] for _ in range(k)],
+                dtype=np.int64,
+            ).reshape(k, m)
+            if m:
+                batch[:, 0] = 0
+            got = bentkit.boolfun._linear_index_map(batch)
+            assert got.shape == (1 << k, m)
+            for j in range(m):
+                want = bentkit.boolfun._linear_index_map(batch[:, j].tolist())
+                assert got[:, j].tolist() == want.tolist()
 
 
 def test_no_module_level_array_caches():
@@ -374,6 +388,29 @@ def random_orthogonal(n: int, rng: random.Random) -> list[int]:
             _apply_rows(factor, r) for r in rows
         ]
     return rows
+
+
+def _with_even_reflection(rows: list[int], n: int, rng: random.Random) -> list[int]:
+    """rows times I + u^T u for a random even-weight u, itself orthogonal."""
+    u = rng.getrandbits(n)
+    if u.bit_count() & 1:
+        u ^= 1
+    factor = [(1 << i) ^ (u if (u >> i) & 1 else 0) for i in range(n)]
+    return [_apply_rows(factor, r) for r in rows]
+
+
+@given(k=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_dist_to_dual_invariant_under_orthogonal_maps(k, seed):
+    rng = random.Random(seed)
+    n = 2 * k
+    a = _with_even_reflection(random_orthogonal(n, rng), n, rng)
+    assert is_orthogonal(a, n)
+    pi = list(range(1 << k))
+    rng.shuffle(pi)
+    f = mm_bent(pi, TruthTable(k, rng.getrandbits(1 << k)))
+    g = affine_transform(f, a)
+    assert dual(g) == affine_transform(dual(f), a)
+    assert dist_to_dual(g) == dist_to_dual(f)
 
 
 def _apply_rows(rows, v):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -69,6 +70,17 @@ def test_lines_pairwise_meet_only_at_origin():
         lines = desarguesian(ctx)
         for a, b in itertools.combinations(lines, 2):
             assert line_points(ctx, a) & line_points(ctx, b) == {0}
+
+
+def test_line_points_match_field_products():
+    for k in range(1, 7):
+        ctx = GF2k(k)
+        for line in desarguesian(ctx):
+            if line.is_infinity:
+                want = {ctx.pack(0, y) for y in ctx.elements()}
+            else:
+                want = {ctx.pack(x, ctx.mul(x, line.a)) for x in ctx.elements()}
+            assert line_points(ctx, line) == want
 
 
 def test_line_points_examples():
@@ -175,11 +187,27 @@ def test_psap_specific_selection():
     assert dist_to_dual(f, pairing=F4) == 0  # self-dual
 
 
+def assert_quotient_form(ctx, g, f):
+    """f(x, y) = g(x/y) at every point, from scalar field division."""
+    for x in ctx.elements():
+        for y in ctx.elements():
+            assert f[ctx.pack(x, y)] == g[ctx.div0(x, y)]
+
+
 def test_psap_equals_ps_minus_of_selection():
     for ctx in (F4, F8):
         for g in balanced_gs(ctx.k):
             f = psap_from_g(ctx, g)
             assert f == ps_minus(selection_from_g(ctx, g))
+            assert_quotient_form(ctx, g, f)
+            assert is_bent(f)
+    rng = random.Random(19)
+    for ctx in [GF2k(k) for k in (4, 5, 6)] + [GF2k(4, 0b11001)]:
+        for _ in range(3):
+            supp = rng.sample(range(1, ctx.order), ctx.order // 2)
+            g = TruthTable.from_support(ctx.k, supp)
+            f = psap_from_g(ctx, g)
+            assert_quotient_form(ctx, g, f)
             assert is_bent(f)
 
 
