@@ -44,7 +44,6 @@ from .spreads import (
     _line_index,
     _unmatched_lines,
     desarguesian,
-    dual_selection,
     ps_general,
     ps_minus,
     ps_plus,
@@ -125,16 +124,24 @@ def _dist_formula(f: TruthTable, dual_index: np.ndarray) -> int:
     return (1 << n) - (1 << k) - 2 * hits
 
 
+def _dual_line_index(sel: SpreadSelection) -> np.ndarray:
+    """Packed points of the selection's trace-dual lines.  E_a^perp = E_{1/a}
+    is E_a with x and y swapped (E_0 and inf swap too), so the dual lines are
+    the selected lines transposed; row 0 stays the origin."""
+    idx = _line_index(sel.ctx, sel.lines)
+    return (idx >> sel.k) | ((idx & sel.ctx.mask) << sel.k)
+
+
 def dist_formula_ps_minus(sel: SpreadSelection) -> int:
     """Distance to the dual of ps_minus(sel) by counting support hits on the
     dual lines; never runs a transform."""
-    return _dist_formula(ps_minus(sel), _line_index(sel.ctx, dual_selection(sel).lines))
+    return _dist_formula(ps_minus(sel), _dual_line_index(sel))
 
 
 def dist_formula_ps_plus(sel: SpreadSelection) -> int:
     """Same counting form for ps_plus(sel), with the origin excluded from
     each dual line."""
-    return _dist_formula(ps_plus(sel), _line_index(sel.ctx, dual_selection(sel).lines))
+    return _dist_formula(ps_plus(sel), _dual_line_index(sel))
 
 
 def dual_subspace_points(n: int, points: Sequence[int]) -> list[int]:
@@ -387,18 +394,22 @@ def selfdual_counts(k: int) -> tuple[int, int]:
     k >= 2 those leave out E_1 and choose 2^(k-2) of the 2^(k-1) dual pairs;
     the quotient form lacks the pair {E_0, inf}, so it chooses among
     2^(k-1) - 1.  For k <= EXHAUSTIVE_K_MAX both values are verified by
-    exhaustive enumeration with the spectral oracle.
+    exhaustive enumeration with the spectral oracle: the spread form is the
+    exhaustive census's self-dual count, which transforms every selection.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
+    return _selfdual_counts(k, census(GF2k(k)) if k <= EXHAUSTIVE_K_MAX else None)
+
+
+def _selfdual_counts(k: int, report: CensusReport | None) -> tuple[int, int]:
+    """The binomials of selfdual_counts, checked by enumeration when
+    `report`, the exhaustive census of GF2k(k), is given."""
     spread_form = comb(1 << (k - 1), 1 << (k - 2))
     g_form = comb((1 << (k - 1)) - 1, 1 << (k - 2))
-    if k <= EXHAUSTIVE_K_MAX:
+    if report is not None:
         ctx = GF2k(k)
-        found_spread = sum(
-            dist_to_dual(ps_minus(selection(ctx, combo)), pairing=ctx) == 0
-            for combo in itertools.combinations(desarguesian(ctx), 1 << (k - 1))
-        )
+        found_spread = report.selfdual_count
         found_g = sum(
             dist_to_dual(psap_from_g(ctx, g), pairing=ctx) == 0
             for g in balanced_g_functions(k)
@@ -743,10 +754,9 @@ def _check_no_antiselfdual(
     return SuiteCheck("no-anti-self-dual", not bad, {"failures": bad})
 
 
-def _check_selfdual_counts() -> SuiteCheck:
+def _check_selfdual_counts(reports: list[CensusReport]) -> SuiteCheck:
     try:
-        k2 = selfdual_counts(2)
-        k3 = selfdual_counts(3)
+        k2, k3 = (_selfdual_counts(r.k, r) for r in reports)
         ok = k2 == (2, 1) and k3 == (6, 3)
         detail = {"k2": list(k2), "k3": list(k3)}
     except AssertionError as exc:
@@ -764,7 +774,7 @@ def run_verification_suite() -> list[SuiteCheck]:
     rows = {n: distribution_table(n) for n in range(4, 25, 2)}
     return [
         *(_check_census(report) for report in reports),
-        _check_selfdual_counts(),
+        _check_selfdual_counts(reports),
         _check_metric_identities(),
         _check_distance_formulas(),
         _check_symmetric(),

@@ -53,12 +53,16 @@ def _unpack_values(bits: int, n: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little")[: 1 << n]
 
 
+def _check_n(n: int) -> None:
+    if not 2 <= n <= 24:
+        raise ValueError(f"variable count must be in 2..24, got {n}")
+
+
 class TruthTable:
     """A Boolean function on 2^n points, bit-packed into an int."""
 
     def __init__(self, n: int, bits: int = 0):
-        if not 2 <= n <= 24:
-            raise ValueError(f"variable count must be in 2..24, got {n}")
+        _check_n(n)
         if bits < 0 or bits >> (1 << n):
             raise ValueError("packed table does not fit in 2^n bits")
         self.n = n
@@ -81,12 +85,16 @@ class TruthTable:
 
     @classmethod
     def from_support(cls, n: int, support: Iterable[int]) -> "TruthTable":
-        points = list(support)
-        for x in points:
-            if not 0 <= x < (1 << n):
-                raise ValueError(f"support point {x} out of range for n={n}")
+        points = support if isinstance(support, np.ndarray) else list(support)
+        try:
+            idx = np.asarray(points, dtype=np.int64)
+        except OverflowError:  # a Python int beyond int64
+            idx = None
+        if idx is None or ((idx < 0) | (idx >= 1 << n)).any():
+            bad = next(x for x in points if not 0 <= x < (1 << n))
+            raise ValueError(f"support point {bad} out of range for n={n}")
         vals = np.zeros(1 << n, dtype=np.uint8)
-        vals[points] = 1
+        vals[idx] = 1
         return cls(n, _pack_values(vals))
 
     @classmethod
@@ -106,6 +114,7 @@ class TruthTable:
             if digits == 0 or digits & (digits - 1):
                 raise ValueError(f"hex length {digits} is not a power of two")
             n = digits.bit_length() + 1
+        _check_n(n)
         if len(text) * 4 != 1 << n:
             raise ValueError(
                 f"hex truth table must have {(1 << n) // 4} digits for n={n}, "
@@ -182,8 +191,7 @@ class AnfPoly:
     """Algebraic normal form: coefficient mu_a packed at index a."""
 
     def __init__(self, n: int, coeffs: int = 0):
-        if not 2 <= n <= 24:
-            raise ValueError(f"variable count must be in 2..24, got {n}")
+        _check_n(n)
         if coeffs < 0 or coeffs >> (1 << n):
             raise ValueError("coefficient table does not fit in 2^n bits")
         self.n = n

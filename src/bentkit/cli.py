@@ -23,7 +23,6 @@ from .analysis import (
 from .boolfun import TruthTable
 from .field import GF2k
 from .spectral import (
-    NotBentError,
     _bent_quantities,
     _bent_spectrum,
     _duality_class,
@@ -51,7 +50,7 @@ class UsageError(ValueError):
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -77,35 +76,25 @@ def _int_token(tok: str, base: int, what: str) -> int:
 
 
 def _field_for(args: argparse.Namespace, k: int) -> GF2k:
-    poly = getattr(args, "poly", None)
-    mask = _int_token(poly, 16, "polynomial mask") if poly else None
-    try:
-        return GF2k(k, mask)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    mask = _int_token(args.poly, 16, "polynomial mask") if args.poly else None
+    return GF2k(k, mask)
 
 
 def _read_tt(args: argparse.Namespace, count: int = 1) -> list[TruthTable]:
     """Positional hex tables, or that many lines from stdin."""
-    texts = list(getattr(args, "tt", None) or [])
+    texts = list(args.tt)
     while len(texts) < count:
         line = sys.stdin.readline()
         if not line.strip():
             raise UsageError(f"expected {count} hex truth table(s)")
         texts.append(line.strip())
-    n = getattr(args, "n", None)
-    try:
-        return [TruthTable.from_hex(t, n) for t in texts[:count]]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return [TruthTable.from_hex(t, args.n) for t in texts[:count]]
 
 
 def _pairing_for(args: argparse.Namespace, f: TruthTable):
-    if getattr(args, "pairing", "standard") != "trace":
+    if args.pairing != "trace":
         return None
-    k = getattr(args, "k", None)
-    if k is None:
-        k = f.n // 2
+    k = f.n // 2 if args.k is None else args.k
     if f.n != 2 * k:
         raise UsageError(f"trace pairing needs n = 2k, got n={f.n}, k={k}")
     return _field_for(args, k)
@@ -152,10 +141,7 @@ def _cmd_bent(args) -> int:
 
 def _cmd_dual(args) -> int:
     f = _read_tt(args)[0]
-    try:
-        d = dual(f, _pairing_for(args, f))
-    except NotBentError as exc:
-        raise UsageError(str(exc)) from exc
+    d = dual(f, _pairing_for(args, f))
     if args.format == "hex":
         _emit(args, d.to_hex() + "\n")
     else:
@@ -165,22 +151,14 @@ def _cmd_dual(args) -> int:
 
 def _cmd_rayleigh(args) -> int:
     f = _read_tt(args)[0]
-    pairing = _pairing_for(args, f)
-    try:
-        s, n_f, d = _bent_quantities(f, _bent_spectrum(f, pairing))
-    except NotBentError as exc:
-        raise UsageError(str(exc)) from exc
+    s, n_f, d = _bent_quantities(f, _bent_spectrum(f, _pairing_for(args, f)))
     _emit_json(args, {"n": f.n, "S": s, "N": n_f, "dist": d})
     return 0
 
 
 def _cmd_dist(args) -> int:
     f, g = _read_tt(args, count=2)
-    try:
-        d = hamming_dist(f, g)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _emit_json(args, {"n": f.n, "dist": d})
+    _emit_json(args, {"n": f.n, "dist": hamming_dist(f, g)})
     return 0
 
 
@@ -206,11 +184,7 @@ def _cmd_construct(args) -> int:
         if args.k is None or args.g is None:
             raise UsageError("construct psap needs --k and --g")
         ctx = _field_for(args, args.k)
-        g = _read_tt_arg(args.g, ctx.k)
-        try:
-            sel = selection_from_g(ctx, g)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        sel = selection_from_g(ctx, TruthTable.from_hex(args.g, ctx.k))
         payload = _metadata(ps_minus(sel), ctx)
         payload["lines"] = [str(L) for L in sel.lines]
     elif args.family in ("ps-", "ps+"):
@@ -219,11 +193,8 @@ def _cmd_construct(args) -> int:
         ctx = _field_for(args, args.k)
         if not args.lines:
             raise UsageError("--lines is required for spread constructions")
-        try:
-            sel = selection(ctx, _parse_lines(args.lines, ctx))
-            f = ps_minus(sel) if args.family == "ps-" else ps_plus(sel)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        sel = selection(ctx, _parse_lines(args.lines, ctx))
+        f = ps_minus(sel) if args.family == "ps-" else ps_plus(sel)
         payload = _metadata(f, ctx)
         payload["lines"] = [str(L) for L in sel.lines]
     else:  # ps-general
@@ -235,11 +206,7 @@ def _cmd_construct(args) -> int:
             [_parse_point(tok, args.n) for tok in spec.split(",")]
             for spec in args.subspace
         ]
-        try:
-            f = ps_general(args.n, bases)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        payload = _metadata(f, None)
+        payload = _metadata(ps_general(args.n, bases), None)
     if args.format == "hex":
         _emit(args, payload["tt"] + "\n")
     else:
@@ -247,34 +214,21 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _read_tt_arg(text: str, n: int) -> TruthTable:
-    try:
-        return TruthTable.from_hex(text, n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _cmd_census(args) -> int:
-    try:
-        # Before GF2k(k), so a capped k with no default polynomial says "capped".
-        _census_size_check(args.mode, args.k)
-        report = census(
-            _field_for(args, args.k),
-            mode=args.mode,
-            samples=args.samples,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    # Before GF2k(k), so a capped k with no default polynomial says "capped".
+    _census_size_check(args.mode, args.k)
+    report = census(
+        _field_for(args, args.k),
+        mode=args.mode,
+        samples=args.samples,
+        seed=args.seed,
+    )
     _emit_json(args, report.to_json_dict())
     return 1 if report.formula_mismatches else 0
 
 
 def _cmd_table(args) -> int:
-    try:
-        row = distribution_table(args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    row = distribution_table(args.n)
     if args.format == "csv":
         lines = ["n,N_f,dist"]
         lines += [f"{args.n},{nf},{d}" for nf, d in row.pairs()]
@@ -299,21 +253,26 @@ def _cmd_verify(args) -> int:
 # parser
 # ----------------------------------------------------------------------
 
-def _add_tt_options(p: argparse.ArgumentParser, count: int = 1) -> None:
+def _add_tt_options(
+    p: argparse.ArgumentParser, count: int = 1, pairing: bool = False
+) -> None:
+    """The table options; `pairing` adds --pairing/--k/--poly for the
+    commands whose answer depends on the inner product."""
     p.add_argument(
         "tt",
         nargs="*",
         help=f"hex truth table(s); {count} expected, stdin is read if omitted",
     )
     p.add_argument("--n", type=int, default=None, help="variable count")
-    p.add_argument(
-        "--pairing",
-        choices=("standard", "trace"),
-        default="standard",
-        help="inner product for spectra/duals (trace needs n = 2k)",
-    )
-    p.add_argument("--k", type=int, default=None, help="field degree for trace pairing")
-    p.add_argument("--poly", default=None, help="field polynomial as a hex mask")
+    if pairing:
+        p.add_argument(
+            "--pairing",
+            choices=("standard", "trace"),
+            default="standard",
+            help="inner product for spectra/duals (trace needs n = 2k)",
+        )
+        p.add_argument("--k", type=int, default=None, help="field degree for trace pairing")
+        p.add_argument("--poly", default=None, help="field polynomial as a hex mask")
     p.add_argument("--out", default=None, help="write output to this path")
 
 
@@ -325,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("wht", help="full Walsh-Hadamard spectrum")
-    _add_tt_options(s)
+    _add_tt_options(s, pairing=True)
     s.set_defaults(handler=_cmd_wht)
 
     s = sub.add_parser("bent", help="bentness and nonlinearity")
@@ -333,12 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(handler=_cmd_bent)
 
     s = sub.add_parser("dual", help="dual of a bent function")
-    _add_tt_options(s)
+    _add_tt_options(s, pairing=True)
     s.add_argument("--format", choices=("json", "hex"), default="json")
     s.set_defaults(handler=_cmd_dual)
 
     s = sub.add_parser("rayleigh", help="Rayleigh quotient S, N, and dist to dual")
-    _add_tt_options(s)
+    _add_tt_options(s, pairing=True)
     s.set_defaults(handler=_cmd_rayleigh)
 
     s = sub.add_parser("dist", help="Hamming distance between two tables")
@@ -399,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except ValueError as exc:  # UsageError and every library argument check
         print(f"bentkit: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -96,6 +96,12 @@ def test_constructor_validation():
         TruthTable.from_support(2, [4])
     with pytest.raises(ValueError, match="support point -1"):
         TruthTable.from_support(3, [1, -1, 9])
+    with pytest.raises(ValueError, match="support point -2 "):
+        TruthTable.from_support(3, np.array([5, -2, 9]))
+    # beyond int64: still the range error, not numpy's OverflowError
+    with pytest.raises(ValueError, match=f"support point {2**70} "):
+        TruthTable.from_support(3, [1, 2**70, -1])
+    assert TruthTable.from_support(3, np.array([6, 1])) == TruthTable.from_support(3, [1, 6])
     assert TruthTable.from_support(3, {1, 6}) == TruthTable.from_values(
         3, [0, 1, 0, 0, 0, 0, 1, 0]
     )

@@ -303,6 +303,36 @@ def test_non_hex_table_is_usage_error(capsys, text):
     assert "non-hex character" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("wht", "--n", "-1", "0"),
+        ("wht", "--n", "30", "0"),
+        ("construct", "psap", "--k", "1", "--g", "2"),
+    ],
+)
+def test_out_of_range_n_for_hex_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "variable count must be in 2..24" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bent", "6ca0", "--pairing", "trace"),
+        ("bent", "6ca0", "--k", "2"),
+        ("dist", "6ca0", "0000", "--poly", "7"),
+    ],
+)
+def test_bent_and_dist_take_no_pairing_options(capsys, argv):
+    # bentness and Hamming distance do not depend on the inner product
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_trace_pairing_with_k_zero_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "wht", "6ca0", "--pairing", "trace", "--k", "0")
     assert code == 2 and out == ""

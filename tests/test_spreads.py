@@ -158,6 +158,33 @@ def test_ps_dual_is_ps_of_dual_selection():
             assert dual(ps_plus(sel), pairing=ctx) == ps_plus(dual_selection(sel))
 
 
+def transpose(f: TruthTable, k: int) -> TruthTable:
+    """f(y, x): rows of the 2^k x 2^k grid (row y, column x) become columns."""
+    grid = f.values().reshape(1 << k, 1 << k)
+    return TruthTable.from_values(2 * k, grid.T.reshape(-1))
+
+
+def test_trace_dual_of_spread_functions_is_the_transpose():
+    # E_a^perp = E_{1/a} is E_a with x and y swapped, so dual(f)(x, y) = f(y, x)
+    for k in (1, 2, 3):
+        ctx = GF2k(k)
+        for size, build in ((1 << (k - 1), ps_minus), ((1 << (k - 1)) + 1, ps_plus)):
+            for sel in all_selections(ctx, size):
+                f = build(sel)
+                assert dual(f, pairing=ctx) == transpose(f, k)
+    for k in (2, 3, 4):
+        ctx = GF2k(k)
+        for g in balanced_gs(k):
+            f = psap_from_g(ctx, g)
+            assert dual(f, pairing=ctx) == transpose(f, k)
+    rng = random.Random(58)
+    for ctx in (GF2k(5), GF2k(8)):
+        lines = desarguesian(ctx)
+        for _ in range(40):
+            f = ps_minus(selection(ctx, rng.sample(lines, 1 << (ctx.k - 1))))
+            assert dual(f, pairing=ctx) == transpose(f, ctx.k)
+
+
 def test_ps_size_validation():
     sel = selection(F4, [SpreadLine(0)])
     with pytest.raises(ValueError):
