@@ -41,7 +41,8 @@ from .spectral import (
 from .spreads import (
     SpreadLine,
     SpreadSelection,
-    _line_index,
+    _indicator,
+    _selection_index,
     _unmatched_lines,
     desarguesian,
     ps_general,
@@ -124,24 +125,26 @@ def _dist_formula(f: TruthTable, dual_index: np.ndarray) -> int:
     return (1 << n) - (1 << k) - 2 * hits
 
 
-def _dual_line_index(sel: SpreadSelection) -> np.ndarray:
-    """Packed points of the selection's trace-dual lines.  E_a^perp = E_{1/a}
-    is E_a with x and y swapped (E_0 and inf swap too), so the dual lines are
-    the selected lines transposed; row 0 stays the origin."""
-    idx = _line_index(sel.ctx, sel.lines)
-    return (idx >> sel.k) | ((idx & sel.ctx.mask) << sel.k)
+def _dist_formula_selection(sel: SpreadSelection, plus: bool) -> int:
+    """The counting form on one build of the selection's line index.
+    E_a^perp = E_{1/a} is E_a with x and y swapped (E_0 and inf swap too),
+    so the dual lines are the selected lines transposed; row 0 stays the
+    origin."""
+    idx = _selection_index(sel, plus)
+    f = _indicator(sel.n, idx, plus)
+    return _dist_formula(f, (idx >> sel.k) | ((idx & sel.ctx.mask) << sel.k))
 
 
 def dist_formula_ps_minus(sel: SpreadSelection) -> int:
     """Distance to the dual of ps_minus(sel) by counting support hits on the
     dual lines; never runs a transform."""
-    return _dist_formula(ps_minus(sel), _dual_line_index(sel))
+    return _dist_formula_selection(sel, False)
 
 
 def dist_formula_ps_plus(sel: SpreadSelection) -> int:
     """Same counting form for ps_plus(sel), with the origin excluded from
     each dual line."""
-    return _dist_formula(ps_plus(sel), _dual_line_index(sel))
+    return _dist_formula_selection(sel, True)
 
 
 def dual_subspace_points(n: int, points: Sequence[int]) -> list[int]:

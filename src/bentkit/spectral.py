@@ -10,12 +10,18 @@ product on the domain:
 The trace form is diag(G, G) with G the field's k x k Gram matrix, so the
 trace-form spectrum is the standard one viewed as a 2^k x 2^k grid (row y,
 column x) with rows and columns re-indexed through the field's k-bit Gram
-index: W_tr(x, y) = W(Gx, Gy).  One audited butterfly serves both pairings,
-so bentness never depends on the pairing while duals and distances do.
+index: W_tr(x, y) = W(Gx, Gy).  One transform serves both pairings, so
+bentness never depends on the pairing while duals and distances do.
 
-Spectrum values are 32-bit signed integers: every butterfly intermediate is
-a partial Walsh sum, so |W| <= 2^n <= 2^24.  Sums that can exceed that range
-(Parseval's sum of squares, the Rayleigh sum) accumulate exactly in int64.
+The transform is the Kronecker factorisation H_{2^n} = H_{2^b1} x ... x
+H_{2^bd} with every b <= 4: each factor is one float32 matrix product
+(one BLAS sgemm) that transforms the top b index bits and writes them back
+as the bottom b bits, so after all factors the index order is restored.
+float32 is exact here: every product and every partial sum, in any
+summation order, is an integer of magnitude <= 2^n <= 2^24, and float32
+holds every such integer.  Spectrum values are 32-bit signed integers.
+Sums that can exceed that range (Parseval's sum of squares, the Rayleigh
+sum) accumulate exactly in int64.
 """
 
 from __future__ import annotations
@@ -53,24 +59,24 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def _fwht(signs: np.ndarray) -> np.ndarray:
-    """Size-2^n butterfly on an int32 copy of the signs; O(n 2^n) integer adds.
+# Sylvester's H_16; H_{2^b} for b <= 4 is its top-left 2^b x 2^b corner.
+_H16 = np.array(
+    [[1 - 2 * ((i & j).bit_count() & 1) for j in range(16)] for i in range(16)],
+    dtype=np.float32,
+)
 
-    Each level runs in place through one half-size scratch buffer:
-    tmp <- x; x += y; y <- tmp - y.
-    """
-    a = signs.astype(np.int32)
-    tmp = np.empty(a.size // 2, dtype=np.int32)
-    h = 1
-    while h < a.size:
-        pairs = a.reshape(-1, 2, h)
-        x, y = pairs[:, 0, :], pairs[:, 1, :]
-        t = tmp.reshape(-1, h)
-        np.copyto(t, x)
-        x += y
-        np.subtract(t, y, out=y)
-        h *= 2
-    return a
+
+def _fwht(a: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transform the float32 vector `a` of size 2^n, ping-ponging with the
+    equal-sized `spare`; returns (transform, the other buffer)."""
+    bits = a.size.bit_length() - 1
+    while bits:
+        b = min(bits, 4)
+        m = 1 << b
+        np.matmul(a.reshape(m, -1).T, _H16[:m, :m], out=spare.reshape(-1, m))
+        a, spare = spare, a
+        bits -= b
+    return a, spare
 
 
 def _dot64(a: np.ndarray, b: np.ndarray) -> int:
@@ -103,18 +109,24 @@ def _signs(f: TruthTable) -> np.ndarray:
 
 def wht(f: TruthTable, pairing: Pairing = None) -> WalshSpectrum:
     """Walsh-Hadamard transform W(u) = sum_x (-1)^(f(x) + <u, x>)."""
-    vals = _fwht(_signs(f))
+    if pairing is not None and f.n != 2 * pairing.k:
+        raise ValueError(
+            f"trace pairing needs n = 2k = {2 * pairing.k}, got n = {f.n}"
+        )
+    signs = f.values().astype(np.float32)
+    signs *= -2
+    signs += 1
+    a, spare = _fwht(signs, np.empty_like(signs))
     if pairing is not None:
-        if f.n != 2 * pairing.k:
-            raise ValueError(
-                f"trace pairing needs n = 2k = {2 * pairing.k}, got n = {f.n}"
-            )
-        # Row y, column x: W_tr(x, y) = W(Gx, Gy).  With mode="clip" the
-        # second take writes straight into the spectrum ("raise" buffers a
+        # Row y, column x: W_tr(x, y) = W(Gx, Gy), one axis per buffer.  With
+        # mode="clip" take writes straight into `out` ("raise" buffers a
         # copy); g is a permutation of the grid's axis, so nothing is clipped.
-        grid = vals.reshape(pairing.order, pairing.order)
+        shape = (pairing.order, pairing.order)
         g = pairing.gram_index
-        np.take(np.take(grid, g, axis=0), g, axis=1, out=grid, mode="clip")
+        np.take(a.reshape(shape), g, axis=0, out=spare.reshape(shape), mode="clip")
+        np.take(spare.reshape(shape), g, axis=1, out=a.reshape(shape), mode="clip")
+    vals = spare.view(np.int32)
+    np.copyto(vals, a, casting="unsafe")
     spec = WalshSpectrum(f.n, vals, pairing)
     if not spec.parseval_ok():
         raise AssertionError("Parseval identity violated; transform is broken")

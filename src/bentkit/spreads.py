@@ -19,6 +19,7 @@ import numpy as np
 
 from .boolfun import (
     TruthTable,
+    _check_n,
     _linear_index_map,
     _pack_values,
     reduce_basis,
@@ -137,21 +138,24 @@ def _indicator(n: int, points: np.ndarray, origin: int) -> TruthTable:
     return TruthTable(n, _pack_values(vals))
 
 
+def _selection_index(sel: SpreadSelection, plus: bool) -> np.ndarray:
+    """Line index of a minus (2^(k-1) lines) or plus (2^(k-1) + 1) selection."""
+    want = (1 << (sel.k - 1)) + plus
+    if len(sel) != want:
+        name = "ps_plus" if plus else "ps_minus"
+        raise ValueError(f"{name} needs {want} lines, got {len(sel)}")
+    return _line_index(sel.ctx, sel.lines)
+
+
 def ps_minus(sel: SpreadSelection) -> TruthTable:
     """Partial-spread function of the minus type: support is the union of
     2^(k-1) lines with the origin removed."""
-    want = 1 << (sel.k - 1)
-    if len(sel) != want:
-        raise ValueError(f"ps_minus needs {want} lines, got {len(sel)}")
-    return _indicator(sel.n, _line_index(sel.ctx, sel.lines), 0)
+    return _indicator(sel.n, _selection_index(sel, False), 0)
 
 
 def ps_plus(sel: SpreadSelection) -> TruthTable:
     """Plus type: support is the union of 2^(k-1) + 1 lines, origin kept."""
-    want = (1 << (sel.k - 1)) + 1
-    if len(sel) != want:
-        raise ValueError(f"ps_plus needs {want} lines, got {len(sel)}")
-    return _indicator(sel.n, _line_index(sel.ctx, sel.lines), 1)
+    return _indicator(sel.n, _selection_index(sel, True), 1)
 
 
 # ----------------------------------------------------------------------
@@ -207,6 +211,7 @@ def validate_subspace_family(
 ) -> list[list[int]]:
     """Check that each basis spans a k = n/2 dimensional subspace and that
     the spans pairwise meet only at the origin; returns the point lists."""
+    _check_n(n)
     if n % 2:
         raise ValueError(f"need even n, got {n}")
     k = n // 2

@@ -3,6 +3,7 @@ import json
 import random
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,23 @@ def test_construct_usage_errors(capsys):
     assert code == 2 and "share" in err
 
 
+@pytest.mark.parametrize("n", ["-2", "0", "26"])
+def test_ps_general_checks_n_first(capsys, n):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "construct", "ps-general", "--n", n,
+            "--subspace", "1,4", "--subspace", "2,8", "--subspace", "3,12",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert f"variable count must be in 2..24, got {n}" in err
+    assert "Traceback" not in err
+    assert peak < 1 << 20  # far below a 2^n-point table
+
+
 # ----------------------------------------------------------------------
 # spectral subcommands
 # ----------------------------------------------------------------------
@@ -385,9 +403,9 @@ def test_one_transform_per_request(capsys, monkeypatch, argv, expected):
     calls = []
     fwht = bentkit.spectral._fwht
 
-    def counting_fwht(signs):
-        calls.append(signs.size)
-        return fwht(signs)
+    def counting_fwht(a, spare):
+        calls.append(a.size)
+        return fwht(a, spare)
 
     monkeypatch.setattr(bentkit.spectral, "_fwht", counting_fwht)
     assert run_json(capsys, *argv) == {"schema": 1, **expected}

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bentkit.boolfun
-from bentkit.boolfun import TruthTable, mm_bent, symmetric_bent
+from bentkit.boolfun import (
+    TruthTable,
+    mm_bent,
+    mm_dual,
+    popcount_array,
+    symmetric_bent,
+)
 from bentkit.field import DEFAULT_POLYS, GF2k
 from bentkit.spectral import (
     Duality,
@@ -104,6 +110,51 @@ def test_self_dual_rayleigh_sum_at_n24_exceeds_int32():
     # x . y on F_2^12 x F_2^12 is self-dual: S = 2^12 * N = 2^36.
     f = mm_bent(list(range(1 << 12)), TruthTable(12))
     assert rayleigh(f) == (1 << 36, 1 << 24)
+
+
+@pytest.mark.parametrize(
+    "support",
+    [
+        [(1 << 24) - 1],
+        [0, 0xA5A5A5],
+        random.Random(24).sample(range(1 << 24), 8),
+    ],
+    ids=["one-point", "two-points", "eight-seeded"],
+)
+def test_sparse_tables_at_n24_match_closed_form(support):
+    # W(u) = 2^n [u = 0] - 2 sum_{p in supp} (-1)^(u . p): W(0) sits a few
+    # units from 2^24, the edge of float32's exact integers.  The character
+    # (-1)^(u . p) is the outer product of its values on the two 12-bit halves.
+    half = np.arange(1 << 12, dtype=np.uint32)
+    want = np.zeros((1 << 12, 1 << 12), dtype=np.int32)
+    want[0, 0] = 1 << 24
+    for p in support:
+        hi, lo = (1 - 2 * (popcount_array(half & q) & 1).astype(np.int32)
+                  for q in (p >> 12, p & 0xFFF))
+        want -= 2 * np.multiply.outer(hi, lo)
+    want = want.reshape(-1)
+    f = TruthTable.from_support(24, support)
+    assert np.array_equal(wht(f).values, want)
+    assert np.array_equal(wht(f.complement()).values, -want)
+
+
+def test_seeded_mm_bent_at_n24_under_both_pairings():
+    rng = random.Random(2024)
+    pi = list(range(1 << 12))
+    rng.shuffle(pi)
+    g = TruthTable(12, rng.getrandbits(1 << 12))
+    f = mm_bent(pi, g)
+    std = dual(f)
+    assert std == mm_dual(pi, g)
+    # W_tr(x, y) = W(Gx, Gy), so the trace dual is the standard one re-indexed
+    ctx = GF2k(12)
+    grid = std.values().reshape(ctx.order, ctx.order)
+    gi = ctx.gram_index
+    trace = dual(f, pairing=ctx)
+    assert np.array_equal(trace.values(), grid[np.ix_(gi, gi)].reshape(-1))
+    # N = 2^n - 2 dist(f, f~), with S read from the spectrum, not the dual
+    for pairing, d in ((None, std), (ctx, trace)):
+        assert rayleigh(f, pairing)[1] == (1 << 24) - 2 * hamming_dist(f, d)
 
 
 def test_parseval_on_random_functions():
