@@ -41,7 +41,7 @@ from .spectral import (
 from .spreads import (
     SpreadLine,
     SpreadSelection,
-    _indicator,
+    _indicator_values,
     _selection_index,
     _unmatched_lines,
     desarguesian,
@@ -114,25 +114,31 @@ def metric_identity_check(f: TruthTable, pairing: Pairing = None) -> MetricIdent
 # closed-form distances for partial-spread functions
 # ----------------------------------------------------------------------
 
-def _dist_formula(f: TruthTable, dual_index: np.ndarray) -> int:
-    """The counting form: support hits of a partial-spread f on the dual
-    subspaces, a (2^k, m) index array whose origin row 0 is skipped.  f(0) = 1
-    marks the plus type; the minus type never contains the origin."""
-    n, k = f.n, f.n // 2
-    hits = int(f.values()[dual_index[1:]].sum(dtype=np.int64))
-    if f[0]:
+def _dist_formula(vals: np.ndarray, dual_index: np.ndarray) -> int:
+    """The counting form: support hits of a partial-spread table `vals` (0/1
+    per point) on the dual subspaces, a (2^k, m) index array whose origin row
+    0 is skipped.  A set origin marks the plus type; the minus type never
+    contains the origin."""
+    n = vals.size.bit_length() - 1
+    k = n // 2
+    hits = int(vals[dual_index[1:]].sum(dtype=np.int64))
+    if vals[0]:
         return (1 << n) + (1 << k) - 2 - 2 * hits
     return (1 << n) - (1 << k) - 2 * hits
 
 
 def _dist_formula_selection(sel: SpreadSelection, plus: bool) -> int:
-    """The counting form on one build of the selection's line index.
-    E_a^perp = E_{1/a} is E_a with x and y swapped (E_0 and inf swap too),
-    so the dual lines are the selected lines transposed; row 0 stays the
-    origin."""
+    """The counting form on one build of the selection's line index, read
+    from the scattered table itself.  E_a^perp = E_{1/a} is E_a with x and y
+    swapped (E_0 and inf swap too), so the dual lines are the selected lines
+    transposed; row 0 stays the origin."""
     idx = _selection_index(sel, plus)
-    f = _indicator(sel.n, idx, plus)
-    return _dist_formula(f, (idx >> sel.k) | ((idx & sel.ctx.mask) << sel.k))
+    vals = _indicator_values(sel.n, idx, plus)
+    x = idx & sel.ctx.mask  # swap x and y in place: idx is not read again
+    x <<= sel.k
+    idx >>= sel.k
+    idx |= x
+    return _dist_formula(vals, idx)
 
 
 def dist_formula_ps_minus(sel: SpreadSelection) -> int:
@@ -170,7 +176,7 @@ def dist_formula_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> int
     annihilator of its basis."""
     f = ps_general(n, subspace_bases)
     duals = [dual_subspace_points(n, basis) for basis in subspace_bases]
-    return _dist_formula(f, np.array(duals, dtype=np.int64).T)
+    return _dist_formula(f.values(), np.array(duals, dtype=np.int64).T)
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
-_HEX_DIGITS = "0123456789abcdef"
+_HEX_DIGITS = "0123456789abcdefABCDEF"
 
 
 def popcount_array(arr: np.ndarray) -> np.ndarray:
@@ -104,8 +104,9 @@ class TruthTable:
     @classmethod
     def from_hex(cls, text: str, n: int | None = None) -> "TruthTable":
         """Parse the hex serialization; n is inferred from the digit count."""
-        text = text.strip().lower()
-        # int(text, 16) alone would also take a 0x prefix, "_" and a sign.
+        text = text.strip()
+        # bytes.fromhex alone would also take inner whitespace, and int(text,
+        # 16) a 0x prefix, "_" and a sign.
         if not text.isascii() or text.encode().translate(None, _HEX_DIGITS.encode()):
             bad = next(c for c in text if c not in _HEX_DIGITS)
             raise ValueError(f"non-hex character {bad!r} in hex truth table")
@@ -120,10 +121,13 @@ class TruthTable:
                 f"hex truth table must have {(1 << n) // 4} digits for n={n}, "
                 f"got {len(text)}"
             )
-        return cls(n, int(text, 16))
+        # zfill pads the one digit of n = 2 to a whole byte
+        return cls(n, int.from_bytes(bytes.fromhex(text.zfill(2)), "big"))
 
     def to_hex(self) -> str:
-        return format(self.bits, f"0{self.size // 4}x")
+        # n = 2 has one digit: the low nibble of the one byte
+        raw = self.bits.to_bytes((self.size + 7) // 8, "big")
+        return raw.hex()[-(self.size // 4):]
 
     # ------------------------------------------------------------------
     # basic queries

@@ -83,9 +83,10 @@ class GF2k:
     threads.  A GF2k doubles as the trace-form pairing marker for the
     spectral layer: passing one as `pairing` selects the bilinear form
     Tr(xx') + Tr(yy') on F_{2^k} x F_{2^k} instead of the standard dot
-    product.  That form is diag(G, G) with G the k x k Gram matrix, so the
-    spectral layer views a spectrum as a 2^k x 2^k grid (row y, column x)
-    and re-indexes both axes through `gram_index`: W_tr(x, y) = W(Gx, Gy).
+    product.  That form is diag(G, G) with G the k x k Gram matrix, so
+    W_tr(x, y) = W(Gx, Gy): the spectral layer views the input table as a
+    2^k x 2^k grid (row y, column x) and re-indexes both axes through the
+    inverse of `gram_index` before its one standard transform.
     """
 
     def __init__(self, k: int, poly: int | None = None):

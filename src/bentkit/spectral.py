@@ -7,21 +7,33 @@ product on the domain:
   * a ``GF2k`` ctx  -- the trace form Tr(xx') + Tr(yy') on
                        F_{2^k} x F_{2^k}, for functions on n = 2k variables.
 
-The trace form is diag(G, G) with G the field's k x k Gram matrix, so the
-trace-form spectrum is the standard one viewed as a 2^k x 2^k grid (row y,
-column x) with rows and columns re-indexed through the field's k-bit Gram
-index: W_tr(x, y) = W(Gx, Gy).  One transform serves both pairings, so
-bentness never depends on the pairing while duals and distances do.
+The trace form is diag(G, G) with G the field's k x k Gram matrix.  G is
+symmetric, so the trace-form spectrum W_tr(x, y) = W(Gx, Gy) is the standard
+spectrum of f o diag(G, G)^-1: `wht` views the one-byte input table as a
+2^k x 2^k grid (row y, column x), re-indexes rows and columns through G^-1
+(the inverse permutation of the field's k-bit Gram index) and runs the one
+standard transform.  Bentness never depends on the pairing while duals and
+distances do.
 
-The transform is the Kronecker factorisation H_{2^n} = H_{2^b1} x ... x
-H_{2^bd} with every b <= 4: each factor is one float32 matrix product
-(one BLAS sgemm) that transforms the top b index bits and writes them back
-as the bottom b bits, so after all factors the index order is restored.
-float32 is exact here: every product and every partial sum, in any
-summation order, is an integer of magnitude <= 2^n <= 2^24, and float32
-holds every such integer.  Spectrum values are 32-bit signed integers.
-Sums that can exceed that range (Parseval's sum of squares, the Rayleigh
-sum) accumulate exactly in int64.
+The transform runs on the 0/1 table itself: W = 2^n [u = 0] - 2 (H f).  H is
+the Kronecker factorisation H_{2^n} = H_{2^b1} x ... x H_{2^bd} with every
+b <= 4, one float32 matrix product (one BLAS sgemm) per factor and block,
+computed in place in the one float32 copy of the table:
+
+  * the low <= 16 index bits block by block: a block of 2^16 entries
+    (256 KiB) ping-pongs with one scratch block, each factor transforming
+    the top b bits and writing them back as the bottom b bits, so the
+    block's index order is restored after its factors;
+  * every further <= 4 bits as one factor over column strips of the
+    table, each strip computed into the scratch and written back.
+
+The last factor multiplies by -2 H_{2^b}, and its result is cast into the
+int32 view of the same buffer, so an n = 24 transform holds one 64 MB
+buffer.  float32 is exact here: every product and every partial sum, in any
+summation order, is an integer of magnitude <= 2^n <= 2^24 (an even one of
+magnitude <= 2^25 in the last factor), and float32 holds every such integer.
+Spectrum values are 32-bit signed integers.  Sums that can exceed that range
+(Parseval's sum of squares, the Rayleigh sum) accumulate exactly in int64.
 """
 
 from __future__ import annotations
@@ -64,19 +76,53 @@ _H16 = np.array(
     [[1 - 2 * ((i & j).bit_count() & 1) for j in range(16)] for i in range(16)],
     dtype=np.float32,
 )
+# Indexed by "is this the last factor": the last one multiplies by -2 H.
+_FACTORS = (_H16, -2 * _H16)
+
+# Entries per block of the low-bit stage, and of the one scratch buffer: 256 KiB.
+_BLOCK = 1 << 16
 
 
-def _fwht(a: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Transform the float32 vector `a` of size 2^n, ping-ponging with the
-    equal-sized `spare`; returns (transform, the other buffer)."""
-    bits = a.size.bit_length() - 1
-    while bits:
-        b = min(bits, 4)
-        m = 1 << b
-        np.matmul(a.reshape(m, -1).T, _H16[:m, :m], out=spare.reshape(-1, m))
-        a, spare = spare, a
-        bits -= b
-    return a, spare
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """-2 (H a) for the float32 vector `a` of size 2^n, computed in place;
+    returns the int32 view of a's buffer that holds it."""
+    out = a.view(np.int32)
+    scratch = np.empty(min(a.size, _BLOCK), dtype=np.float32)
+    single = a.size == scratch.size
+    # Low bits, block by block: each factor transforms the top b bits and
+    # writes them back as the bottom b bits, ping-ponging with the scratch.
+    for start in range(0, a.size, scratch.size):
+        x, y = a[start:start + scratch.size], scratch
+        bits = scratch.size.bit_length() - 1
+        while bits:
+            b = min(bits, 4)
+            bits -= b
+            h = _FACTORS[single and not bits][: 1 << b, : 1 << b]
+            np.matmul(x.reshape(1 << b, -1).T, h, out=y.reshape(-1, 1 << b))
+            x, y = y, x
+    if single:
+        # x is `a` itself after an even number of factors; copyto handles
+        # the overlap of a 1-D in-place cast
+        np.copyto(out, x, casting="unsafe")
+        return out
+    # High bits (16 low bits are an even number of factors, so every block
+    # ended in place): one factor per <= 4 bits over column strips of the
+    # (above, 2^b, below) view, each strip through the scratch and back.
+    step = scratch.size
+    while step < a.size:
+        m = min(a.size // step, 16)
+        last = step * m == a.size
+        h = _FACTORS[last][:m, :m]
+        buf = scratch.reshape(m, -1)
+        grid = a.reshape(-1, m, step)
+        dest = out.reshape(grid.shape) if last else grid
+        for i in range(len(grid)):
+            for c in range(0, step, buf.shape[1]):
+                cols = slice(c, c + buf.shape[1])
+                np.matmul(h, grid[i, :, cols], out=buf)
+                np.copyto(dest[i, :, cols], buf, casting="unsafe")
+        step *= m
+    return out
 
 
 def _dot64(a: np.ndarray, b: np.ndarray) -> int:
@@ -102,9 +148,21 @@ class WalshSpectrum:
         return _dot64(self.values, self.values) == 1 << (2 * self.n)
 
 
-def _signs(f: TruthTable) -> np.ndarray:
-    """(-1)^f(x) for every x, as int8."""
-    return 1 - 2 * f.values().astype(np.int8)
+def _transform_input(f: TruthTable, pairing: Pairing) -> np.ndarray:
+    """The 0/1 table whose standard transform is f's spectrum under `pairing`:
+    f itself, or f o diag(G, G)^-1 for the trace form (module docstring)."""
+    v = f.values()
+    if pairing is None:
+        return v
+    g = pairing.gram_index
+    g_inv = np.empty_like(g)
+    g_inv[g] = np.arange(g.size)
+    grid = v.reshape(g.size, g.size)
+    # The columns go back into f's fresh table; with mode="clip" take writes
+    # straight into `out` ("raise" buffers a copy), and g_inv is a
+    # permutation of the grid's axis, so nothing is clipped.
+    np.take(np.take(grid, g_inv, 0), g_inv, 1, out=grid, mode="clip")
+    return v
 
 
 def wht(f: TruthTable, pairing: Pairing = None) -> WalshSpectrum:
@@ -113,20 +171,9 @@ def wht(f: TruthTable, pairing: Pairing = None) -> WalshSpectrum:
         raise ValueError(
             f"trace pairing needs n = 2k = {2 * pairing.k}, got n = {f.n}"
         )
-    signs = f.values().astype(np.float32)
-    signs *= -2
-    signs += 1
-    a, spare = _fwht(signs, np.empty_like(signs))
-    if pairing is not None:
-        # Row y, column x: W_tr(x, y) = W(Gx, Gy), one axis per buffer.  With
-        # mode="clip" take writes straight into `out` ("raise" buffers a
-        # copy); g is a permutation of the grid's axis, so nothing is clipped.
-        shape = (pairing.order, pairing.order)
-        g = pairing.gram_index
-        np.take(a.reshape(shape), g, axis=0, out=spare.reshape(shape), mode="clip")
-        np.take(spare.reshape(shape), g, axis=1, out=a.reshape(shape), mode="clip")
-    vals = spare.view(np.int32)
-    np.copyto(vals, a, casting="unsafe")
+    # W = 2^n [u = 0] - 2 (H f); the uint8 input is freed before the transform.
+    vals = _fwht(_transform_input(f, pairing).astype(np.float32))
+    vals[0] += 1 << f.n
     spec = WalshSpectrum(f.n, vals, pairing)
     if not spec.parseval_ok():
         raise AssertionError("Parseval identity violated; transform is broken")
@@ -191,7 +238,10 @@ def dual(f: TruthTable, pairing: Pairing = None) -> TruthTable:
 
 def _rayleigh_sum(f: TruthTable, spec: WalshSpectrum) -> int:
     """S = sum_x (-1)^f(x) W(x) from f's own spectrum."""
-    return _dot64(_signs(f), spec.values)
+    signs = f.values().view(np.int8)  # a fresh table: (-1)^f built in place
+    signs <<= 1
+    np.subtract(1, signs, out=signs)
+    return _dot64(signs, spec.values)
 
 
 def _bent_quantities(f: TruthTable, spec: WalshSpectrum) -> tuple[int, int, int]:

@@ -130,12 +130,16 @@ def dual_selection(sel: SpreadSelection) -> SpreadSelection:
     return selection(sel.ctx, [line_dual(sel.ctx, L) for L in sel.lines])
 
 
-def _indicator(n: int, points: np.ndarray, origin: int) -> TruthTable:
-    """The function that is 1 on `points` (of any shape), with f(0) = origin."""
+def _indicator_values(n: int, points: np.ndarray, origin: int) -> np.ndarray:
+    """The 0/1 table that is 1 on `points` (of any shape), with f(0) = origin."""
     vals = np.zeros(1 << n, dtype=np.uint8)
     vals[points] = 1
     vals[0] = origin
-    return TruthTable(n, _pack_values(vals))
+    return vals
+
+
+def _indicator(n: int, points: np.ndarray, origin: int) -> TruthTable:
+    return TruthTable(n, _pack_values(_indicator_values(n, points, origin)))
 
 
 def _selection_index(sel: SpreadSelection, plus: bool) -> np.ndarray:

@@ -54,6 +54,13 @@ def test_hex_round_trip_and_layout():
         t = TruthTable(n, rng.getrandbits(1 << n))
         assert TruthTable.from_hex(t.to_hex()) == t
         assert len(t.to_hex()) == (1 << n) // 4
+    # every table at n = 2 (one digit, half a byte) and n = 3 (two digits)
+    for n in (2, 3):
+        for bits in range(1 << (1 << n)):
+            t = TruthTable(n, bits)
+            assert len(t.to_hex()) == (1 << n) // 4
+            assert TruthTable.from_hex(t.to_hex()) == t
+            assert TruthTable.from_hex(t.to_hex().upper(), n) == t
 
 
 def test_hex_rejects_bad_lengths():
@@ -63,9 +70,15 @@ def test_hex_rejects_bad_lengths():
         TruthTable.from_hex("ab", n=4)  # n=4 needs 4 digits
 
 
-@pytest.mark.parametrize("text", ["0x6c", "6_c0", "+6ca", "-6ca", "6c a0", "6cg0"])
+@pytest.mark.parametrize(
+    "text",
+    ["0x6c", "6_c0", "+6ca", "-6ca", "6c a0", "6cg0",
+     "ab cd", "ab\ncd", "ab    cd", "ab\t\t\t\tcd"],
+)
 def test_hex_rejects_non_hex_characters(text):
-    # int(text, 16) accepts the first four of these
+    # int(text, 16) accepts the first four of these, and bytes.fromhex the
+    # whitespace between digit pairs of the last four (the 8-character ones
+    # have a valid length for n = 5)
     with pytest.raises(ValueError, match="non-hex character"):
         TruthTable.from_hex(text)
 

@@ -403,9 +403,9 @@ def test_one_transform_per_request(capsys, monkeypatch, argv, expected):
     calls = []
     fwht = bentkit.spectral._fwht
 
-    def counting_fwht(a, spare):
+    def counting_fwht(a):
         calls.append(a.size)
-        return fwht(a, spare)
+        return fwht(a)
 
     monkeypatch.setattr(bentkit.spectral, "_fwht", counting_fwht)
     assert run_json(capsys, *argv) == {"schema": 1, **expected}

@@ -13,7 +13,7 @@ from bentkit.boolfun import (
     popcount_array,
     symmetric_bent,
 )
-from bentkit.field import DEFAULT_POLYS, GF2k
+from bentkit.field import DEFAULT_POLYS, GF2k, reducible_factor
 from bentkit.spectral import (
     Duality,
     NotBentError,
@@ -175,18 +175,55 @@ def test_parseval_property_on_random_tables(data):
         assert int(np.square(spec.values.astype(np.int64)).sum()) == 1 << (2 * n)
 
 
+def _other_poly(k: int) -> int:
+    """The smallest irreducible degree-k polynomial that is not the default."""
+    return next(
+        p for p in range(1 << k, 1 << (k + 1))
+        if p != DEFAULT_POLYS[k] and reducible_factor(p) is None
+    )
+
+
 def test_trace_spectrum_is_gram_permutation_of_standard():
-    for ctx in map(GF2k, sorted(DEFAULT_POLYS)):
-        rng = random.Random(ctx.k)
-        f = random_tt(2 * ctx.k, rng)
+    # wht re-indexes the input through G^-1; the oracles re-index the
+    # standard spectrum, a 2^k x 2^k grid (row y, column x), at (Gx, Gy) and
+    # spot-check the scalar gram_map.  Every k = 1..12 under the default
+    # polynomial, and under one other from k = 4 on.
+    for k in sorted(DEFAULT_POLYS):
+        rng = random.Random(k)
+        f = random_tt(2 * k, rng)
         std = wht(f)
-        tr = wht(f, pairing=ctx)
-        if ctx.k <= 4:
-            points = range(f.size)
-        else:
-            points = [0, f.size - 1] + [rng.randrange(f.size) for _ in range(300)]
-        for u in points:
-            assert tr[u] == std[ctx.gram_map(u)]
+        grid = std.values.reshape(1 << k, 1 << k)
+        for ctx in [GF2k(k)] + ([GF2k(k, _other_poly(k))] if k >= 4 else []):
+            tr = wht(f, pairing=ctx)
+            g = ctx.gram_index
+            assert np.array_equal(tr.values, grid[np.ix_(g, g)].reshape(-1)), ctx
+            if k <= 4:
+                points = range(f.size)
+            else:
+                points = [0, f.size - 1] + [rng.randrange(f.size) for _ in range(300)]
+            for u in points:
+                assert tr[u] == std[ctx.gram_map(u)]
+
+
+def _sparse_spectrum(n: int, support: list[int]) -> np.ndarray:
+    """W(u) = 2^n [u = 0] - 2 sum_{p in supp} (-1)^(u . p), for every u."""
+    us = np.arange(1 << n, dtype=np.uint32)
+    want = np.zeros(1 << n, dtype=np.int64)
+    want[0] = 1 << n
+    for p in support:
+        want -= 2 * (1 - 2 * (popcount_array(us & p) & 1).astype(np.int64))
+    return want
+
+
+@pytest.mark.parametrize("n", [17, 20])
+def test_sparse_tables_past_the_block_edge_match_closed_form(n):
+    # The low 16 index bits go through blocks and the rest through column
+    # strips; n <= 16 is one block, checked against the int64 reference.
+    rng = random.Random(n)
+    f = TruthTable.from_support(n, rng.sample(range(1 << n), 8))
+    want = _sparse_spectrum(n, f.support())
+    assert np.array_equal(wht(f).values, want)
+    assert np.array_equal(wht(f.complement()).values, -want)
 
 
 def test_linear_index_map_matches_pointwise_images():
