@@ -34,6 +34,7 @@ from .spectral import (
     _bent_spectrum,
     _dual_from_spectrum,
     _rayleigh_sum,
+    _stack_distances,
     dist_to_dual,
     hamming_dist,
     rayleigh,
@@ -43,11 +44,12 @@ from .spreads import (
     SpreadSelection,
     _indicator_values,
     _selection_index,
+    _selection_tables,
+    _unmatched_counts,
     _unmatched_lines,
     desarguesian,
     ps_general,
     ps_minus,
-    ps_plus,
     psap_from_g,
     selection,
 )
@@ -114,31 +116,30 @@ def metric_identity_check(f: TruthTable, pairing: Pairing = None) -> MetricIdent
 # closed-form distances for partial-spread functions
 # ----------------------------------------------------------------------
 
-def _dist_formula(vals: np.ndarray, dual_index: np.ndarray) -> int:
-    """The counting form: support hits of a partial-spread table `vals` (0/1
-    per point) on the dual subspaces, a (2^k, m) index array whose origin row
-    0 is skipped.  A set origin marks the plus type; the minus type never
-    contains the origin."""
-    n = vals.size.bit_length() - 1
+def _dist_from_hits(n: int, hits, plus):
+    """The counting form from the support hits on the dual subspaces, their
+    origins left out; the plus type (a set origin) adds 2^(k+1) - 2.  Works
+    on ints and on arrays of rows alike."""
     k = n // 2
-    hits = int(vals[dual_index[1:]].sum(dtype=np.int64))
-    if vals[0]:
-        return (1 << n) + (1 << k) - 2 - 2 * hits
-    return (1 << n) - (1 << k) - 2 * hits
+    return (1 << n) - (1 << k) - 2 * hits + plus * ((1 << (k + 1)) - 2)
+
+
+def _spread_dist_formula(tables: np.ndarray) -> np.ndarray:
+    """The counting form of every Desarguesian partial-spread table in a
+    (B, 2^n) stack.  E_a^perp = E_{1/a} is E_a with x and y swapped (E_0 and
+    inf swap too), so the support hits on the dual lines are the points
+    where a table and its x <-> y transpose are both 1, the origin left out."""
+    n = tables.shape[1].bit_length() - 1
+    grid = tables.reshape(len(tables), 1 << (n // 2), -1)
+    origin = tables[:, 0].astype(np.int64)
+    hits = np.count_nonzero(grid & grid.transpose(0, 2, 1), axis=(1, 2)) - origin
+    return _dist_from_hits(n, hits, origin)
 
 
 def _dist_formula_selection(sel: SpreadSelection, plus: bool) -> int:
-    """The counting form on one build of the selection's line index, read
-    from the scattered table itself.  E_a^perp = E_{1/a} is E_a with x and y
-    swapped (E_0 and inf swap too), so the dual lines are the selected lines
-    transposed; row 0 stays the origin."""
-    idx = _selection_index(sel, plus)
-    vals = _indicator_values(sel.n, idx, plus)
-    x = idx & sel.ctx.mask  # swap x and y in place: idx is not read again
-    x <<= sel.k
-    idx >>= sel.k
-    idx |= x
-    return _dist_formula(vals, idx)
+    """The counting form on the scattered table of one selection."""
+    vals = _indicator_values(sel.n, _selection_index(sel, plus), plus)
+    return int(_spread_dist_formula(vals[None])[0])
 
 
 def dist_formula_ps_minus(sel: SpreadSelection) -> int:
@@ -174,9 +175,10 @@ def dist_formula_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> int
     """The counting form over explicit disjoint subspaces (standard pairing);
     minus or plus type by the family size.  The annihilator of a span is the
     annihilator of its basis."""
-    f = ps_general(n, subspace_bases)
-    duals = [dual_subspace_points(n, basis) for basis in subspace_bases]
-    return _dist_formula(f.values(), np.array(duals, dtype=np.int64).T)
+    vals = ps_general(n, subspace_bases).values()
+    # origin first in every annihilator: row 0 is left out
+    duals = np.array([dual_subspace_points(n, basis)[1:] for basis in subspace_bases])
+    return _dist_from_hits(n, int(vals[duals].sum(dtype=np.int64)), int(vals[0]))
 
 
 # ----------------------------------------------------------------------
@@ -208,7 +210,7 @@ def nf_formula(sel: SpreadSelection) -> int:
 # censuses
 # ----------------------------------------------------------------------
 
-EXHAUSTIVE_K_MAX = 3
+EXHAUSTIVE_K_MAX = 4
 SAMPLE_K_MAX = 7
 _CENSUS_K_MAX = {"exhaustive": EXHAUSTIVE_K_MAX, "sample": SAMPLE_K_MAX}
 
@@ -259,18 +261,9 @@ class CensusReport:
         }
 
 
-def _census_selections(ctx: GF2k, mode: str, samples: int | None, seed: int | None):
-    """Yield (selection, spot_check) pairs in a deterministic order."""
-    size = 1 << (ctx.k - 1)
-    lines = desarguesian(ctx)
-    if mode == "exhaustive":
-        for combo in itertools.combinations(lines, size):
-            yield selection(ctx, combo), True
-    else:
-        rng = random.Random(seed)
-        for idx in range(samples):
-            combo = rng.sample(lines, size)
-            yield selection(ctx, combo), idx < 5 or idx % 25 == 0
+def _combinations(items: Sequence[int], r: int) -> np.ndarray:
+    """Every r-subset of `items` as one row, in lexicographic order."""
+    return np.array(list(itertools.combinations(items, r)), dtype=np.int64).reshape(-1, r)
 
 
 def census(
@@ -281,46 +274,49 @@ def census(
 ) -> CensusReport:
     """Enumerate minus-type selections and aggregate distance classes.
 
-    Exhaustive mode (k <= 3) computes every distance twice, by the line
-    formula and by the spectral dual, and counts disagreements.  Sample mode
-    (k <= 7) draws `samples` selections from a seeded PRNG and spectrally
-    spot-checks a deterministic subset.
+    Every selection gets the line formula's distance, with h for all rows
+    from one gather.  Exhaustive mode (k <= 4) also computes every
+    distance spectrally, in one batched transform over the stack of tables,
+    and counts disagreements.  Sample mode (k <= 7) draws `samples`
+    selections from a seeded PRNG and checks the first five draws and every
+    25th spectrally.  A disagreeing row is classed by its spectral distance.
     """
     _census_size_check(mode, ctx.k)
+    size = 1 << (ctx.k - 1)
     if mode == "exhaustive":
         seed = None
+        cols = _combinations(range(ctx.order + 1), size)
+        spot = np.arange(len(cols))
     else:
         if not samples or samples <= 0:
             raise ValueError("sample mode needs a positive sample count")
         seed = 0 if seed is None else seed
+        rng = random.Random(seed)
+        # sample() draws positions, so the spread columns (desarguesian(ctx)
+        # order) give the same selections as the lines themselves
+        cols = np.array(
+            [rng.sample(range(ctx.order + 1), size) for _ in range(samples)],
+            dtype=np.int64,
+        )
+        idx = np.arange(samples)
+        spot = idx[(idx < 5) | (idx % 25 == 0)]
 
-    class_sizes: dict[int, int] = {}
-    mismatches = 0
-    checked = 0
-    total = 0
-    for sel, spot in _census_selections(ctx, mode, samples, seed):
-        total += 1
-        d_formula = (1 << (sel.n - 1)) - nf_formula(sel) // 2
-        d = d_formula
-        if spot:
-            d_spectral = dist_to_dual(ps_minus(sel), pairing=ctx)
-            checked += 1
-            if d_spectral != d_formula:
-                mismatches += 1
-                d = d_spectral
-        class_sizes[d] = class_sizes.get(d, 0) + 1
-
-    nonzero = [d for d in class_sizes if d > 0]
+    dists = (1 << (2 * ctx.k - 1)) - _nf_value(ctx.k, _unmatched_counts(ctx, cols)) // 2
+    spectral = _stack_distances(_selection_tables(ctx, cols[spot], False), ctx)
+    mismatches = int(np.count_nonzero(spectral != dists[spot]))
+    dists[spot] = spectral
+    values, counts = np.unique(dists, return_counts=True)
+    class_sizes = dict(zip(values.tolist(), counts.tolist()))
     return CensusReport(
         k=ctx.k,
         mode=mode,
         seed=seed,
-        total_selections=total,
-        class_sizes=dict(sorted(class_sizes.items())),
+        total_selections=len(cols),
+        class_sizes=class_sizes,
         selfdual_count=class_sizes.get(0, 0),
-        min_nonzero_dist=min(nonzero) if nonzero else None,
+        min_nonzero_dist=min((d for d in class_sizes if d), default=None),
         formula_mismatches=mismatches,
-        spectral_checked=checked,
+        spectral_checked=len(spot),
     )
 
 
@@ -402,9 +398,10 @@ def selfdual_counts(k: int) -> tuple[int, int]:
     Both count the h = 0 selections, whose lines are all matched.  For
     k >= 2 those leave out E_1 and choose 2^(k-2) of the 2^(k-1) dual pairs;
     the quotient form lacks the pair {E_0, inf}, so it chooses among
-    2^(k-1) - 1.  For k <= EXHAUSTIVE_K_MAX both values are verified by
-    exhaustive enumeration with the spectral oracle: the spread form is the
-    exhaustive census's self-dual count, which transforms every selection.
+    2^(k-1) - 1.  For k <= EXHAUSTIVE_K_MAX (4) both values are verified by
+    exhaustive enumeration with the spectral oracle on every row: the
+    spread form is the exhaustive census's self-dual count, and the
+    quotient form transforms the selection of every balanced g.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
@@ -413,16 +410,17 @@ def selfdual_counts(k: int) -> tuple[int, int]:
 
 def _selfdual_counts(k: int, report: CensusReport | None) -> tuple[int, int]:
     """The binomials of selfdual_counts, checked by enumeration when
-    `report`, the exhaustive census of GF2k(k), is given."""
+    `report`, the exhaustive census of GF2k(k), is given.  The quotient
+    form of a balanced g with g(0) = 0 selects the columns 1/u for u in
+    supp g, so all of them are one stack."""
     spread_form = comb(1 << (k - 1), 1 << (k - 2))
     g_form = comb((1 << (k - 1)) - 1, 1 << (k - 2))
     if report is not None:
         ctx = GF2k(k)
+        supports = _combinations(ctx.nonzero(), 1 << (k - 1))
+        tables = _selection_tables(ctx, ctx.line_dual_index[supports], False)
         found_spread = report.selfdual_count
-        found_g = sum(
-            dist_to_dual(psap_from_g(ctx, g), pairing=ctx) == 0
-            for g in balanced_g_functions(k)
-        )
+        found_g = int(np.count_nonzero(_stack_distances(tables, ctx) == 0))
         if (found_spread, found_g) != (spread_form, g_form):
             raise AssertionError(
                 f"enumeration found ({found_spread}, {found_g}), "
@@ -492,9 +490,9 @@ def kloosterman_sum(ctx: GF2k, g: TruthTable) -> tuple[int, int]:
     """
     if g.n != ctx.k:
         raise ValueError(f"g must be on k={ctx.k} variables, got {g.n}")
-    k_nonzero = sum(
-        -1 if g[u] ^ g[ctx.inv(u)] else 1 for u in ctx.nonzero()
-    )
+    v = g.values()
+    flips = np.count_nonzero(v[1:] != v[ctx.line_dual_index[1:ctx.order]])
+    k_nonzero = ctx.order - 1 - 2 * int(flips)
     return k_nonzero, k_nonzero + 1  # u = 0 contributes (-1)^(g(0)+g(0)) = +1
 
 
@@ -690,31 +688,26 @@ def _check_metric_identities() -> SuiteCheck:
 
 
 def _check_distance_formulas() -> SuiteCheck:
-    failures = []
-    for k in (2, 3):
-        ctx = GF2k(k)
-        lines = desarguesian(ctx)
-        for combo in itertools.combinations(lines, 1 << (k - 1)):
-            sel = selection(ctx, combo)
-            a = dist_formula_ps_minus(sel)
-            b = dist_to_dual(ps_minus(sel), pairing=ctx)
-            if a != b or a > (1 << sel.n) - (1 << k):
-                failures.append({"form": "minus", "k": k, "lines": [str(L) for L in sel.lines]})
-        for combo in itertools.combinations(lines, (1 << (k - 1)) + 1):
-            sel = selection(ctx, combo)
-            a = dist_formula_ps_plus(sel)
-            b = dist_to_dual(ps_plus(sel), pairing=ctx)
-            if a != b or a > (1 << sel.n) - (1 << k):
-                failures.append({"form": "plus", "k": k, "lines": [str(L) for L in sel.lines]})
-    ctx4 = GF2k(4)
-    lines4 = desarguesian(ctx4)
+    """The counting form against the spectral distance, row by row over
+    stacks: every minus and plus selection at k = 2, 3, and 200 seeded
+    minus draws at k = 4."""
     rng = random.Random(404)
-    for idx in range(200):
-        sel = selection(ctx4, rng.sample(lines4, 8))
-        a = dist_formula_ps_minus(sel)
-        b = dist_to_dual(ps_minus(sel), pairing=ctx4)
-        if a != b or a > (1 << 8) - (1 << 4):
-            failures.append({"form": "minus", "k": 4, "index": idx})
+    cases = [
+        (k, plus, _combinations(range((1 << k) + 1), (1 << (k - 1)) + plus))
+        for k in (2, 3)
+        for plus in (False, True)
+    ]
+    cases.append((4, False, np.array([rng.sample(range(17), 8) for _ in range(200)])))
+    failures = []
+    for k, plus, cols in cases:
+        ctx = GF2k(k)
+        tables = _selection_tables(ctx, cols, plus)
+        a = _spread_dist_formula(tables)
+        bad = (a != _stack_distances(tables, ctx)) | (a > (1 << (2 * k)) - (1 << k))
+        for i in np.flatnonzero(bad).tolist():
+            lines = ["inf" if c == ctx.order else str(c) for c in cols[i]]
+            where = {"index": i} if k == 4 else {"lines": lines}
+            failures.append({"form": "plus" if plus else "minus", "k": k, **where})
     return SuiteCheck("ps-distance-formulas", not failures, {"failures": failures[:5]})
 
 

@@ -14,6 +14,8 @@ bits(x) + 2^k * bits(y).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .boolfun import _linear_index_map, popcount_array, reduce_basis
@@ -87,6 +89,9 @@ class GF2k:
     W_tr(x, y) = W(Gx, Gy): the spectral layer views the input table as a
     2^k x 2^k grid (row y, column x) and re-indexes both axes through the
     inverse of `gram_index` before its one standard transform.
+
+    `line_dual_index` is built on first use only, so construction stays
+    cheap; building it twice from two threads gives the same array.
     """
 
     def __init__(self, k: int, poly: int | None = None):
@@ -171,6 +176,36 @@ class GF2k:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(2^k)")
         return self.pow(a, self.order - 2)
+
+    def _mul_array(self, a, b) -> np.ndarray:
+        """Elementwise product of two broadcastable arrays of field elements;
+        the same shift-xor as `mul`, one bit of b per step."""
+        a, b = np.asarray(a, np.int64), np.asarray(b, np.int64)
+        p = np.zeros(np.broadcast_shapes(a.shape, b.shape), np.int64)
+        for i in range(self.k):
+            p ^= a * ((b >> i) & 1)
+            a = a << 1
+            a ^= (a >> self.k) * self.poly
+        return p
+
+    @cached_property
+    def line_dual_index(self) -> np.ndarray:
+        """Spread-line column j -> the column of its trace dual, over the
+        2^k + 1 columns of the Desarguesian spread (E_a is column a, the line
+        at infinity column 2^k): E_a -> E_{1/a}, E_0 <-> inf.  On the nonzero
+        elements it is the inverse table over the whole field at once:
+        a^(2^k - 2) = a^2 a^4 ... a^(2^(k-1)), with squaring (F_2-linear) as
+        one index map.  Read-only."""
+        square = _linear_index_map([self.mul(1 << i, 1 << i) for i in range(self.k)])
+        frob = np.arange(self.order, dtype=np.int64)
+        inv = np.ones_like(frob)
+        for _ in range(self.k - 1):
+            frob = square[frob]
+            inv = self._mul_array(inv, frob)
+        index = np.append(inv, 0)
+        index[0] = self.order
+        index.flags.writeable = False
+        return index
 
     def div0(self, x: int, y: int) -> int:
         """Division with the convention x/0 = 0."""

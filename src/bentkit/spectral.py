@@ -17,15 +17,21 @@ distances do.
 
 The transform runs on the 0/1 table itself: W = 2^n [u = 0] - 2 (H f).  H is
 the Kronecker factorisation H_{2^n} = H_{2^b1} x ... x H_{2^bd} with every
-b <= 4, one float32 matrix product (one BLAS sgemm) per factor and block,
-computed in place in the one float32 copy of the table:
+b <= 4, one float32 matrix product (one BLAS sgemm) per factor and chunk,
+computed in place in the one float32 copy of the table.  `_fwht` transforms
+the last axis, so one call takes one table or a (B, 2^n) stack of them:
 
-  * the low <= 16 index bits block by block: a block of 2^16 entries
-    (256 KiB) ping-pongs with one scratch block, each factor transforming
-    the top b bits and writing them back as the bottom b bits, so the
-    block's index order is restored after its factors;
-  * every further <= 4 bits as one factor over column strips of the
-    table, each strip computed into the scratch and written back.
+  * the low <= 16 index bits chunk by chunk through one 2^16-entry
+    (256 KiB) scratch: a chunk is one 2^16-entry block of a large table,
+    or as many whole small tables as fit.  It ping-pongs with the scratch,
+    each factor transforming the top b bits and writing them back as the
+    bottom b bits, so the index order is restored after its factors.  The
+    tables of a multi-row chunk are first copied into the scratch
+    transposed, row index as the bottom bits, so each factor is still one
+    matrix product over the whole chunk and the factors bring the row
+    index back on top;
+  * every further <= 4 bits (n > 16) as one factor over column strips of
+    each table, each strip computed into the scratch and written back.
 
 The last factor multiplies by -2 H_{2^b}, and its result is cast into the
 int32 view of the same buffer, so an n = 24 transform holds one 64 MB
@@ -34,6 +40,10 @@ summation order, is an integer of magnitude <= 2^n <= 2^24 (an even one of
 magnitude <= 2^25 in the last factor), and float32 holds every such integer.
 Spectrum values are 32-bit signed integers.  Sums that can exceed that range
 (Parseval's sum of squares, the Rayleigh sum) accumulate exactly in int64.
+
+`_stack_distances` runs a stack of tables (a census, the verify battery)
+through that one transform, in stacks of <= 2^24 entries (64 MB of float32,
+one n = 24 table), with every check of the single-table path made per row.
 """
 
 from __future__ import annotations
@@ -81,37 +91,52 @@ _FACTORS = (_H16, -2 * _H16)
 
 # Entries per block of the low-bit stage, and of the one scratch buffer: 256 KiB.
 _BLOCK = 1 << 16
+# Entries per float32 stack of tables transformed at once: 64 MB, an n = 24 table.
+_STACK = 1 << 24
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
-    """-2 (H a) for the float32 vector `a` of size 2^n, computed in place;
-    returns the int32 view of a's buffer that holds it."""
+    """-2 (H a) along the last axis of the float32 array `a` (one table of
+    2^n entries or a (B, 2^n) stack), computed in place; returns the int32
+    view of a's buffer that holds it."""
     out = a.view(np.int32)
+    size = a.shape[-1]
+    low = min(size, _BLOCK)
+    single = low == size
+    # Rows of the low-bit stage: whole tables, or 2^16-entry blocks of each.
+    blocks = a.reshape(-1, low)
     scratch = np.empty(min(a.size, _BLOCK), dtype=np.float32)
-    single = a.size == scratch.size
-    # Low bits, block by block: each factor transforms the top b bits and
-    # writes them back as the bottom b bits, ping-ponging with the scratch.
-    for start in range(0, a.size, scratch.size):
-        x, y = a[start:start + scratch.size], scratch
-        bits = scratch.size.bit_length() - 1
+    per_chunk = scratch.size // low
+    for start in range(0, len(blocks), per_chunk):
+        x = blocks[start:start + per_chunk].reshape(-1)
+        y = scratch[:x.size]
+        if x.size > low:
+            # Rows to the bottom bits: each factor is then one matmul over
+            # the whole chunk, and the factors bring the rows back on top.
+            y.reshape(low, -1)[...] = x.reshape(-1, low).T
+            x, y = y, x
+        # Each factor transforms the top b bits and writes them back as the
+        # bottom b bits, ping-ponging with the scratch.
+        bits = low.bit_length() - 1
         while bits:
             b = min(bits, 4)
             bits -= b
             h = _FACTORS[single and not bits][: 1 << b, : 1 << b]
             np.matmul(x.reshape(1 << b, -1).T, h, out=y.reshape(-1, 1 << b))
             x, y = y, x
+        if single:
+            # copyto handles the overlap when x is the chunk itself
+            dest = out.reshape(blocks.shape)[start:start + per_chunk]
+            np.copyto(dest.reshape(-1), x, casting="unsafe")
     if single:
-        # x is `a` itself after an even number of factors; copyto handles
-        # the overlap of a 1-D in-place cast
-        np.copyto(out, x, casting="unsafe")
         return out
     # High bits (16 low bits are an even number of factors, so every block
     # ended in place): one factor per <= 4 bits over column strips of the
     # (above, 2^b, below) view, each strip through the scratch and back.
-    step = scratch.size
-    while step < a.size:
-        m = min(a.size // step, 16)
-        last = step * m == a.size
+    step = low
+    while step < size:
+        m = min(size // step, 16)
+        last = step * m == size
         h = _FACTORS[last][:m, :m]
         buf = scratch.reshape(m, -1)
         grid = a.reshape(-1, m, step)
@@ -148,20 +173,20 @@ class WalshSpectrum:
         return _dot64(self.values, self.values) == 1 << (2 * self.n)
 
 
-def _transform_input(f: TruthTable, pairing: Pairing) -> np.ndarray:
-    """The 0/1 table whose standard transform is f's spectrum under `pairing`:
-    f itself, or f o diag(G, G)^-1 for the trace form (module docstring)."""
-    v = f.values()
+def _transform_input(v: np.ndarray, pairing: Pairing) -> np.ndarray:
+    """The 0/1 tables (last axis) whose standard transforms are their spectra
+    under `pairing`: v itself, or each table f re-indexed in place to
+    f o diag(G, G)^-1 for the trace form (module docstring)."""
     if pairing is None:
         return v
     g = pairing.gram_index
     g_inv = np.empty_like(g)
     g_inv[g] = np.arange(g.size)
-    grid = v.reshape(g.size, g.size)
-    # The columns go back into f's fresh table; with mode="clip" take writes
-    # straight into `out` ("raise" buffers a copy), and g_inv is a
-    # permutation of the grid's axis, so nothing is clipped.
-    np.take(np.take(grid, g_inv, 0), g_inv, 1, out=grid, mode="clip")
+    grid = v.reshape(-1, g.size, g.size)
+    # The columns go back into v; with mode="clip" take writes straight into
+    # `out` ("raise" buffers a copy), and g_inv is a permutation of the
+    # grid's axes, so nothing is clipped.
+    np.take(np.take(grid, g_inv, 1), g_inv, 2, out=grid, mode="clip")
     return v
 
 
@@ -172,7 +197,7 @@ def wht(f: TruthTable, pairing: Pairing = None) -> WalshSpectrum:
             f"trace pairing needs n = 2k = {2 * pairing.k}, got n = {f.n}"
         )
     # W = 2^n [u = 0] - 2 (H f); the uint8 input is freed before the transform.
-    vals = _fwht(_transform_input(f, pairing).astype(np.float32))
+    vals = _fwht(_transform_input(f.values(), pairing).astype(np.float32))
     vals[0] += 1 << f.n
     spec = WalshSpectrum(f.n, vals, pairing)
     if not spec.parseval_ok():
@@ -257,6 +282,42 @@ def _bent_quantities(f: TruthTable, spec: WalshSpectrum) -> tuple[int, int, int]
     if direct != d:
         raise AssertionError(f"spectral distance {d} != direct distance {direct}")
     return s, n_f, d
+
+
+def _stack_distances(tables: np.ndarray, pairing: Pairing) -> np.ndarray:
+    """Distance to the dual of every bent table in a (B, 2^n) uint8 stack.
+
+    One transform per chunk of <= _STACK entries, and per row the checks of
+    the single path: Parseval (an int64 sum), flatness (NotBentError with
+    the first bad point) and the spectral distance 2^(n-1) - N/2 against a
+    direct comparison with the sign-bit dual.
+    """
+    n = tables.shape[1].bit_length() - 1
+    if pairing is not None and n != 2 * pairing.k:
+        raise ValueError(f"trace pairing needs n = 2k = {2 * pairing.k}, got n = {n}")
+    dists = np.empty(len(tables), dtype=np.int64)
+    rows = max(1, _STACK >> n)
+    for start in range(0, len(tables), rows):
+        f = tables[start:start + rows]
+        spec = _fwht(_transform_input(f.copy(), pairing).astype(np.float32))
+        spec[:, 0] += 1 << n
+        if np.any(np.einsum("ij,ij->i", spec, spec, dtype=np.int64) != 1 << (2 * n)):
+            raise AssertionError("Parseval identity violated; transform is broken")
+        bad = np.abs(spec) != 1 << (n // 2)
+        if bad.any():
+            row, u = np.argwhere(bad)[0]
+            raise NotBentError(n, int(u), int(spec[row, u]))
+        signs = 1 - 2 * f.view(np.int8)
+        s = np.einsum("ij,ij->i", signs, spec, dtype=np.int64)
+        d = (1 << (n - 1)) - (s >> (n // 2)) // 2
+        direct = np.count_nonzero(f != (spec < 0), axis=1)
+        if np.any(direct != d):
+            row = int(np.flatnonzero(direct != d)[0])
+            raise AssertionError(
+                f"row {start + row}: spectral distance {d[row]} != direct distance {direct[row]}"
+            )
+        dists[start:start + rows] = d
+    return dists
 
 
 def rayleigh_quotient(f: TruthTable, pairing: Pairing = None) -> int:

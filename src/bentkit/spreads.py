@@ -96,24 +96,27 @@ def desarguesian(ctx: GF2k) -> list[SpreadLine]:
     return [SpreadLine(a) for a in ctx.elements()] + [LINE_INFINITY]
 
 
-def _line_index(ctx: GF2k, lines: Sequence[SpreadLine]) -> np.ndarray:
-    """Packed points of the lines as a (2^k, len(lines)) array: row x holds
-    (x, xa) for E_a and (0, x) for infinity, so row 0 is the origin.  x -> xa
-    is F_2-linear, so all lines are one batched index map of k images each."""
-    images = [
-        [
-            ctx.pack(0, 1 << i) if L.is_infinity
-            else ctx.pack(1 << i, ctx.mul(1 << i, L.a))
-            for L in lines
-        ]
-        for i in range(ctx.k)
-    ]
-    return _linear_index_map(np.array(images, dtype=np.int64))
+def _columns(ctx: GF2k, lines: Iterable[SpreadLine]) -> np.ndarray:
+    """Spread columns of the lines: a for E_a, 2^k for the line at infinity."""
+    return np.array(
+        [ctx.order if L.is_infinity else L.a for L in lines], dtype=np.int64
+    )
+
+
+def _line_index(ctx: GF2k, cols: np.ndarray) -> np.ndarray:
+    """Packed points of the lines in spread columns `cols` as a
+    (2^k, len(cols)) array: row x holds (x, xa) for E_a and (0, x) for
+    infinity, so row 0 is the origin.  x -> xa is F_2-linear, so all lines
+    are one batched index map of k images each, the products x^i a from one
+    array multiply."""
+    basis = 1 << np.arange(ctx.k, dtype=np.int64)[:, None]
+    finite = basis | (ctx._mul_array(basis, cols) << ctx.k)
+    return _linear_index_map(np.where(cols < ctx.order, finite, basis << ctx.k))
 
 
 def line_points(ctx: GF2k, line: SpreadLine) -> frozenset[int]:
     """The 2^k packed points of a line (the origin included)."""
-    return frozenset(_line_index(ctx, [line])[:, 0].tolist())
+    return frozenset(_line_index(ctx, _columns(ctx, [line]))[:, 0].tolist())
 
 
 def line_dual(ctx: GF2k, line: SpreadLine) -> SpreadLine:
@@ -148,7 +151,19 @@ def _selection_index(sel: SpreadSelection, plus: bool) -> np.ndarray:
     if len(sel) != want:
         name = "ps_plus" if plus else "ps_minus"
         raise ValueError(f"{name} needs {want} lines, got {len(sel)}")
-    return _line_index(sel.ctx, sel.lines)
+    return _line_index(sel.ctx, _columns(sel.ctx, sel.lines))
+
+
+def _selection_tables(ctx: GF2k, cols: np.ndarray, plus: bool) -> np.ndarray:
+    """(B, 2^n) uint8 stack of the ps_minus (or, with `plus`, ps_plus)
+    tables of the selections in the rows of `cols` (spread columns): one
+    index map over the whole spread, a column gather per selection and one
+    scatter into the stack."""
+    index = _line_index(ctx, np.arange(ctx.order + 1))
+    tables = np.zeros((len(cols), 1 << (2 * ctx.k)), dtype=np.uint8)
+    tables[np.arange(len(cols))[:, None, None], index.T[cols]] = 1
+    tables[:, 0] = plus
+    return tables
 
 
 def ps_minus(sel: SpreadSelection) -> TruthTable:
@@ -182,8 +197,16 @@ def selection_from_g(ctx: GF2k, g: TruthTable) -> SpreadSelection:
         raise ValueError("quotient form needs g(0) = 0")
     if not g.is_balanced():
         raise ValueError("quotient form needs a balanced g")
-    supp = np.flatnonzero(g.values()).tolist()
-    return selection(ctx, [SpreadLine(ctx.inv(u)) for u in supp])
+    supp = np.flatnonzero(g.values())
+    return selection(ctx, [SpreadLine(int(a)) for a in ctx.line_dual_index[supp]])
+
+
+def _unmatched_counts(ctx: GF2k, cols: np.ndarray) -> np.ndarray:
+    """h for every row of selected spread columns `cols`: one gather on the
+    (B, 2^k + 1) membership mask through the line-dual column map."""
+    mask = np.zeros((len(cols), ctx.order + 1), dtype=bool)
+    np.put_along_axis(mask, cols, True, axis=1)
+    return np.count_nonzero(mask & ~mask[:, ctx.line_dual_index], axis=1)
 
 
 def _unmatched_lines(sel: SpreadSelection) -> int:
@@ -195,8 +218,7 @@ def _unmatched_lines(sel: SpreadSelection) -> int:
     want = 1 << (sel.k - 1)
     if len(sel) != want:
         raise ValueError(f"expected a ps_minus selection of {want} lines")
-    chosen = set(sel.lines)
-    return sum(line_dual(sel.ctx, L) not in chosen for L in sel.lines)
+    return int(_unmatched_counts(sel.ctx, _columns(sel.ctx, sel.lines)[None])[0])
 
 
 def is_selfdual_selection(sel: SpreadSelection) -> bool:

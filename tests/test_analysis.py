@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import bentkit.analysis
 from bentkit.analysis import (
     CensusReport,
     _exact_div,
+    _spread_dist_formula,
     anti_selfdual_check,
     balanced_g_functions,
     census,
@@ -36,10 +38,18 @@ from bentkit.boolfun import (
 )
 from bentkit.field import GF2k
 from bentkit.golden import REFERENCE_CENSUS, REFERENCE_DISTRIBUTION
-from bentkit.spectral import dist_to_dual, rayleigh, wht
+from bentkit.spectral import (
+    NotBentError,
+    _stack_distances,
+    dist_to_dual,
+    rayleigh,
+    wht,
+)
 from bentkit.spreads import (
     LINE_INFINITY,
     SpreadLine,
+    _selection_tables,
+    _unmatched_counts,
     desarguesian,
     is_selfdual_selection,
     line_points,
@@ -426,14 +436,85 @@ def test_census_sample_mode_deterministic():
     assert a.total_selections == 60
     assert a.seed == 7
     assert a.formula_mismatches == 0
-    assert a.spectral_checked >= 5
+    assert a.spectral_checked == 7  # draws 0-4, 25 and 50
     c = census(ctx, mode="sample", samples=60, seed=8)
     assert c.seed == 8
 
 
+def _closed_form_class_sizes(k: int) -> dict[int, int]:
+    """PS- class sizes: with P = 2^(k-1) dual pairs, e = [E_1 selected] and
+    p = (P - e - h)/2 whole pairs, h unmatched lines occur in
+    C(P, p) C(P - p, h) 2^h selections, at distance h (2^(k+1) - 2)."""
+    big_p = 1 << (k - 1)
+    sizes = {}
+    for h in range(big_p + 1):
+        e = (big_p - h) % 2
+        p = (big_p - e - h) // 2
+        sizes[h * ((1 << (k + 1)) - 2)] = comb(big_p, p) * comb(big_p - p, h) * 2**h
+    return sizes
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_exhaustive_class_sizes_match_the_closed_form(k):
+    rep = census(GF2k(k))
+    assert rep.class_sizes == _closed_form_class_sizes(k)
+    assert rep.formula_mismatches == 0
+    assert rep.spectral_checked == rep.total_selections == comb((1 << k) + 1, 1 << (k - 1))
+    if k == 4:
+        assert rep.class_sizes == {
+            0: 70, 30: 560, 60: 2240, 90: 4480, 120: 6720,
+            150: 5376, 180: 3584, 210: 1024, 240: 256,
+        }
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_batched_rows_match_the_single_function_path(data):
+    # stacks of hypothesis-drawn selections against ps_minus / ps_plus,
+    # dist_to_dual and the counting forms, one selection at a time
+    k = data.draw(st.integers(2, 5), label="k")
+    plus = data.draw(st.booleans(), label="plus")
+    ctx = GF2k(k)
+    size = (1 << (k - 1)) + plus
+    line = st.integers(0, ctx.order)
+    rows = data.draw(st.lists(
+        st.lists(line, min_size=size, max_size=size, unique=True),
+        min_size=1, max_size=5,
+    ), label="rows")
+    cols = np.array(rows, dtype=np.int64)
+    tables = _selection_tables(ctx, cols, plus)
+    dists = _stack_distances(tables, ctx)
+    formula = _spread_dist_formula(tables)
+    build, counting = (ps_plus, dist_formula_ps_plus) if plus else (ps_minus, dist_formula_ps_minus)
+    for row, table, d, d_formula in zip(rows, tables, dists, formula):
+        sel = selection(ctx, [SpreadLine(None if c == ctx.order else c) for c in row])
+        f = build(sel)
+        assert np.array_equal(f.values(), table)
+        assert d == d_formula == dist_to_dual(f, pairing=ctx) == counting(sel)
+    if not plus:
+        h = _unmatched_counts(ctx, cols)
+        step = (1 << (k + 1)) - 2
+        assert (dists == h * step).all()
+
+
+def test_census_fails_on_a_planted_bit_flip(monkeypatch):
+    # a flipped bit in one row of the census stack is an error, never a class
+    build = bentkit.analysis._selection_tables
+
+    def planted(ctx, cols, plus):
+        tables = build(ctx, cols, plus)
+        tables[len(tables) // 2, 5] ^= 1
+        return tables
+
+    monkeypatch.setattr(bentkit.analysis, "_selection_tables", planted)
+    for mode, samples in (("exhaustive", None), ("sample", 40)):
+        with pytest.raises(NotBentError):
+            census(F8, mode=mode, samples=samples)
+
+
 def test_census_mode_caps():
     with pytest.raises(ValueError):
-        census(GF2k(4), mode="exhaustive")
+        census(GF2k(5), mode="exhaustive")
     with pytest.raises(ValueError):
         census(GF2k(8), mode="sample", samples=5)
     with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bentkit.field import (
     DEFAULT_POLYS,
@@ -137,6 +139,33 @@ def test_inverse_specific_values_and_zero_error():
     assert F8.inv(0b010) == 0b101 == inv_oracle(F8, 0b010)
     with pytest.raises(ZeroDivisionError):
         F4.inv(0)
+
+
+@given(st.data())
+def test_array_mul_and_inverse_match_the_scalar_oracle(data):
+    # the whole-field arrays against scalar mul / inv (through pow)
+    k = data.draw(st.integers(1, 12), label="k")
+    ctx = GF2k(k)
+    a = data.draw(st.lists(st.integers(0, ctx.mask), min_size=1, max_size=16))
+    b = data.draw(st.lists(st.integers(0, ctx.mask), min_size=len(a), max_size=len(a)))
+    assert ctx._mul_array(a, b).tolist() == [ctx.mul(x, y) for x, y in zip(a, b)]
+    index = ctx.line_dual_index
+    for x in a:
+        if x:
+            assert index[x] == ctx.inv(x)
+
+
+@pytest.mark.parametrize("k", sorted(DEFAULT_POLYS))
+def test_line_dual_index_is_a_lazy_read_only_involution(k):
+    ctx = GF2k(k)
+    assert "line_dual_index" not in vars(ctx)  # not built by the constructor
+    index = ctx.line_dual_index
+    assert index is ctx.line_dual_index
+    assert len(index) == ctx.order + 1
+    assert (index[0], index[ctx.order], index[1]) == (ctx.order, 0, 1)
+    assert np.array_equal(index[index], np.arange(ctx.order + 1))
+    with pytest.raises(ValueError):
+        index[0] = 0
 
 
 def test_division_convention():

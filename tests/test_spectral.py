@@ -18,6 +18,9 @@ from bentkit.spectral import (
     Duality,
     NotBentError,
     SingularMatrixError,
+    _fwht,
+    _stack_distances,
+    _transform_input,
     affine_transform,
     dist_to_dual,
     dual,
@@ -224,6 +227,73 @@ def test_sparse_tables_past_the_block_edge_match_closed_form(n):
     want = _sparse_spectrum(n, f.support())
     assert np.array_equal(wht(f).values, want)
     assert np.array_equal(wht(f.complement()).values, -want)
+
+
+# ----------------------------------------------------------------------
+# stacks of tables: the batch axis
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_batched_fwht_rows_equal_single_transforms(n):
+    # Two scratch chunks of rows, the second one partial, wherever a chunk
+    # holds more than one row; three rows of one block each at n = 16.
+    rng = np.random.default_rng(n)
+    rows = max(3, (1 << 16 >> n) + 3)
+    stack = rng.integers(0, 2, (rows, 1 << n), dtype=np.uint8)
+    got = _fwht(stack.astype(np.float32))
+    assert got.shape == stack.shape and got.dtype == np.int32
+    for row, spec in zip(stack, got):
+        assert np.array_equal(spec, _fwht(row.astype(np.float32)))
+    # and the B = 1 transform is the int64 reference
+    f = TruthTable.from_values(n, stack[0].tolist())
+    assert np.array_equal(got[0] + (np.arange(1 << n) == 0) * (1 << n),
+                          fwht_int64_reference(f))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_batched_trace_reindex_equals_per_row(k):
+    # t(x) = f(diag(G, G)^-1 x), per row of the stack and by the scalar map
+    ctx = GF2k(k)
+    stack = np.random.default_rng(k).integers(0, 2, (5, 1 << (2 * k)), dtype=np.uint8)
+    got = _transform_input(stack.copy(), ctx)
+    for row, t in zip(stack, got):
+        assert np.array_equal(t, _transform_input(row.copy(), ctx))
+        assert t.tolist() == [row[ctx.gram_map_inv(x)] for x in range(row.size)]
+
+
+def test_stack_distances_match_dist_to_dual_under_both_pairings():
+    rng = random.Random(11)
+    for k in (2, 3, 4):
+        ctx = GF2k(k)
+        fs = []
+        for _ in range(6):
+            pi = list(range(1 << k))
+            rng.shuffle(pi)
+            fs.append(mm_bent(pi, random_tt(k, rng)))
+        stack = np.array([f.values() for f in fs])
+        for pairing in (None, ctx):
+            want = [dist_to_dual(f, pairing) for f in fs]
+            assert _stack_distances(stack, pairing).tolist() == want
+
+
+def test_stack_distances_reject_a_planted_bit_flip():
+    # one flipped bit makes a bent row non-bent: the stack fails, it is
+    # never given a distance
+    rng = random.Random(12)
+    pi = list(range(8))
+    fs = [mm_bent(pi, random_tt(3, rng)) for _ in range(4)]
+    stack = np.array([f.values() for f in fs])
+    for pairing in (None, GF2k(3)):
+        _stack_distances(stack, pairing)
+        bad = stack.copy()
+        bad[2, 37] ^= 1
+        with pytest.raises(NotBentError):
+            _stack_distances(bad, pairing)
+
+
+def test_stack_distances_reject_a_pairing_of_the_wrong_size():
+    with pytest.raises(ValueError):
+        _stack_distances(np.zeros((2, 1 << 6), dtype=np.uint8), GF2k(2))
 
 
 def test_linear_index_map_matches_pointwise_images():
