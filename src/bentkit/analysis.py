@@ -30,28 +30,22 @@ from .field import GF2k
 from .golden import REFERENCE_DISTRIBUTION
 from .spectral import (
     Pairing,
-    _bent_quantities,
-    _bent_spectrum,
-    _dual_from_spectrum,
-    _rayleigh_sum,
     _stack_distances,
+    _stack_identities,
     dist_to_dual,
-    hamming_dist,
     rayleigh,
 )
 from .spreads import (
     SpreadLine,
     SpreadSelection,
     _indicator_values,
+    _lines,
     _selection_index,
     _selection_tables,
     _unmatched_counts,
     _unmatched_lines,
-    desarguesian,
     ps_general,
-    ps_minus,
     psap_from_g,
-    selection,
 )
 
 
@@ -75,41 +69,19 @@ class MetricIdentity(NamedTuple):
         )
 
 
-def _exact_div(a: int, b: int, what: str) -> int:
-    if a % b:
-        raise AssertionError(f"{what} = {a} is not divisible by {b}")
-    return a // b
-
-
 def metric_identity_check(f: TruthTable, pairing: Pairing = None) -> MetricIdentity:
     """Evaluate both closed forms of dist(f, f~) and the zero-sum corollary,
-    all from the one bent spectrum of f.
+    all from the one bent spectrum of f: row 0 of a one-row
+    `spectral._stack_identities`, the code path every stack of the verify
+    battery takes.
 
     form1 rewrites the distance through the spectrum over the support of f.
-    form2 is the derivative form: the spectra of all directional derivatives,
-    split over the isotropic/anisotropic halves of the domain.  The pairing
-    map P is symmetric, so those derivative sums collapse to
-    sum_x (-1)^(f(x) + <x, x>) W(x), the split cancels, and form2 is
-    2^(n-1) - S / 2^(k+1) with S = sum_x (-1)^f(x) W(x) the Rayleigh sum.
-    The O(4^n) derivative loop is kept only as a test oracle.  The residual
-    2 * (support sum) + S - (-1)^f(0) 2^n is sum_u W(u) - (-1)^f(0) 2^n,
-    zero by the inverse transform at x = 0, so it still checks the transform.
+    form2 is the derivative form, which collapses (the pairing map is
+    symmetric) to the Rayleigh form 2^(n-1) - S / 2^(k+1); the O(4^n)
+    derivative loop is kept only as a test oracle.  The residual is
+    sum_u W(u) - (-1)^f(0) 2^n, zero by the inverse transform at x = 0.
     """
-    n, k = f.n, f.n // 2
-    spec = _bent_spectrum(f, pairing)
-    direct = hamming_dist(f, _dual_from_spectrum(spec))
-    sign0 = -1 if f[0] else 1
-
-    supp_sum = int(spec.values[f.values().astype(bool)].sum(dtype=np.int64))
-    form1 = (
-        (1 << (n - 1))
-        - sign0 * (1 << (k - 1))
-        + _exact_div(supp_sum, 1 << k, "support spectrum sum")
-    )
-    s = _rayleigh_sum(f, spec)
-    form2 = (1 << (n - 1)) - _exact_div(s, 1 << (k + 1), "Rayleigh sum")
-    residual = 2 * supp_sum + s - sign0 * (1 << n)
-    return MetricIdentity(direct, form1, form2, residual)
+    return MetricIdentity(*_stack_identities(f.values()[None], pairing)[0].tolist())
 
 
 # ----------------------------------------------------------------------
@@ -405,22 +377,33 @@ def selfdual_counts(k: int) -> tuple[int, int]:
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    return _selfdual_counts(k, census(GF2k(k)) if k <= EXHAUSTIVE_K_MAX else None)
+    if k > EXHAUSTIVE_K_MAX:
+        return _selfdual_counts(k, None, None)
+    ctx = GF2k(k)
+    return _selfdual_counts(k, census(ctx), _quotient_distances(ctx)[1])
 
 
-def _selfdual_counts(k: int, report: CensusReport | None) -> tuple[int, int]:
+def _quotient_distances(ctx: GF2k) -> tuple[np.ndarray, np.ndarray]:
+    """(supports, dists) over every balanced g with g(0) = 0 on k variables,
+    in balanced_g_functions order: the support of each g, and the spectral
+    distance to the dual of its quotient form g(x/y) (psap_from_g), all one
+    stack.  The quotient form of g selects the columns 1/u for u in supp g."""
+    supports = _combinations(ctx.nonzero(), 1 << (ctx.k - 1))
+    tables = _selection_tables(ctx, ctx.line_dual_index[supports], False)
+    return supports, _stack_distances(tables, ctx)
+
+
+def _selfdual_counts(
+    k: int, report: CensusReport | None, g_dists: np.ndarray | None
+) -> tuple[int, int]:
     """The binomials of selfdual_counts, checked by enumeration when
-    `report`, the exhaustive census of GF2k(k), is given.  The quotient
-    form of a balanced g with g(0) = 0 selects the columns 1/u for u in
-    supp g, so all of them are one stack."""
+    `report`, the exhaustive census of GF2k(k), and `g_dists`, the
+    quotient-form distances of `_quotient_distances`, are given."""
     spread_form = comb(1 << (k - 1), 1 << (k - 2))
     g_form = comb((1 << (k - 1)) - 1, 1 << (k - 2))
     if report is not None:
-        ctx = GF2k(k)
-        supports = _combinations(ctx.nonzero(), 1 << (k - 1))
-        tables = _selection_tables(ctx, ctx.line_dual_index[supports], False)
         found_spread = report.selfdual_count
-        found_g = int(np.count_nonzero(_stack_distances(tables, ctx) == 0))
+        found_g = int(np.count_nonzero(g_dists == 0))
         if (found_spread, found_g) != (spread_form, g_form):
             raise AssertionError(
                 f"enumeration found ({found_spread}, {found_g}), "
@@ -490,19 +473,22 @@ def kloosterman_sum(ctx: GF2k, g: TruthTable) -> tuple[int, int]:
     """
     if g.n != ctx.k:
         raise ValueError(f"g must be on k={ctx.k} variables, got {g.n}")
-    v = g.values()
-    flips = np.count_nonzero(v[1:] != v[ctx.line_dual_index[1:ctx.order]])
-    k_nonzero = ctx.order - 1 - 2 * int(flips)
+    k_nonzero = int(_kloosterman_nonzero(ctx, g.values()))
     return k_nonzero, k_nonzero + 1  # u = 0 contributes (-1)^(g(0)+g(0)) = +1
 
 
-def rayleigh_vs_charsum(ctx: GF2k, g: TruthTable) -> CharSumReport:
-    """Compare the actual Rayleigh quotient of the quotient-form function
-    against both the stated character-sum formula and the derived one."""
-    f = psap_from_g(ctx, g)  # validates g
-    _, n_actual = rayleigh(f, pairing=ctx)
-    k_nz, k_wz = kloosterman_sum(ctx, g)
-    k = ctx.k
+def _kloosterman_nonzero(ctx: GF2k, v: np.ndarray) -> np.ndarray:
+    """K over nonzero u of every 0/1 table on the last axis of `v`: one
+    gather through the inverse table."""
+    inverse = ctx.line_dual_index[1:ctx.order]
+    flips = np.count_nonzero(v[..., 1:] != v[..., inverse], axis=-1)
+    return ctx.order - 1 - 2 * flips
+
+
+def _charsum_report(g: TruthTable, k_nz: int, n_actual: int) -> CharSumReport:
+    """The report of g from K over nonzero u and the actual N of g(x/y)."""
+    k = g.n
+    k_wz = k_nz + 1
     return CharSumReport(
         k=k,
         g_hex=g.to_hex(),
@@ -515,6 +501,14 @@ def rayleigh_vs_charsum(ctx: GF2k, g: TruthTable) -> CharSumReport:
         - ((1 << k) - 1) ** 2
         + ((1 << k) - 1) * k_nz,
     )
+
+
+def rayleigh_vs_charsum(ctx: GF2k, g: TruthTable) -> CharSumReport:
+    """Compare the actual Rayleigh quotient of the quotient-form function
+    against both the stated character-sum formula and the derived one."""
+    f = psap_from_g(ctx, g)  # validates g
+    _, n_actual = rayleigh(f, pairing=ctx)
+    return _charsum_report(g, kloosterman_sum(ctx, g)[0], n_actual)
 
 
 # ----------------------------------------------------------------------
@@ -546,9 +540,10 @@ class SymmetricRecord:
         }
 
 
-def _symmetric_dual_formula(n: int, c: Sequence[int]) -> TruthTable:
-    """The closed-form dual of a symmetric bent function with weight-value
-    list c: both n/2-parity branches, including the full-weight special case."""
+def _symmetric_dual_formula(n: int, c: Sequence[int]) -> np.ndarray:
+    """The 0/1 table of the closed-form dual of a symmetric bent function
+    with weight-value list c: both n/2-parity branches, including the
+    full-weight special case."""
     w = _weights_array(n).astype(np.int64)
     carr = np.asarray(c, dtype=np.int64)
     if (n // 2) % 2 == 0:
@@ -557,7 +552,7 @@ def _symmetric_dual_formula(n: int, c: Sequence[int]) -> TruthTable:
         shifted = carr[np.minimum(w + 1, n)]
         vals = (w + shifted + n // 4) & 1
         vals[-1] = (n + 1 + c[1] + n // 4) & 1  # the single weight-n point
-    return TruthTable(n, _pack_values(vals.astype(np.uint8)))
+    return vals
 
 
 def _symmetric_nf_prediction(n: int, c: Sequence[int]) -> int:
@@ -571,24 +566,27 @@ def _symmetric_nf_prediction(n: int, c: Sequence[int]) -> int:
 
 def symmetric_report(n: int) -> list[SymmetricRecord]:
     """Check all four symmetric bent functions on n variables against the
-    closed-form dual and the Rayleigh case table, as stated."""
+    closed-form dual and the Rayleigh case table, as stated.  The four are
+    one stack: one transform, with every check of the single path per row;
+    N = 2^n - 2 dist, and the true dual is the sign bits of the spectrum."""
     if n % 2 or not 4 <= n <= 12:
         raise ValueError(f"need even n in 4..12, got {n}")
+    eps = list(itertools.product((0, 1), repeat=2))
+    tables = np.array([symmetric_bent(n, e1, e2).values() for e1, e2 in eps])
+    true_duals = np.empty(tables.shape, dtype=bool)
+    dists = _stack_distances(tables, None, true_duals)
     records = []
-    for eps1, eps2 in itertools.product((0, 1), repeat=2):
-        f = symmetric_bent(n, eps1, eps2)
+    for (eps1, eps2), d, true_dual in zip(eps, dists.tolist(), true_duals):
         c = symmetric_value_pattern(n, eps1, eps2)
-        spec = _bent_spectrum(f, None)
-        true_dual = _dual_from_spectrum(spec)
         formula_dual = _symmetric_dual_formula(n, c)
-        _, n_actual, _ = _bent_quantities(f, spec)
+        n_actual = (1 << n) - 2 * d
         n_pred = _symmetric_nf_prediction(n, c)
         records.append(
             SymmetricRecord(
                 n=n,
                 eps1=eps1,
                 eps2=eps2,
-                dual_formula_ok=formula_dual == true_dual,
+                dual_formula_ok=np.array_equal(formula_dual, true_dual),
                 nf_actual=n_actual,
                 nf_predicted=n_pred,
                 nf_prediction_ok=n_actual == n_pred,
@@ -658,30 +656,41 @@ def _check_census(report: CensusReport) -> SuiteCheck:
 
 
 def _check_metric_identities() -> SuiteCheck:
-    failures = []
-    ctx3 = GF2k(3)
-    for combo in itertools.combinations(desarguesian(ctx3), 4):
-        sel = selection(ctx3, combo)
-        res = metric_identity_check(ps_minus(sel), pairing=ctx3)
-        if not res.consistent:
-            failures.append({"family": "spread-k3", "lines": [str(L) for L in sel.lines]})
-    for n in range(4, 13, 2):
-        for eps1, eps2 in itertools.product((0, 1), repeat=2):
-            res = metric_identity_check(symmetric_bent(n, eps1, eps2))
-            if not res.consistent:
-                failures.append({"family": "symmetric", "n": n, "eps": [eps1, eps2]})
-    rng = random.Random(2024)
+    """Both metric identities on every row of three kinds of stack: the 126
+    k = 3 spread functions (trace pairing), the four symmetric bents at each
+    n = 4..12, and 25 seeded MM bents at each of n = 6, 8."""
     from .boolfun import mm_bent
 
+    ctx3 = GF2k(3)
+    cols = _combinations(range(ctx3.order + 1), 4)
+    # (tables, pairing, the failure record of row i)
+    stacks = [(
+        _selection_tables(ctx3, cols, False),
+        ctx3,
+        lambda i: {"family": "spread-k3", "lines": list(map(str, _lines(ctx3, cols[i])))},
+    )]
+    eps = list(itertools.product((0, 1), repeat=2))
+    for n in range(4, 13, 2):
+        tables = np.array([symmetric_bent(n, e1, e2).values() for e1, e2 in eps])
+        stacks.append(
+            (tables, None, lambda i, n=n: {"family": "symmetric", "n": n, "eps": list(eps[i])})
+        )
+    rng = random.Random(2024)
     for n in (6, 8):
         k = n // 2
+        tables = []
         for _ in range(25):
             pi = list(range(1 << k))
             rng.shuffle(pi)
             g = TruthTable(k, rng.getrandbits(1 << k))
-            res = metric_identity_check(mm_bent(pi, g))
-            if not res.consistent:
-                failures.append({"family": "mm", "n": n})
+            tables.append(mm_bent(pi, g).values())
+        stacks.append((np.array(tables), None, lambda i, n=n: {"family": "mm", "n": n}))
+    failures = [
+        where(i)
+        for tables, pairing, where in stacks
+        for i, row in enumerate(_stack_identities(tables, pairing).tolist())
+        if not MetricIdentity(*row).consistent
+    ]
     return SuiteCheck(
         "metric-identities", not failures, {"failures": failures[:5]}
     )
@@ -705,7 +714,7 @@ def _check_distance_formulas() -> SuiteCheck:
         a = _spread_dist_formula(tables)
         bad = (a != _stack_distances(tables, ctx)) | (a > (1 << (2 * k)) - (1 << k))
         for i in np.flatnonzero(bad).tolist():
-            lines = ["inf" if c == ctx.order else str(c) for c in cols[i]]
+            lines = [str(L) for L in _lines(ctx, cols[i])]
             where = {"index": i} if k == 4 else {"lines": lines}
             failures.append({"form": "plus" if plus else "minus", "k": k, **where})
     return SuiteCheck("ps-distance-formulas", not failures, {"failures": failures[:5]})
@@ -720,12 +729,21 @@ def _check_symmetric() -> SuiteCheck:
     return SuiteCheck("symmetric-propositions", not bad, {"failures": bad})
 
 
-def _check_charsum() -> SuiteCheck:
+def _check_charsum(
+    quotients: Sequence[tuple[GF2k, np.ndarray, np.ndarray]],
+) -> SuiteCheck:
+    """The derived relation on every balanced g at k = 2, 3, read off the
+    quotient-form stacks `_quotient_distances` already transformed for the
+    self-dual count: N = 2^n - 2 dist per row, K for every g from one
+    gather."""
     bad = []
-    for k in (2, 3):
-        ctx = GF2k(k)
-        for g in balanced_g_functions(k):
-            rep = rayleigh_vs_charsum(ctx, g)
+    for ctx, supports, dists in quotients:
+        g_vals = np.zeros((len(supports), ctx.order), dtype=np.uint8)
+        np.put_along_axis(g_vals, supports, 1, axis=1)
+        k_nz = _kloosterman_nonzero(ctx, g_vals).tolist()
+        for v, kn, d in zip(g_vals, k_nz, dists.tolist()):
+            g = TruthTable(ctx.k, _pack_values(v))
+            rep = _charsum_report(g, kn, (1 << (2 * ctx.k)) - 2 * d)
             if not rep.derived_matches:
                 bad.append(rep.to_json_dict())
     return SuiteCheck("charsum-derived-relation", not bad, {"failures": bad})
@@ -756,9 +774,12 @@ def _check_no_antiselfdual(
     return SuiteCheck("no-anti-self-dual", not bad, {"failures": bad})
 
 
-def _check_selfdual_counts(reports: list[CensusReport]) -> SuiteCheck:
+def _check_selfdual_counts(
+    reports: list[CensusReport],
+    quotients: Sequence[tuple[GF2k, np.ndarray, np.ndarray]],
+) -> SuiteCheck:
     try:
-        k2, k3 = (_selfdual_counts(r.k, r) for r in reports)
+        k2, k3 = (_selfdual_counts(r.k, r, q[2]) for r, q in zip(reports, quotients))
         ok = k2 == (2, 1) and k3 == (6, 3)
         detail = {"k2": list(k2), "k3": list(k3)}
     except AssertionError as exc:
@@ -769,18 +790,21 @@ def _check_selfdual_counts(reports: list[CensusReport]) -> SuiteCheck:
 def run_verification_suite() -> list[SuiteCheck]:
     """Every identity and proposition check the library asserts, in one list.
 
-    Each exhaustive census and each distribution row is built once and
-    shared by the checks that read it.
+    Each exhaustive census, each quotient-form stack and each distribution
+    row is built once and shared by the checks that read it.  Every check
+    transforms its functions as stacks, one transform per stack.
     """
-    reports = [census(GF2k(k)) for k in (2, 3)]
+    fields = [GF2k(k) for k in (2, 3)]
+    reports = [census(ctx) for ctx in fields]
+    quotients = [(ctx, *_quotient_distances(ctx)) for ctx in fields]
     rows = {n: distribution_table(n) for n in range(4, 25, 2)}
     return [
         *(_check_census(report) for report in reports),
-        _check_selfdual_counts(reports),
+        _check_selfdual_counts(reports, quotients),
         _check_metric_identities(),
         _check_distance_formulas(),
         _check_symmetric(),
-        _check_charsum(),
+        _check_charsum(quotients),
         _check_distribution_golden(rows),
         _check_no_antiselfdual(reports, rows),
         _check_transform_examples(),

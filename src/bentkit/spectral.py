@@ -41,9 +41,12 @@ magnitude <= 2^25 in the last factor), and float32 holds every such integer.
 Spectrum values are 32-bit signed integers.  Sums that can exceed that range
 (Parseval's sum of squares, the Rayleigh sum) accumulate exactly in int64.
 
-`_stack_distances` runs a stack of tables (a census, the verify battery)
+`_stack_spectra` runs a stack of tables (a census, the verify battery)
 through that one transform, in stacks of <= 2^24 entries (64 MB of float32,
-one n = 24 table), with every check of the single-table path made per row.
+one n = 24 table), with every check of the single-table path made per row;
+`_stack_identities` reads the direct distance, both metric-identity forms
+and the zero-sum residual of every row off it, and `_stack_distances` the
+cross-checked distance to the dual.
 """
 
 from __future__ import annotations
@@ -284,39 +287,96 @@ def _bent_quantities(f: TruthTable, spec: WalshSpectrum) -> tuple[int, int, int]
     return s, n_f, d
 
 
-def _stack_distances(tables: np.ndarray, pairing: Pairing) -> np.ndarray:
-    """Distance to the dual of every bent table in a (B, 2^n) uint8 stack.
+def _exact_div(a, b: int, what: str):
+    """a // b for an int or an array of per-row values, asserting that b
+    divides each one (the first that it does not divide is named)."""
+    rem = np.flatnonzero(np.asarray(a) % b)
+    if rem.size:
+        raise AssertionError(f"{what} = {np.ravel(a)[rem[0]]} is not divisible by {b}")
+    return a // b
 
-    One transform per chunk of <= _STACK entries, and per row the checks of
-    the single path: Parseval (an int64 sum), flatness (NotBentError with
-    the first bad point) and the spectral distance 2^(n-1) - N/2 against a
-    direct comparison with the sign-bit dual.
-    """
+
+def _stack_spectra(tables: np.ndarray, pairing: Pairing):
+    """Yield (start, rows, spectra) for a (B, 2^n) uint8 stack of bent
+    tables, one transform per chunk of <= _STACK entries, with the checks of
+    the single path made per row: Parseval (an int64 sum) and flatness
+    (NotBentError with the first bad point of the first bad row)."""
     n = tables.shape[1].bit_length() - 1
     if pairing is not None and n != 2 * pairing.k:
         raise ValueError(f"trace pairing needs n = 2k = {2 * pairing.k}, got n = {n}")
-    dists = np.empty(len(tables), dtype=np.int64)
-    rows = max(1, _STACK >> n)
-    for start in range(0, len(tables), rows):
-        f = tables[start:start + rows]
+    target = 1 << (n // 2)
+    step = max(1, _STACK >> n)
+    for start in range(0, len(tables), step):
+        f = tables[start:start + step]
         spec = _fwht(_transform_input(f.copy(), pairing).astype(np.float32))
         spec[:, 0] += 1 << n
         if np.any(np.einsum("ij,ij->i", spec, spec, dtype=np.int64) != 1 << (2 * n)):
             raise AssertionError("Parseval identity violated; transform is broken")
-        bad = np.abs(spec) != 1 << (n // 2)
-        if bad.any():
-            row, u = np.argwhere(bad)[0]
-            raise NotBentError(n, int(u), int(spec[row, u]))
-        signs = 1 - 2 * f.view(np.int8)
-        s = np.einsum("ij,ij->i", signs, spec, dtype=np.int64)
-        d = (1 << (n - 1)) - (s >> (n // 2)) // 2
-        direct = np.count_nonzero(f != (spec < 0), axis=1)
-        if np.any(direct != d):
-            row = int(np.flatnonzero(direct != d)[0])
-            raise AssertionError(
-                f"row {start + row}: spectral distance {d[row]} != direct distance {direct[row]}"
-            )
-        dists[start:start + rows] = d
+        # Under Parseval, max |W| = 2^(n/2) is flatness (see _is_flat).
+        bad = np.flatnonzero(np.maximum(spec.max(axis=1), -spec.min(axis=1)) != target)
+        if bad.size:
+            row = spec[bad[0]]
+            u = int(np.flatnonzero(np.abs(row) != target)[0])
+            raise NotBentError(n, u, int(row[u]))
+        yield start, f, spec
+
+
+def _stack_identities(
+    tables: np.ndarray, pairing: Pairing, duals: np.ndarray | None = None
+) -> np.ndarray:
+    """(direct, form1, form2, residual) of every bent table in a (B, 2^n)
+    uint8 stack, as a (B, 4) int64 array read off one spectrum per row
+    (`_stack_spectra`, so Parseval and flatness are checked per row).
+
+    direct compares the row with its sign-bit dual, which is also written
+    to `duals`, a (B, 2^n) bool array, when one is given.  form1 rewrites
+    the distance through the spectrum over the support of f:
+    2^(n-1) - (-1)^f(0) 2^(k-1) + (support sum) / 2^k.  form2 is the
+    derivative form: the spectra of all directional derivatives, split over
+    the isotropic/anisotropic halves of the domain.  The pairing map P is
+    symmetric, so those derivative sums collapse to
+    sum_x (-1)^(f(x) + <x, x>) W(x), the split cancels, and form2 is the
+    spectral distance 2^(n-1) - S / 2^(k+1), with S = sum_x (-1)^f(x) W(x)
+    the Rayleigh sum, read as sum_u W(u) - 2 (support sum).  Both divisions
+    are asserted exact per row.  The residual 2 (support sum) + S -
+    (-1)^f(0) 2^n is sum_u W(u) - (-1)^f(0) 2^n, zero by the inverse
+    transform at x = 0, so it checks the transform too.
+    """
+    n = tables.shape[1].bit_length() - 1
+    k = n // 2
+    out = np.empty((len(tables), 4), dtype=np.int64)
+    for start, f, spec in _stack_spectra(tables, pairing):
+        rows = slice(start, start + len(f))
+        total = spec.sum(axis=1, dtype=np.int64)
+        supp = np.einsum("ij,ij->i", f, spec, dtype=np.int64)
+        s = total - 2 * supp
+        sign0 = 1 - 2 * f[:, 0].astype(np.int64)
+        neg = np.less(spec, 0, out=None if duals is None else duals[rows])
+        out[rows, 0] = np.count_nonzero(f != neg, axis=1)
+        out[rows, 1] = (
+            (1 << (n - 1))
+            - sign0 * (1 << (k - 1))
+            + _exact_div(supp, 1 << k, "support spectrum sum")
+        )
+        out[rows, 2] = (1 << (n - 1)) - _exact_div(s, 1 << (k + 1), "Rayleigh sum")
+        out[rows, 3] = total - sign0 * (1 << n)
+    return out
+
+
+def _stack_distances(
+    tables: np.ndarray, pairing: Pairing, duals: np.ndarray | None = None
+) -> np.ndarray:
+    """Distance to the dual of every bent table in a (B, 2^n) uint8 stack:
+    the spectral distance 2^(n-1) - N/2 (form2 of `_stack_identities`),
+    checked per row against the direct comparison with the sign-bit dual.
+    The duals go to `duals` when it is given."""
+    direct, _, dists, _ = _stack_identities(tables, pairing, duals).T
+    bad = np.flatnonzero(direct != dists)
+    if bad.size:
+        i = int(bad[0])
+        raise AssertionError(
+            f"row {i}: spectral distance {dists[i]} != direct distance {direct[i]}"
+        )
     return dists
 
 

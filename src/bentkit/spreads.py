@@ -23,7 +23,6 @@ from .boolfun import (
     _linear_index_map,
     _pack_values,
     reduce_basis,
-    subspace_span,
 )
 from .field import GF2k
 
@@ -103,6 +102,11 @@ def _columns(ctx: GF2k, lines: Iterable[SpreadLine]) -> np.ndarray:
     )
 
 
+def _lines(ctx: GF2k, cols: np.ndarray) -> list[SpreadLine]:
+    """The lines in spread columns `cols` (the inverse of `_columns`)."""
+    return [SpreadLine(None if c == ctx.order else c) for c in cols.tolist()]
+
+
 def _line_index(ctx: GF2k, cols: np.ndarray) -> np.ndarray:
     """Packed points of the lines in spread columns `cols` as a
     (2^k, len(cols)) array: row x holds (x, xa) for E_a and (0, x) for
@@ -122,15 +126,17 @@ def line_points(ctx: GF2k, line: SpreadLine) -> frozenset[int]:
 def line_dual(ctx: GF2k, line: SpreadLine) -> SpreadLine:
     """Orthogonal complement under the trace pairing: E_a -> E_{a^-1},
     with E_0 and the infinity line swapping.  An involution."""
-    if line.is_infinity:
-        return SpreadLine(0)
-    if line.a == 0:
-        return LINE_INFINITY
-    return SpreadLine(ctx.inv(line.a))
+    if line.a is not None and not 0 <= line.a < ctx.order:
+        raise ValueError(f"line element {line.a} outside GF(2^{ctx.k})")
+    return _lines(ctx, ctx.line_dual_index[_columns(ctx, [line])])[0]
 
 
 def dual_selection(sel: SpreadSelection) -> SpreadSelection:
-    return selection(sel.ctx, [line_dual(sel.ctx, L) for L in sel.lines])
+    """The selection of the dual lines.  The line duality is a bijection and
+    column order is canonical order, so the sorted dual columns already
+    form a valid selection: one gather, no scalar inversion."""
+    cols = np.sort(sel.ctx.line_dual_index[_columns(sel.ctx, sel.lines)])
+    return SpreadSelection(sel.ctx, tuple(_lines(sel.ctx, cols)))
 
 
 def _indicator_values(n: int, points: np.ndarray, origin: int) -> np.ndarray:
@@ -198,7 +204,7 @@ def selection_from_g(ctx: GF2k, g: TruthTable) -> SpreadSelection:
     if not g.is_balanced():
         raise ValueError("quotient form needs a balanced g")
     supp = np.flatnonzero(g.values())
-    return selection(ctx, [SpreadLine(int(a)) for a in ctx.line_dual_index[supp]])
+    return selection(ctx, _lines(ctx, ctx.line_dual_index[supp]))
 
 
 def _unmatched_counts(ctx: GF2k, cols: np.ndarray) -> np.ndarray:
@@ -237,11 +243,21 @@ def validate_subspace_family(
 ) -> list[list[int]]:
     """Check that each basis spans a k = n/2 dimensional subspace and that
     the spans pairwise meet only at the origin; returns the point lists."""
+    return _family_points(n, subspace_bases).tolist()
+
+
+def _family_points(n: int, subspace_bases: Sequence[Sequence[int]]) -> np.ndarray:
+    """The validated family's spans as an (m, 2^k) array, row i holding the
+    points of subspace i in `subspace_span` order (the origin first).
+
+    Disjointness is one count: the nonzero points of all spans, marked in
+    one 2^n table, are all distinct iff no two spans share one.  Only a
+    family that fails looks for the first sharing pair.
+    """
     _check_n(n)
     if n % 2:
         raise ValueError(f"need even n, got {n}")
     k = n // 2
-    spans: list[list[int]] = []
     for i, basis in enumerate(subspace_bases):
         if len(reduce_basis(basis)) != len(basis):
             raise ValueError(f"subspace {i}: basis is linearly dependent")
@@ -252,22 +268,35 @@ def validate_subspace_family(
         for v in basis:
             if not 0 <= v < (1 << n):
                 raise ValueError(f"subspace {i}: vector {v} out of range")
-        spans.append(subspace_span(basis))
-    for i in range(len(spans)):
-        si = set(spans[i])
-        for j in range(i + 1, len(spans)):
-            shared = (si & set(spans[j])) - {0}
-            if shared:
-                raise ValueError(
-                    f"subspaces {i} and {j} share nonzero point {min(shared)}"
-                )
+    bases = np.array(subspace_bases, dtype=np.int64).reshape(-1, k)
+    spans = _linear_index_map(bases.T).T
+    points = spans[:, 1:]
+    seen = np.zeros(1 << n, dtype=bool)
+    seen[points] = True
+    if np.count_nonzero(seen) < points.size:
+        raise ValueError(_first_shared_point(points))
     return spans
+
+
+def _first_shared_point(points: np.ndarray) -> str:
+    """Name the first pair i < j, in pairwise order, whose rows of nonzero
+    span points meet, and their smallest shared point.  The first row with
+    any shared point is i (a partner below it would come first), and j is
+    its first partner."""
+    values, counts = np.unique(points, return_counts=True)
+    shared = np.isin(points, values[counts > 1]).any(axis=1)
+    i = int(np.flatnonzero(shared)[0])
+    for j in range(i + 1, len(points)):
+        common = np.intersect1d(points[i], points[j])
+        if common.size:
+            return f"subspaces {i} and {j} share nonzero point {common[0]}"
+    raise AssertionError("a shared point has no partner row")
 
 
 def ps_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> TruthTable:
     """Partial-spread function over arbitrary disjoint k-dim subspaces of
     F_2^n (standard pairing); minus or plus type by the family size."""
-    spans = validate_subspace_family(n, subspace_bases)
+    spans = _family_points(n, subspace_bases)
     k = n // 2
     count = len(spans)
     if count not in (1 << (k - 1), (1 << (k - 1)) + 1):
@@ -275,4 +304,4 @@ def ps_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> TruthTable:
             f"family size {count} is neither 2^(k-1) = {1 << (k - 1)} nor "
             f"2^(k-1)+1 = {(1 << (k - 1)) + 1}"
         )
-    return _indicator(n, np.array(spans, dtype=np.int64), count != 1 << (k - 1))
+    return _indicator(n, spans, count != 1 << (k - 1))

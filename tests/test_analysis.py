@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 import bentkit.analysis
 from bentkit.analysis import (
     CensusReport,
-    _exact_div,
     _spread_dist_formula,
+    _check_charsum,
+    _quotient_distances,
     anti_selfdual_check,
     balanced_g_functions,
     census,
@@ -40,8 +41,11 @@ from bentkit.field import GF2k
 from bentkit.golden import REFERENCE_CENSUS, REFERENCE_DISTRIBUTION
 from bentkit.spectral import (
     NotBentError,
+    _exact_div,
     _stack_distances,
+    _stack_identities,
     dist_to_dual,
+    dual,
     rayleigh,
     wht,
 )
@@ -213,6 +217,129 @@ def test_form2_and_residual_match_the_derivative_oracle():
         assert deriv_total == int(np.where(q, -signed, signed).sum())
         assert deriv_aniso == -int(signed[q].sum())
     assert plus_type  # the residual's (-1)^f(0) term is exercised
+
+
+# ----------------------------------------------------------------------
+# the metric-identity stack, row by row
+# ----------------------------------------------------------------------
+
+def _identity_stacks():
+    """(functions, pairing) stacks: every k = 3 ps- and ps+ function under
+    the trace pairing, the four symmetric bents at each n = 4..12, and the
+    verify battery's seeded MM bents at n = 6, 8 under both pairings."""
+    for size, build in ((4, ps_minus), (5, ps_plus)):
+        yield [build(sel) for sel in all_selections(F8, size)], F8
+    for n in range(4, 13, 2):
+        yield [symmetric_bent(n, e1, e2) for e1, e2 in itertools.product((0, 1), repeat=2)], None
+    rng = random.Random(2024)
+    for n in (6, 8):
+        k = n // 2
+        fs = []
+        for _ in range(25):
+            pi = list(range(1 << k))
+            rng.shuffle(pi)
+            fs.append(mm_bent(pi, TruthTable(k, rng.getrandbits(1 << k))))
+        yield fs, None
+        yield fs, GF2k(k)
+
+
+def test_stack_identities_match_the_single_paths_row_by_row():
+    rows_checked = 0
+    for fs, pairing in _identity_stacks():
+        tables = np.array([f.values() for f in fs])
+        duals = np.empty(tables.shape, dtype=bool)
+        stacked = _stack_identities(tables, pairing, duals)
+        for f, row, d in zip(fs, stacked.tolist(), duals):
+            res = metric_identity_check(f, pairing)
+            assert tuple(row) == res and res.consistent
+            assert res.direct == dist_to_dual(f, pairing)
+            assert np.array_equal(d, dual(f, pairing).values())
+            assert (res.form2, res.corollary_residual) == _form2_by_derivatives(f, pairing)
+            rows_checked += 1
+    assert rows_checked == 126 + 126 + 20 + 100
+
+
+def _k3_minus_tables():
+    return _selection_tables(F8, np.array(list(itertools.combinations(range(9), 4))), False)
+
+
+def test_stack_identities_are_the_same_in_chunks(monkeypatch):
+    tables = _k3_minus_tables()
+    whole_duals = np.empty(tables.shape, dtype=bool)
+    whole = _stack_identities(tables, F8, whole_duals)
+    calls = []
+    fwht = bentkit.spectral._fwht
+
+    def counting_fwht(a):
+        calls.append(a.shape)
+        return fwht(a)
+
+    monkeypatch.setattr(bentkit.spectral, "_fwht", counting_fwht)
+    monkeypatch.setattr(bentkit.spectral, "_STACK", 5 << 6)  # 5 rows of n = 6
+    duals = np.empty(tables.shape, dtype=bool)
+    assert np.array_equal(_stack_identities(tables, F8, duals), whole)
+    assert np.array_equal(duals, whole_duals)
+    assert calls == [(5, 64)] * 25 + [(1, 64)]
+
+
+def test_stack_identities_name_the_planted_row_and_its_first_bad_point(monkeypatch):
+    tables = _k3_minus_tables()
+    tables[101, 2] ^= 1  # a later bad row in the same chunk
+    tables[100, 37] ^= 1
+    flipped = TruthTable.from_values(6, tables[100])
+    spec = wht(flipped, F8).values
+    u = int(np.flatnonzero(np.abs(spec) != 8)[0])
+    later = wht(TruthTable.from_values(6, tables[101]), F8).values
+    assert later[u] != spec[u]  # the witness tells the two rows apart
+    with pytest.raises(NotBentError) as single:
+        metric_identity_check(flipped, F8)
+    assert (single.value.u, single.value.value) == (u, int(spec[u]))
+    for stack in (1 << 24, 8 << 6):  # one chunk, or the rows in the 13th of 16
+        monkeypatch.setattr(bentkit.spectral, "_STACK", stack)
+        with pytest.raises(NotBentError) as exc:
+            _stack_identities(tables, F8)
+        assert (exc.value.u, exc.value.value) == (u, int(spec[u]))
+
+
+def _spectra_of(spec):
+    """A stand-in for the checked-spectrum core that yields `spec` as the
+    one chunk, unchecked."""
+    return lambda tables, pairing: iter([(0, tables, spec)])
+
+
+@pytest.mark.parametrize("in_support, what, step, divisor", [
+    (True, "support spectrum sum", 1, 4),
+    (False, "Rayleigh sum", 4, 8),
+])
+def test_stack_identities_assert_each_rows_divisions(
+    monkeypatch, in_support, what, step, divisor
+):
+    # a flat spectrum always divides; a spectrum that slipped past the core's
+    # checks with one entry off in row 1 must still trip that row's division
+    f = X1X3_X2X4.values()
+    tables = np.array([f, f, f])
+    spec = np.array([wht(X1X3_X2X4).values] * 3, dtype=np.int64)
+    u = int(np.flatnonzero(f == in_support)[0])
+    spec[1, u] += step
+    weights = f if in_support else 1 - 2 * f.astype(np.int64)  # support sum, or S
+    value = int((weights * spec[1]).sum())
+    monkeypatch.setattr(bentkit.spectral, "_stack_spectra", _spectra_of(spec))
+    message = f"^{what} = {value} is not divisible by {divisor}$"
+    with pytest.raises(AssertionError, match=message):
+        _stack_identities(tables, None)
+
+
+def test_stack_identities_read_a_broken_spectrum_into_form2_and_the_residual(monkeypatch):
+    # W off by 2^(k+1) at one point outside the support passes both
+    # divisions; form2 and the residual must show it, direct and form1 not
+    f = X1X3_X2X4.values()
+    spec = np.array([wht(X1X3_X2X4).values] * 2, dtype=np.int64)
+    spec[1, int(np.flatnonzero(f == 0)[0])] += 8
+    monkeypatch.setattr(bentkit.spectral, "_stack_spectra", _spectra_of(spec))
+    good, bad = _stack_identities(np.array([f, f]), None).tolist()
+    assert good == [0, 0, 0, 0]
+    assert bad == [0, 0, -1, 8]
+    assert not bentkit.analysis.MetricIdentity(*bad).consistent
 
 
 # ----------------------------------------------------------------------
@@ -643,6 +770,33 @@ def test_charsum_report_second_example():
     assert rep.derived_matches
 
 
+def test_quotient_stack_matches_the_single_function_path():
+    # the stack the verify battery reads N from: one row per balanced g
+    for ctx in (F4, F8):
+        supports, dists = _quotient_distances(ctx)
+        gs = list(balanced_g_functions(ctx.k))
+        assert supports.tolist() == [g.support() for g in gs]
+        for g, d in zip(gs, dists.tolist()):
+            assert d == dist_to_dual(psap_from_g(ctx, g), pairing=ctx)
+            assert rayleigh_vs_charsum(ctx, g).N_f_actual == (1 << (2 * ctx.k)) - 2 * d
+
+
+def test_charsum_check_reports_each_planted_row():
+    ctx = F8
+    supports, dists = _quotient_distances(ctx)
+    assert _check_charsum([(ctx, supports, dists)]).ok
+    wrong = dists.copy()
+    wrong[[4, 20]] += 2
+    check = _check_charsum([(ctx, supports, wrong)])
+    gs = list(balanced_g_functions(3))
+    assert not check.ok
+    assert [f["g"] for f in check.detail["failures"]] == [gs[4].to_hex(), gs[20].to_hex()]
+    for f, i in zip(check.detail["failures"], (4, 20)):
+        rep = rayleigh_vs_charsum(ctx, gs[i])
+        assert f == {**rep.to_json_dict(), "N_actual": rep.N_f_actual - 4,
+                     "derived_formula_matches": False}
+
+
 def test_charsum_derived_relation_exhaustive():
     for ctx in (F4, F8):
         for g in balanced_g_functions(ctx.k):
@@ -675,6 +829,18 @@ def test_symmetric_report_all_n():
         for rec in symmetric_report(n):
             assert rec.dual_formula_ok, (n, rec.eps1, rec.eps2)
             assert rec.nf_prediction_ok, (n, rec.eps1, rec.eps2)
+
+
+def test_symmetric_report_flags_a_wrong_dual_formula(monkeypatch):
+    formula = bentkit.analysis._symmetric_dual_formula
+
+    def off_by_one_bit(n, c):
+        vals = formula(n, c)
+        vals[3] ^= 1
+        return vals
+
+    monkeypatch.setattr(bentkit.analysis, "_symmetric_dual_formula", off_by_one_bit)
+    assert not any(r.dual_formula_ok for r in symmetric_report(8))
 
 
 def test_symmetric_report_rejects_bad_n():
@@ -742,3 +908,18 @@ def test_verification_suite_runs_each_census_once(monkeypatch):
     assert all(c.ok for c in checks)
     # the two exhaustive reports, and one per row cross-validated at n = 4, 6
     assert len(calls) <= 4
+
+
+def test_verification_suite_transforms_stacks(monkeypatch):
+    # one transform per stack: census, quotient-form, metric-identity,
+    # distance-formula and symmetric stacks, plus the four worked examples
+    calls = []
+    fwht = bentkit.spectral._fwht
+
+    def counting_fwht(a):
+        calls.append(a.shape)
+        return fwht(a)
+
+    monkeypatch.setattr(bentkit.spectral, "_fwht", counting_fwht)
+    assert all(c.ok for c in run_verification_suite())
+    assert len(calls) <= 32

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from bentkit.boolfun import TruthTable
-from bentkit.field import GF2k
+from bentkit.boolfun import TruthTable, reduce_basis, subspace_span
+from bentkit.field import DEFAULT_POLYS, GF2k
 from bentkit.spectral import dist_to_dual, dual, is_bent
 from bentkit.spreads import (
     LINE_INFINITY,
@@ -103,6 +103,27 @@ def test_line_dual_involution():
     for ctx in (F4, F8):
         for line in desarguesian(ctx):
             assert line_dual(ctx, line_dual(ctx, line)) == line
+
+
+@pytest.mark.parametrize("k", sorted(DEFAULT_POLYS))
+def test_line_dual_and_dual_selection_match_scalar_inversion(k):
+    # E_a -> E_{inv(a)} by the scalar field inverse, E_0 <-> inf
+    ctx = GF2k(k)
+
+    def scalar_dual(line):
+        if line.is_infinity:
+            return SpreadLine(0)
+        return LINE_INFINITY if line.a == 0 else SpreadLine(ctx.inv(line.a))
+
+    lines = desarguesian(ctx)
+    want = {L: scalar_dual(L) for L in lines}
+    assert [line_dual(ctx, L) for L in lines] == list(want.values())
+    rng = random.Random(k)
+    for _ in range(5):
+        sel = selection(ctx, rng.sample(lines, rng.randint(0, len(lines))))
+        assert dual_selection(sel) == selection(ctx, map(want.get, sel.lines))
+    with pytest.raises(ValueError, match="outside"):
+        line_dual(ctx, SpreadLine(ctx.order))
 
 
 def annihilator(ctx, points):
@@ -328,3 +349,52 @@ def test_ps_general_validation_errors():
         ps_general(4, [[1, 2], [3, 12, 15]])
     with pytest.raises(ValueError, match="family size"):
         ps_general(4, [E1, E2, E3, E4])
+
+
+def _pairwise_first_share(bases):
+    """The pairwise intersection loop over the spans: the message for the
+    first pair i < j that shares a nonzero point, or None."""
+    spans = [set(subspace_span(b)) for b in bases]
+    for i in range(len(spans)):
+        for j in range(i + 1, len(spans)):
+            shared = (spans[i] & spans[j]) - {0}
+            if shared:
+                return f"subspaces {i} and {j} share nonzero point {min(shared)}"
+    return None
+
+
+def test_family_disjointness_matches_the_pairwise_loop():
+    # seeded families: field-spread lines (pairwise disjoint) in random
+    # order, some of them replaced by random subspaces that may overlap
+    rng = random.Random(77)
+    outcomes = set()
+    for _ in range(300):
+        k = rng.choice((2, 3, 4))
+        n, ctx = 2 * k, GF2k(k)
+        bases = [[(1 << i) | (ctx.mul(1 << i, a) << k) for i in range(k)]
+                 for a in ctx.elements()] + [[1 << (k + i) for i in range(k)]]
+        rng.shuffle(bases)
+        bases = bases[:rng.randint(2, len(bases))]
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            basis = []
+            while len(basis) < k:
+                v = rng.randrange(1, 1 << n)
+                if len(reduce_basis(basis + [v])) > len(basis):
+                    basis.append(v)
+            bases[rng.randrange(len(bases))] = basis
+        want = _pairwise_first_share(bases)
+        outcomes.add(want is None)
+        if want is None:
+            assert validate_subspace_family(n, bases) == [subspace_span(b) for b in bases]
+        else:
+            with pytest.raises(ValueError) as exc:
+                validate_subspace_family(n, bases)
+            assert str(exc.value) == want
+    assert outcomes == {True, False}
+
+
+def test_ps_general_runs_a_half_field_spread_at_k10():
+    ctx = GF2k(10)
+    bases = [[(1 << i) | (ctx.mul(1 << i, a) << 10) for i in range(10)] for a in range(512)]
+    f = ps_general(20, bases)
+    assert f.weight() == 512 * 1023 and f[0] == 0
