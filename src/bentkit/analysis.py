@@ -253,6 +253,13 @@ def census(
     selections from a seeded PRNG and checks the first five draws and every
     25th spectrally.  A disagreeing row is classed by its spectral distance.
     """
+    return _census(ctx, mode, samples, seed)[0]
+
+
+def _census(ctx: GF2k, mode: str, samples: int | None, seed: int | None):
+    """(report, columns, tables, identities): the census report, the spread
+    columns of every selection, and the stack it checked spectrally with
+    that stack's `_stack_identities`."""
     _census_size_check(mode, ctx.k)
     size = 1 << (ctx.k - 1)
     if mode == "exhaustive":
@@ -274,12 +281,14 @@ def census(
         spot = idx[(idx < 5) | (idx % 25 == 0)]
 
     dists = (1 << (2 * ctx.k - 1)) - _nf_value(ctx.k, _unmatched_counts(ctx, cols)) // 2
-    spectral = _stack_distances(_selection_tables(ctx, cols[spot], False), ctx)
+    tables = _selection_tables(ctx, cols[spot], False)
+    identities = _stack_identities(tables, ctx)
+    spectral = _stack_distances(identities)
     mismatches = int(np.count_nonzero(spectral != dists[spot]))
     dists[spot] = spectral
     values, counts = np.unique(dists, return_counts=True)
     class_sizes = dict(zip(values.tolist(), counts.tolist()))
-    return CensusReport(
+    report = CensusReport(
         k=ctx.k,
         mode=mode,
         seed=seed,
@@ -290,6 +299,7 @@ def census(
         formula_mismatches=mismatches,
         spectral_checked=len(spot),
     )
+    return report, cols, tables, identities
 
 
 # ----------------------------------------------------------------------
@@ -328,13 +338,17 @@ def distribution_table(n: int) -> DistributionRow:
     """
     if n % 2 or not 4 <= n <= 24:
         raise ValueError(f"need even n in 4..24, got {n}")
+    return _distribution_row(n, census(GF2k(n // 2)) if n <= 6 else None)
+
+
+def _distribution_row(n: int, realized: CensusReport | None) -> DistributionRow:
+    """distribution_table's row, checked against the census `realized`."""
     k = n // 2
     # N rises as h falls; dist = 2^(n-1) - N/2 rises with h
     nf_values = [_nf_value(k, h) for h in range(1 << (k - 1), -1, -1)]
     dist_values = [(1 << (n - 1)) - nf // 2 for nf in reversed(nf_values)]
     row = DistributionRow(n, nf_values, dist_values)
-    if n <= 6:
-        realized = census(GF2k(k), mode="exhaustive")
+    if realized is not None:
         if set(realized.class_sizes) != set(dist_values):
             raise AssertionError(
                 f"census distances {sorted(realized.class_sizes)} disagree with "
@@ -390,7 +404,7 @@ def _quotient_distances(ctx: GF2k) -> tuple[np.ndarray, np.ndarray]:
     stack.  The quotient form of g selects the columns 1/u for u in supp g."""
     supports = _combinations(ctx.nonzero(), 1 << (ctx.k - 1))
     tables = _selection_tables(ctx, ctx.line_dual_index[supports], False)
-    return supports, _stack_distances(tables, ctx)
+    return supports, _stack_distances(_stack_identities(tables, ctx))
 
 
 def _selfdual_counts(
@@ -564,19 +578,28 @@ def _symmetric_nf_prediction(n: int, c: Sequence[int]) -> int:
     return -(1 << n)
 
 
+# (eps1, eps2) of the four symmetric bents, in the order of their stack
+_EPS = list(itertools.product((0, 1), repeat=2))
+
+
 def symmetric_report(n: int) -> list[SymmetricRecord]:
     """Check all four symmetric bent functions on n variables against the
     closed-form dual and the Rayleigh case table, as stated.  The four are
-    one stack: one transform, with every check of the single path per row;
+    one stack: one transform, with every check of the spectral path per row;
     N = 2^n - 2 dist, and the true dual is the sign bits of the spectrum."""
+    return _symmetric_report(n)[0]
+
+
+def _symmetric_report(n: int) -> tuple[list[SymmetricRecord], np.ndarray]:
+    """(records, identities): symmetric_report, with its stack's identities."""
     if n % 2 or not 4 <= n <= 12:
         raise ValueError(f"need even n in 4..12, got {n}")
-    eps = list(itertools.product((0, 1), repeat=2))
-    tables = np.array([symmetric_bent(n, e1, e2).values() for e1, e2 in eps])
+    tables = np.array([symmetric_bent(n, e1, e2).values() for e1, e2 in _EPS])
     true_duals = np.empty(tables.shape, dtype=bool)
-    dists = _stack_distances(tables, None, true_duals)
+    identities = _stack_identities(tables, None, true_duals)
+    dists = _stack_distances(identities)
     records = []
-    for (eps1, eps2), d, true_dual in zip(eps, dists.tolist(), true_duals):
+    for (eps1, eps2), d, true_dual in zip(_EPS, dists.tolist(), true_duals):
         c = symmetric_value_pattern(n, eps1, eps2)
         formula_dual = _symmetric_dual_formula(n, c)
         n_actual = (1 << n) - 2 * d
@@ -592,7 +615,7 @@ def symmetric_report(n: int) -> list[SymmetricRecord]:
                 nf_prediction_ok=n_actual == n_pred,
             )
         )
-    return records
+    return records, identities
 
 
 # ----------------------------------------------------------------------
@@ -655,25 +678,21 @@ def _check_census(report: CensusReport) -> SuiteCheck:
     return SuiteCheck(f"census-k{report.k}", ok, report.to_json_dict())
 
 
-def _check_metric_identities() -> SuiteCheck:
+def _check_metric_identities(spread, symmetric) -> SuiteCheck:
     """Both metric identities on every row of three kinds of stack: the 126
-    k = 3 spread functions (trace pairing), the four symmetric bents at each
-    n = 4..12, and 25 seeded MM bents at each of n = 6, 8."""
+    k = 3 spread functions (trace pairing; the census `spread`), the four
+    symmetric bents at each n = 4..12, and 25 seeded MM bents at n = 6, 8."""
     from .boolfun import mm_bent
 
-    ctx3 = GF2k(3)
-    cols = _combinations(range(ctx3.order + 1), 4)
-    # (tables, pairing, the failure record of row i)
+    ctx3, _, cols, _, spread_identities = spread
+    # (identities, the failure record of row i)
     stacks = [(
-        _selection_tables(ctx3, cols, False),
-        ctx3,
+        spread_identities,
         lambda i: {"family": "spread-k3", "lines": list(map(str, _lines(ctx3, cols[i])))},
     )]
-    eps = list(itertools.product((0, 1), repeat=2))
-    for n in range(4, 13, 2):
-        tables = np.array([symmetric_bent(n, e1, e2).values() for e1, e2 in eps])
+    for n, (_, identities) in symmetric.items():
         stacks.append(
-            (tables, None, lambda i, n=n: {"family": "symmetric", "n": n, "eps": list(eps[i])})
+            (identities, lambda i, n=n: {"family": "symmetric", "n": n, "eps": list(_EPS[i])})
         )
     rng = random.Random(2024)
     for n in (6, 8):
@@ -684,11 +703,12 @@ def _check_metric_identities() -> SuiteCheck:
             rng.shuffle(pi)
             g = TruthTable(k, rng.getrandbits(1 << k))
             tables.append(mm_bent(pi, g).values())
-        stacks.append((np.array(tables), None, lambda i, n=n: {"family": "mm", "n": n}))
+        identities = _stack_identities(np.array(tables), None)
+        stacks.append((identities, lambda i, n=n: {"family": "mm", "n": n}))
     failures = [
         where(i)
-        for tables, pairing, where in stacks
-        for i, row in enumerate(_stack_identities(tables, pairing).tolist())
+        for identities, where in stacks
+        for i, row in enumerate(identities.tolist())
         if not MetricIdentity(*row).consistent
     ]
     return SuiteCheck(
@@ -696,23 +716,27 @@ def _check_metric_identities() -> SuiteCheck:
     )
 
 
-def _check_distance_formulas() -> SuiteCheck:
+def _check_distance_formulas(censuses) -> SuiteCheck:
     """The counting form against the spectral distance, row by row over
-    stacks: every minus and plus selection at k = 2, 3, and 200 seeded
-    minus draws at k = 4."""
-    rng = random.Random(404)
-    cases = [
-        (k, plus, _combinations(range((1 << k) + 1), (1 << (k - 1)) + plus))
-        for k in (2, 3)
-        for plus in (False, True)
-    ]
-    cases.append((4, False, np.array([rng.sample(range(17), 8) for _ in range(200)])))
-    failures = []
-    for k, plus, cols in cases:
-        ctx = GF2k(k)
+    stacks: every minus selection at k = 2, 3 (the `censuses` stacks), every
+    plus selection at k = 2, 3, and 200 seeded minus draws at k = 4."""
+
+    def stack(ctx, plus, cols):
         tables = _selection_tables(ctx, cols, plus)
+        return ctx, plus, cols, tables, _stack_identities(tables, ctx)
+
+    rng = random.Random(404)
+    draws = np.array([rng.sample(range(17), 8) for _ in range(200)])
+    stacks = []
+    for ctx, _, cols, tables, identities in censuses:
+        plus_cols = _combinations(range(ctx.order + 1), (1 << (ctx.k - 1)) + 1)
+        stacks += [(ctx, False, cols, tables, identities), stack(ctx, True, plus_cols)]
+    stacks.append(stack(GF2k(4), False, draws))
+    failures = []
+    for ctx, plus, cols, tables, identities in stacks:
+        k = ctx.k
         a = _spread_dist_formula(tables)
-        bad = (a != _stack_distances(tables, ctx)) | (a > (1 << (2 * k)) - (1 << k))
+        bad = (a != _stack_distances(identities)) | (a > (1 << (2 * k)) - (1 << k))
         for i in np.flatnonzero(bad).tolist():
             lines = [str(L) for L in _lines(ctx, cols[i])]
             where = {"index": i} if k == 4 else {"lines": lines}
@@ -720,10 +744,10 @@ def _check_distance_formulas() -> SuiteCheck:
     return SuiteCheck("ps-distance-formulas", not failures, {"failures": failures[:5]})
 
 
-def _check_symmetric() -> SuiteCheck:
+def _check_symmetric(symmetric) -> SuiteCheck:
     bad = []
-    for n in range(4, 13, 2):
-        for rec in symmetric_report(n):
+    for records, _ in symmetric.values():
+        for rec in records:
             if not (rec.dual_formula_ok and rec.nf_prediction_ok):
                 bad.append(rec.to_json_dict())
     return SuiteCheck("symmetric-propositions", not bad, {"failures": bad})
@@ -790,20 +814,24 @@ def _check_selfdual_counts(
 def run_verification_suite() -> list[SuiteCheck]:
     """Every identity and proposition check the library asserts, in one list.
 
-    Each exhaustive census, each quotient-form stack and each distribution
-    row is built once and shared by the checks that read it.  Every check
-    transforms its functions as stacks, one transform per stack.
+    Every function is transformed once, in a stack, one transform per
+    stack.  The exhaustive census stacks, the quotient-form stacks, the
+    symmetric stacks and the distribution rows are built once and shared by
+    the checks that read them.
     """
     fields = [GF2k(k) for k in (2, 3)]
-    reports = [census(ctx) for ctx in fields]
+    censuses = [(ctx, *_census(ctx, "exhaustive", None, None)) for ctx in fields]
+    reports = [report for _, report, *_ in censuses]
     quotients = [(ctx, *_quotient_distances(ctx)) for ctx in fields]
-    rows = {n: distribution_table(n) for n in range(4, 25, 2)}
+    realized = {4: reports[0], 6: reports[1]}
+    rows = {n: _distribution_row(n, realized.get(n)) for n in range(4, 25, 2)}
+    symmetric = {n: _symmetric_report(n) for n in range(4, 13, 2)}
     return [
         *(_check_census(report) for report in reports),
         _check_selfdual_counts(reports, quotients),
-        _check_metric_identities(),
-        _check_distance_formulas(),
-        _check_symmetric(),
+        _check_metric_identities(censuses[1], symmetric),
+        _check_distance_formulas(censuses),
+        _check_symmetric(symmetric),
         _check_charsum(quotients),
         _check_distribution_golden(rows),
         _check_no_antiselfdual(reports, rows),

@@ -23,13 +23,13 @@ from .analysis import (
 from .boolfun import TruthTable
 from .field import GF2k
 from .spectral import (
-    _bent_quantities,
-    _bent_spectrum,
+    NotBentError,
     _duality_class,
     _is_flat,
     _nonlinearity,
     dual,
     hamming_dist,
+    rayleigh,
     wht,
 )
 from .spreads import (
@@ -149,10 +149,15 @@ def _cmd_dual(args) -> int:
     return 0
 
 
+def _rayleigh_fields(f: TruthTable, pairing) -> dict:
+    """S, N and the cross-checked dist = (2^n - N) / 2 of a bent f."""
+    s, n_f = rayleigh(f, pairing)
+    return {"S": s, "N": n_f, "dist": ((1 << f.n) - n_f) // 2}
+
+
 def _cmd_rayleigh(args) -> int:
     f = _read_tt(args)[0]
-    s, n_f, d = _bent_quantities(f, _bent_spectrum(f, _pairing_for(args, f)))
-    _emit_json(args, {"n": f.n, "S": s, "N": n_f, "dist": d})
+    _emit_json(args, {"n": f.n, **_rayleigh_fields(f, _pairing_for(args, f))})
     return 0
 
 
@@ -163,20 +168,13 @@ def _cmd_dist(args) -> int:
 
 
 def _metadata(f: TruthTable, pairing) -> dict:
-    spec = wht(f, pairing)
-    bent = _is_flat(spec)
-    meta = {"n": f.n, "tt": f.to_hex(), "bent": bent, "weight": f.weight()}
-    if bent:
-        s, n_f, d = _bent_quantities(f, spec)
-        meta.update(
-            {
-                "S": s,
-                "N": n_f,
-                "dist": d,
-                "duality": _duality_class(f.n, d).tag.value,
-            }
-        )
-    return meta
+    meta = {"n": f.n, "tt": f.to_hex(), "weight": f.weight()}
+    try:
+        fields = _rayleigh_fields(f, pairing)
+    except NotBentError:
+        return {**meta, "bent": False}
+    duality = _duality_class(f.n, fields["dist"]).tag.value
+    return {**meta, "bent": True, **fields, "duality": duality}
 
 
 def _cmd_construct(args) -> int:

@@ -7,46 +7,41 @@ product on the domain:
   * a ``GF2k`` ctx  -- the trace form Tr(xx') + Tr(yy') on
                        F_{2^k} x F_{2^k}, for functions on n = 2k variables.
 
+Bentness never depends on the pairing while duals and distances do.
+
+There is one spectral path, over a (B, 2^n) uint8 stack of 0/1 tables, and
+every single-table function is its one-row case:
+
+  * `_spectra` transforms a stack in chunks of <= 2^24 entries and checks
+    every row: Parseval always, and flatness for a bent stack (NotBentError
+    names the first bad point of the first bad row).  `wht`, `is_bent`,
+    `nonlinearity`, `dual` and `rayleigh_quotient` read its one row;
+  * `_stack_identities` reads the direct distance to the sign-bit dual,
+    both metric-identity forms and the zero-sum residual of every row off
+    it, and `_stack_distances` checks each row's spectral distance against
+    the direct one.  `metric_identity_check` reads one row, and
+    `dist_to_dual`, `rayleigh` and `duality_class` check one.
+
 The trace form is diag(G, G) with G the field's k x k Gram matrix.  G is
-symmetric, so the trace-form spectrum W_tr(x, y) = W(Gx, Gy) is the standard
-spectrum of f o diag(G, G)^-1: `wht` views the one-byte input table as a
-2^k x 2^k grid (row y, column x), re-indexes rows and columns through G^-1
-(the inverse permutation of the field's k-bit Gram index) and runs the one
-standard transform.  Bentness never depends on the pairing while duals and
-distances do.
+symmetric, so W_tr(x, y) = W(Gx, Gy) is the standard spectrum of
+f o diag(G, G)^-1: `_transform_input` gathers the rows and columns of each
+table, a 2^k x 2^k grid (row y, column x), through G^-1 block by block, so
+no table is modified or copied whole.  An n = 24 request holds its one-byte
+table and one 64 MB float32 buffer.
 
-The transform runs on the 0/1 table itself: W = 2^n [u = 0] - 2 (H f).  H is
-the Kronecker factorisation H_{2^n} = H_{2^b1} x ... x H_{2^bd} with every
-b <= 4, one float32 matrix product (one BLAS sgemm) per factor and chunk,
-computed in place in the one float32 copy of the table.  `_fwht` transforms
-the last axis, so one call takes one table or a (B, 2^n) stack of them:
-
-  * the low <= 16 index bits chunk by chunk through one 2^16-entry
-    (256 KiB) scratch: a chunk is one 2^16-entry block of a large table,
-    or as many whole small tables as fit.  It ping-pongs with the scratch,
-    each factor transforming the top b bits and writing them back as the
-    bottom b bits, so the index order is restored after its factors.  The
-    tables of a multi-row chunk are first copied into the scratch
-    transposed, row index as the bottom bits, so each factor is still one
-    matrix product over the whole chunk and the factors bring the row
-    index back on top;
-  * every further <= 4 bits (n > 16) as one factor over column strips of
-    each table, each strip computed into the scratch and written back.
-
-The last factor multiplies by -2 H_{2^b}, and its result is cast into the
-int32 view of the same buffer, so an n = 24 transform holds one 64 MB
-buffer.  float32 is exact here: every product and every partial sum, in any
-summation order, is an integer of magnitude <= 2^n <= 2^24 (an even one of
-magnitude <= 2^25 in the last factor), and float32 holds every such integer.
-Spectrum values are 32-bit signed integers.  Sums that can exceed that range
-(Parseval's sum of squares, the Rayleigh sum) accumulate exactly in int64.
-
-`_stack_spectra` runs a stack of tables (a census, the verify battery)
-through that one transform, in stacks of <= 2^24 entries (64 MB of float32,
-one n = 24 table), with every check of the single-table path made per row;
-`_stack_identities` reads the direct distance, both metric-identity forms
-and the zero-sum residual of every row off it, and `_stack_distances` the
-cross-checked distance to the dual.
+The transform runs on the 0/1 table itself: W = 2^n [u = 0] - 2 (H f), with
+H_{2^n} = H_{2^b1} x ... x H_{2^bd} Kronecker-factored into b <= 4 bits, one
+float32 matrix product (one BLAS sgemm) per factor and chunk, in place in
+the float32 buffer.  `_fwht` runs the low <= 16 index bits through one
+256 KiB scratch, a block of a large table or as many whole small tables as
+fit at a time, and every further <= 4 bits (n > 16) as one factor over
+column strips.  The last factor multiplies by -2 H_{2^b} and is cast into
+the int32 view of the same buffer.  float32 is exact here: every product
+and every partial sum, in any summation order, is an integer of magnitude
+<= 2^n <= 2^24 (an even one of magnitude <= 2^25 in the last factor), and
+float32 holds every such integer.  Spectrum values are 32-bit signed
+integers; sums that can exceed that range (Parseval's sum of squares, the
+Rayleigh sum) accumulate exactly in int64.
 """
 
 from __future__ import annotations
@@ -92,7 +87,8 @@ _H16 = np.array(
 # Indexed by "is this the last factor": the last one multiplies by -2 H.
 _FACTORS = (_H16, -2 * _H16)
 
-# Entries per block of the low-bit stage, and of the one scratch buffer: 256 KiB.
+# Entries per block of the low-bit stage and of its one scratch buffer (256 KiB),
+# per row block of the trace gather and per column block of the row sums.
 _BLOCK = 1 << 16
 # Entries per float32 stack of tables transformed at once: 64 MB, an n = 24 table.
 _STACK = 1 << 24
@@ -153,11 +149,6 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dot64(a: np.ndarray, b: np.ndarray) -> int:
-    """Exact sum of a * b, accumulated in int64 without an int64 copy."""
-    return int(np.einsum("i,i->", a, b, dtype=np.int64))
-
-
 @dataclass
 class WalshSpectrum:
     """Full spectrum of one function under one pairing."""
@@ -173,39 +164,69 @@ class WalshSpectrum:
         return max(int(self.values.max()), -int(self.values.min()))
 
     def parseval_ok(self) -> bool:
-        return _dot64(self.values, self.values) == 1 << (2 * self.n)
+        squares = np.einsum("i,i->", self.values, self.values, dtype=np.int64)
+        return int(squares) == 1 << (2 * self.n)
 
 
-def _transform_input(v: np.ndarray, pairing: Pairing) -> np.ndarray:
-    """The 0/1 tables (last axis) whose standard transforms are their spectra
-    under `pairing`: v itself, or each table f re-indexed in place to
-    f o diag(G, G)^-1 for the trace form (module docstring)."""
+def _transform_input(tables: np.ndarray, pairing: Pairing) -> np.ndarray:
+    """The float32 tables (last axis) whose standard transforms are the
+    spectra of the 0/1 `tables` under `pairing`: the tables themselves, or
+    each table f gathered to f o diag(G, G)^-1 for the trace form (module
+    docstring), row block by row block through two uint8 buffers, so
+    `tables` is neither modified nor copied whole."""
     if pairing is None:
-        return v
-    g = pairing.gram_index
-    g_inv = np.empty_like(g)
-    g_inv[g] = np.arange(g.size)
-    grid = v.reshape(-1, g.size, g.size)
-    # The columns go back into v; with mode="clip" take writes straight into
-    # `out` ("raise" buffers a copy), and g_inv is a permutation of the
-    # grid's axes, so nothing is clipped.
-    np.take(np.take(grid, g_inv, 1), g_inv, 2, out=grid, mode="clip")
-    return v
+        return tables.astype(np.float32)
+    g_inv = np.argsort(pairing.gram_index)  # the inverse permutation
+    # Row y of table b is row b 2^k + y of `rows`, and comes from row
+    # b 2^k + G^-1 y; the columns of each row are then gathered through G^-1.
+    rows = tables.reshape(-1, g_inv.size)
+    src = (np.arange(0, len(rows), g_inv.size)[:, None] + g_inv).reshape(-1)
+    out = np.empty(rows.shape, dtype=np.float32)
+    step = max(1, _BLOCK // g_inv.size)
+    buf = np.empty((2, step, g_inv.size), dtype=np.uint8)
+    for c in range(0, len(rows), step):
+        picked, gathered = buf[:, :min(step, len(rows) - c)]
+        # mode="clip" writes straight into `out` ("raise" buffers a copy);
+        # every index is in range, so nothing is clipped
+        np.take(rows, src[c:c + step], axis=0, out=picked, mode="clip")
+        np.take(picked, g_inv, axis=1, out=gathered, mode="clip")
+        out[c:c + step] = gathered
+    return out.reshape(tables.shape)
+
+
+def _spectra(tables: np.ndarray, pairing: Pairing, bent: bool = True):
+    """Yield (start, rows, spectra) for a (B, 2^n) uint8 stack of 0/1 tables,
+    one transform per chunk of <= _STACK entries: the int32 spectra of the
+    chunk's rows `tables[start:start + len(rows)]`, with Parseval asserted
+    per row (an int64 sum) and, for a `bent` stack, flatness (NotBentError
+    with the first bad point of the first bad row)."""
+    n = tables.shape[1].bit_length() - 1
+    if pairing is not None and n != 2 * pairing.k:
+        raise ValueError(f"trace pairing needs n = 2k = {2 * pairing.k}, got n = {n}")
+    target = 1 << (n // 2)
+    step = max(1, _STACK >> n)
+    for start in range(0, len(tables), step):
+        f = tables[start:start + step]
+        # W = 2^n [u = 0] - 2 (H f)
+        spec = _fwht(_transform_input(f, pairing))
+        spec[:, 0] += 1 << n
+        if np.any(np.einsum("ij,ij->i", spec, spec, dtype=np.int64) != 1 << (2 * n)):
+            raise AssertionError("Parseval identity violated; transform is broken")
+        # Under Parseval, max |W| = 2^(n/2) is flatness, and impossible for
+        # odd n: a non-flat row has a point with |W(u)| != 2^(n//2).
+        if bent:
+            bad = np.flatnonzero(np.maximum(spec.max(axis=1), -spec.min(axis=1)) != target)
+            if bad.size:
+                row = spec[bad[0]]
+                u = int(np.flatnonzero(np.abs(row) != target)[0])
+                raise NotBentError(n, u, int(row[u]))
+        yield start, f, spec
 
 
 def wht(f: TruthTable, pairing: Pairing = None) -> WalshSpectrum:
     """Walsh-Hadamard transform W(u) = sum_x (-1)^(f(x) + <u, x>)."""
-    if pairing is not None and f.n != 2 * pairing.k:
-        raise ValueError(
-            f"trace pairing needs n = 2k = {2 * pairing.k}, got n = {f.n}"
-        )
-    # W = 2^n [u = 0] - 2 (H f); the uint8 input is freed before the transform.
-    vals = _fwht(_transform_input(f.values(), pairing).astype(np.float32))
-    vals[0] += 1 << f.n
-    spec = WalshSpectrum(f.n, vals, pairing)
-    if not spec.parseval_ok():
-        raise AssertionError("Parseval identity violated; transform is broken")
-    return spec
+    spec = next(_spectra(f.values()[None], pairing, bent=False))[2]
+    return WalshSpectrum(f.n, spec[0], pairing)
 
 
 def wht_restricted(f: TruthTable, u: int, subset: str = "even") -> int:
@@ -244,47 +265,10 @@ def is_bent(f: TruthTable) -> bool:
     return f.n % 2 == 0 and _is_flat(wht(f))
 
 
-def _bent_spectrum(f: TruthTable, pairing: Pairing) -> WalshSpectrum:
-    spec = wht(f, pairing)
-    # Under Parseval a non-flat spectrum (every odd-n one included) has a
-    # point with |W(u)| != 2^(n//2); the first one is the witness.
-    if not _is_flat(spec):
-        target = 1 << (f.n // 2)
-        u = int(np.flatnonzero(np.abs(spec.values) != target)[0])
-        raise NotBentError(f.n, u, spec[u])
-    return spec
-
-
-def _dual_from_spectrum(spec: WalshSpectrum) -> TruthTable:
-    return TruthTable(spec.n, _pack_values(spec.values < 0))
-
-
 def dual(f: TruthTable, pairing: Pairing = None) -> TruthTable:
     """The dual bent function: f~(u) = 1 iff W(u) = -2^(n/2)."""
-    return _dual_from_spectrum(_bent_spectrum(f, pairing))
-
-
-def _rayleigh_sum(f: TruthTable, spec: WalshSpectrum) -> int:
-    """S = sum_x (-1)^f(x) W(x) from f's own spectrum."""
-    signs = f.values().view(np.int8)  # a fresh table: (-1)^f built in place
-    signs <<= 1
-    np.subtract(1, signs, out=signs)
-    return _dot64(signs, spec.values)
-
-
-def _bent_quantities(f: TruthTable, spec: WalshSpectrum) -> tuple[int, int, int]:
-    """(S, N, dist to the dual) of a bent f from its bent spectrum.
-
-    The spectral distance 2^(n-1) - N/2 is always cross-checked against a
-    direct comparison with the dual truth table.
-    """
-    s = _rayleigh_sum(f, spec)
-    n_f = s >> (f.n // 2)
-    d = (1 << (f.n - 1)) - n_f // 2
-    direct = hamming_dist(f, _dual_from_spectrum(spec))
-    if direct != d:
-        raise AssertionError(f"spectral distance {d} != direct distance {direct}")
-    return s, n_f, d
+    spec = next(_spectra(f.values()[None], pairing))[2]
+    return TruthTable(f.n, _pack_values(spec[0] < 0))
 
 
 def _exact_div(a, b: int, what: str):
@@ -296,29 +280,20 @@ def _exact_div(a, b: int, what: str):
     return a // b
 
 
-def _stack_spectra(tables: np.ndarray, pairing: Pairing):
-    """Yield (start, rows, spectra) for a (B, 2^n) uint8 stack of bent
-    tables, one transform per chunk of <= _STACK entries, with the checks of
-    the single path made per row: Parseval (an int64 sum) and flatness
-    (NotBentError with the first bad point of the first bad row)."""
-    n = tables.shape[1].bit_length() - 1
-    if pairing is not None and n != 2 * pairing.k:
-        raise ValueError(f"trace pairing needs n = 2k = {2 * pairing.k}, got n = {n}")
-    target = 1 << (n // 2)
-    step = max(1, _STACK >> n)
-    for start in range(0, len(tables), step):
-        f = tables[start:start + step]
-        spec = _fwht(_transform_input(f.copy(), pairing).astype(np.float32))
-        spec[:, 0] += 1 << n
-        if np.any(np.einsum("ij,ij->i", spec, spec, dtype=np.int64) != 1 << (2 * n)):
-            raise AssertionError("Parseval identity violated; transform is broken")
-        # Under Parseval, max |W| = 2^(n/2) is flatness (see _is_flat).
-        bad = np.flatnonzero(np.maximum(spec.max(axis=1), -spec.min(axis=1)) != target)
-        if bad.size:
-            row = spec[bad[0]]
-            u = int(np.flatnonzero(np.abs(row) != target)[0])
-            raise NotBentError(n, u, int(row[u]))
-        yield start, f, spec
+def _row_sums(f: np.ndarray, spec: np.ndarray, neg: np.ndarray | None = None) -> np.ndarray:
+    """(sum_u W(u), sum_u f(u) W(u), #{u : f(u) != [W(u) < 0]}) of every
+    row of a chunk, as a (3, B) int64 array; the sign bits [W(u) < 0] go to
+    `neg` when it is given.  Read in blocks of _BLOCK columns, so that no
+    temporary is as large as an n = 24 table."""
+    sums = np.zeros((3, len(f)), dtype=np.int64)
+    for c in range(0, f.shape[1], _BLOCK):
+        cols = slice(c, c + _BLOCK)
+        w = spec[:, cols]
+        sums[0] += w.sum(axis=1, dtype=np.int64)
+        sums[1] += np.einsum("ij,ij->i", f[:, cols], w, dtype=np.int64)
+        sign = np.less(w, 0, out=None if neg is None else neg[:, cols])
+        sums[2] += np.count_nonzero(f[:, cols] != sign, axis=1)
+    return sums
 
 
 def _stack_identities(
@@ -326,7 +301,7 @@ def _stack_identities(
 ) -> np.ndarray:
     """(direct, form1, form2, residual) of every bent table in a (B, 2^n)
     uint8 stack, as a (B, 4) int64 array read off one spectrum per row
-    (`_stack_spectra`, so Parseval and flatness are checked per row).
+    (`_spectra`, so Parseval and flatness are checked per row).
 
     direct compares the row with its sign-bit dual, which is also written
     to `duals`, a (B, 2^n) bool array, when one is given.  form1 rewrites
@@ -345,14 +320,12 @@ def _stack_identities(
     n = tables.shape[1].bit_length() - 1
     k = n // 2
     out = np.empty((len(tables), 4), dtype=np.int64)
-    for start, f, spec in _stack_spectra(tables, pairing):
+    for start, f, spec in _spectra(tables, pairing):
         rows = slice(start, start + len(f))
-        total = spec.sum(axis=1, dtype=np.int64)
-        supp = np.einsum("ij,ij->i", f, spec, dtype=np.int64)
+        total, supp, direct = _row_sums(f, spec, None if duals is None else duals[rows])
         s = total - 2 * supp
         sign0 = 1 - 2 * f[:, 0].astype(np.int64)
-        neg = np.less(spec, 0, out=None if duals is None else duals[rows])
-        out[rows, 0] = np.count_nonzero(f != neg, axis=1)
+        out[rows, 0] = direct
         out[rows, 1] = (
             (1 << (n - 1))
             - sign0 * (1 << (k - 1))
@@ -363,14 +336,11 @@ def _stack_identities(
     return out
 
 
-def _stack_distances(
-    tables: np.ndarray, pairing: Pairing, duals: np.ndarray | None = None
-) -> np.ndarray:
-    """Distance to the dual of every bent table in a (B, 2^n) uint8 stack:
-    the spectral distance 2^(n-1) - N/2 (form2 of `_stack_identities`),
-    checked per row against the direct comparison with the sign-bit dual.
-    The duals go to `duals` when it is given."""
-    direct, _, dists, _ = _stack_identities(tables, pairing, duals).T
+def _stack_distances(identities: np.ndarray) -> np.ndarray:
+    """Distance to the dual, 2^(n-1) - N/2, of every row of a
+    `_stack_identities` array: form2, checked per row against the direct
+    comparison with the sign-bit dual."""
+    direct, _, dists, _ = identities.T
     bad = np.flatnonzero(direct != dists)
     if bad.size:
         i = int(bad[0])
@@ -382,13 +352,17 @@ def _stack_distances(
 
 def rayleigh_quotient(f: TruthTable, pairing: Pairing = None) -> int:
     """S = sum_x (-1)^f(x) W(x); defined for every function."""
-    return _rayleigh_sum(f, wht(f, pairing))
+    values = f.values()[None]
+    spec = next(_spectra(values, pairing, bent=False))[2]
+    total, supp, _ = _row_sums(values, spec)
+    return int(total[0] - 2 * supp[0])
 
 
 def rayleigh(f: TruthTable, pairing: Pairing = None) -> tuple[int, int]:
-    """(S, N) for a bent function: N = S / 2^(n/2) = sum (-1)^(f + f~)."""
-    s, n_f, _ = _bent_quantities(f, _bent_spectrum(f, pairing))
-    return s, n_f
+    """(S, N) for a bent function: N = S / 2^(n/2) = sum (-1)^(f + f~),
+    read off the cross-checked distance N = 2^n - 2 dist(f, f~)."""
+    n_f = (1 << f.n) - 2 * dist_to_dual(f, pairing)
+    return n_f << (f.n // 2), n_f
 
 
 def hamming_dist(f: TruthTable, g: TruthTable) -> int:
@@ -400,7 +374,7 @@ def hamming_dist(f: TruthTable, g: TruthTable) -> int:
 def dist_to_dual(f: TruthTable, pairing: Pairing = None) -> int:
     """Hamming distance from a bent f to its dual, 2^(n-1) - N/2, cross-checked
     against a direct comparison with the dual truth table."""
-    return _bent_quantities(f, _bent_spectrum(f, pairing))[2]
+    return int(_stack_distances(_stack_identities(f.values()[None], pairing))[0])
 
 
 class Duality(Enum):

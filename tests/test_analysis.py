@@ -44,8 +44,8 @@ from bentkit.spectral import (
     _exact_div,
     _stack_distances,
     _stack_identities,
+    _transform_input,
     dist_to_dual,
-    dual,
     rayleigh,
     wht,
 )
@@ -62,6 +62,7 @@ from bentkit.spreads import (
     psap_from_g,
     selection,
 )
+from oracles import reference_spectrum
 
 F4 = GF2k(2)
 F8 = GF2k(3)
@@ -157,8 +158,8 @@ def _form2_by_derivatives(f, pairing, sums=None):
     """(form2, corollary residual) of f by the derivative route."""
     n, k = f.n, f.n // 2
     deriv_total, deriv_aniso, _ = sums or _derivative_sums(f, pairing)
-    spec = wht(f, pairing)
-    supp_sum = int(spec.values[f.values().astype(bool)].sum(dtype=np.int64))
+    spec = reference_spectrum(f, pairing)
+    supp_sum = int(spec[f.values().astype(bool)].sum())
     sign0 = -1 if f[0] else 1
     form2 = (
         (1 << (n - 1))
@@ -213,7 +214,7 @@ def test_form2_and_residual_match_the_derivative_oracle():
                 dtype=bool,
             )
         assert np.array_equal(q, aniso)
-        signed = (1 - 2 * f.values().astype(np.int64)) * wht(f, pairing).values
+        signed = (1 - 2 * f.values().astype(np.int64)) * reference_spectrum(f, pairing)
         assert deriv_total == int(np.where(q, -signed, signed).sum())
         assert deriv_aniso == -int(signed[q].sum())
     assert plus_type  # the residual's (-1)^f(0) term is exercised
@@ -243,18 +244,22 @@ def _identity_stacks():
         yield fs, GF2k(k)
 
 
-def test_stack_identities_match_the_single_paths_row_by_row():
+def test_stack_identities_match_the_int64_reference_row_by_row():
+    # The sign bits of the int64 reference spectrum are the dual, the
+    # Hamming distance to them is the distance every form must give, and
+    # the residual is zero; form2 and the residual also match the
+    # derivative oracle.
     rows_checked = 0
     for fs, pairing in _identity_stacks():
         tables = np.array([f.values() for f in fs])
         duals = np.empty(tables.shape, dtype=bool)
         stacked = _stack_identities(tables, pairing, duals)
-        for f, row, d in zip(fs, stacked.tolist(), duals):
-            res = metric_identity_check(f, pairing)
-            assert tuple(row) == res and res.consistent
-            assert res.direct == dist_to_dual(f, pairing)
-            assert np.array_equal(d, dual(f, pairing).values())
-            assert (res.form2, res.corollary_residual) == _form2_by_derivatives(f, pairing)
+        for f, t, row, d in zip(fs, tables, stacked.tolist(), duals):
+            ref_dual = reference_spectrum(f, pairing) < 0
+            dist = int(np.count_nonzero(t != ref_dual))
+            assert row == [dist, dist, dist, 0]
+            assert np.array_equal(d, ref_dual)
+            assert (row[2], row[3]) == _form2_by_derivatives(f, pairing)
             rows_checked += 1
     assert rows_checked == 126 + 126 + 20 + 100
 
@@ -304,7 +309,7 @@ def test_stack_identities_name_the_planted_row_and_its_first_bad_point(monkeypat
 def _spectra_of(spec):
     """A stand-in for the checked-spectrum core that yields `spec` as the
     one chunk, unchecked."""
-    return lambda tables, pairing: iter([(0, tables, spec)])
+    return lambda tables, pairing, bent=True: iter([(0, tables, spec)])
 
 
 @pytest.mark.parametrize("in_support, what, step, divisor", [
@@ -323,23 +328,43 @@ def test_stack_identities_assert_each_rows_divisions(
     spec[1, u] += step
     weights = f if in_support else 1 - 2 * f.astype(np.int64)  # support sum, or S
     value = int((weights * spec[1]).sum())
-    monkeypatch.setattr(bentkit.spectral, "_stack_spectra", _spectra_of(spec))
+    monkeypatch.setattr(bentkit.spectral, "_spectra", _spectra_of(spec))
     message = f"^{what} = {value} is not divisible by {divisor}$"
     with pytest.raises(AssertionError, match=message):
         _stack_identities(tables, None)
 
 
-def test_stack_identities_read_a_broken_spectrum_into_form2_and_the_residual(monkeypatch):
-    # W off by 2^(k+1) at one point outside the support passes both
-    # divisions; form2 and the residual must show it, direct and form1 not
-    f = X1X3_X2X4.values()
+def _broken_spectrum():
+    """Two rows of the spectrum of X1X3_X2X4, the second with W off by
+    2^(k+1) at one point outside the support, which passes both divisions."""
     spec = np.array([wht(X1X3_X2X4).values] * 2, dtype=np.int64)
-    spec[1, int(np.flatnonzero(f == 0)[0])] += 8
-    monkeypatch.setattr(bentkit.spectral, "_stack_spectra", _spectra_of(spec))
+    spec[1, int(np.flatnonzero(X1X3_X2X4.values() == 0)[0])] += 8
+    return spec
+
+
+def test_stack_identities_read_a_broken_spectrum_into_form2_and_the_residual(monkeypatch):
+    # form2 and the residual must show the broken row, direct and form1 not
+    f = X1X3_X2X4.values()
+    monkeypatch.setattr(bentkit.spectral, "_spectra", _spectra_of(_broken_spectrum()))
     good, bad = _stack_identities(np.array([f, f]), None).tolist()
     assert good == [0, 0, 0, 0]
     assert bad == [0, 0, -1, 8]
     assert not bentkit.analysis.MetricIdentity(*bad).consistent
+
+
+def test_distances_name_the_row_whose_spectral_distance_misses_the_direct_one(monkeypatch):
+    # the broken spectrum fed past the core: the one spectral-vs-direct
+    # assertion names the row, in a stack and in the one-row case
+    f = X1X3_X2X4.values()
+    spec = _broken_spectrum()
+    message = "^row {}: spectral distance -1 != direct distance 0$"
+    monkeypatch.setattr(bentkit.spectral, "_spectra", _spectra_of(spec))
+    with pytest.raises(AssertionError, match=message.format(1)):
+        _stack_distances(_stack_identities(np.array([f, f]), None))
+    monkeypatch.setattr(bentkit.spectral, "_spectra", _spectra_of(spec[1:]))
+    for call in (dist_to_dual, rayleigh, bentkit.spectral.duality_class):
+        with pytest.raises(AssertionError, match=message.format(0)):
+            call(X1X3_X2X4)
 
 
 # ----------------------------------------------------------------------
@@ -610,7 +635,7 @@ def test_batched_rows_match_the_single_function_path(data):
     ), label="rows")
     cols = np.array(rows, dtype=np.int64)
     tables = _selection_tables(ctx, cols, plus)
-    dists = _stack_distances(tables, ctx)
+    dists = _stack_distances(_stack_identities(tables, ctx))
     formula = _spread_dist_formula(tables)
     build, counting = (ps_plus, dist_formula_ps_plus) if plus else (ps_minus, dist_formula_ps_minus)
     for row, table, d, d_formula in zip(rows, tables, dists, formula):
@@ -884,14 +909,22 @@ def test_antiselfdual_check_detects_a_planted_row():
 # ----------------------------------------------------------------------
 
 def test_verification_suite_runs_each_census_once(monkeypatch):
-    calls = []
-    real_census = bentkit.analysis.census
+    # every minus selection at k = 2 and at k = 3 is one stack, transformed
+    # once and read by the census, self-dual, metric-identity,
+    # distance-formula and distribution checks
+    census_inputs = {}
+    for ctx in (F4, F8):
+        cols = np.array(list(itertools.combinations(range(ctx.order + 1), ctx.order // 2)))
+        a = _transform_input(_selection_tables(ctx, cols, False), ctx)
+        census_inputs[ctx.k] = (a.shape, a.tobytes())
+    inputs = []
+    fwht = bentkit.spectral._fwht
 
-    def counting_census(ctx, *args, **kwargs):
-        calls.append(ctx.k)
-        return real_census(ctx, *args, **kwargs)
+    def recording_fwht(a):
+        inputs.append((a.shape, a.tobytes()))
+        return fwht(a)
 
-    monkeypatch.setattr(bentkit.analysis, "census", counting_census)
+    monkeypatch.setattr(bentkit.spectral, "_fwht", recording_fwht)
     checks = run_verification_suite()
     assert [c.name for c in checks] == [
         "census-k2",
@@ -906,13 +939,13 @@ def test_verification_suite_runs_each_census_once(monkeypatch):
         "affine-transform-examples",
     ]
     assert all(c.ok for c in checks)
-    # the two exhaustive reports, and one per row cross-validated at n = 4, 6
-    assert len(calls) <= 4
+    assert {k: inputs.count(stack) for k, stack in census_inputs.items()} == {2: 1, 3: 1}
 
 
 def test_verification_suite_transforms_stacks(monkeypatch):
-    # one transform per stack: census, quotient-form, metric-identity,
-    # distance-formula and symmetric stacks, plus the four worked examples
+    # one transform per stack: census (k = 2, 3), quotient-form (k = 2, 3),
+    # symmetric (n = 4..12), MM (n = 6, 8), plus-type (k = 2, 3) and k = 4
+    # draw stacks, and the four worked examples
     calls = []
     fwht = bentkit.spectral._fwht
 
@@ -922,4 +955,4 @@ def test_verification_suite_transforms_stacks(monkeypatch):
 
     monkeypatch.setattr(bentkit.spectral, "_fwht", counting_fwht)
     assert all(c.ok for c in run_verification_suite())
-    assert len(calls) <= 32
+    assert len(calls) <= 18

@@ -8,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import bentkit
+import bentkit.cli
 import bentkit.spectral
 from bentkit.boolfun import TruthTable, mm_bent
 from bentkit.cli import main
+from bentkit.field import GF2k
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -410,6 +413,36 @@ def test_one_transform_per_request(capsys, monkeypatch, argv, expected):
     monkeypatch.setattr(bentkit.spectral, "_fwht", counting_fwht)
     assert run_json(capsys, *argv) == {"schema": 1, **expected}
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, pairing", [
+    pytest.param(name, pairing, id=f"{name}-{'trace' if pairing else 'standard'}")
+    for name, paired in [
+        ("wht", True), ("dual", True), ("rayleigh", True), ("dist_to_dual", True),
+        ("duality_class", True), ("is_bent", False), ("nonlinearity", False),
+        ("rayleigh_quotient", True), ("metric_identity_check", True),
+    ]
+    for pairing in ((None, GF2k(2)) if paired else (None,))
+])
+def test_one_transform_per_library_call(monkeypatch, name, pairing):
+    calls = []
+    fwht = bentkit.spectral._fwht
+
+    def counting_fwht(a):
+        calls.append(a.size)
+        return fwht(a)
+
+    monkeypatch.setattr(bentkit.spectral, "_fwht", counting_fwht)
+    f = TruthTable.from_hex("6ca0")
+    getattr(bentkit, name)(*([f] if pairing is None else [f, pairing]))
+    assert calls == [16]
+
+
+def test_construct_metadata_of_a_non_bent_table():
+    # bent is read off the one checked path, which refuses a non-bent table
+    assert bentkit.cli._metadata(TruthTable(4, 1), None) == {
+        "n": 4, "tt": "0001", "bent": False, "weight": 1,
+    }
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bentkit.boolfun
+import bentkit.spectral
 from bentkit.boolfun import (
     TruthTable,
     mm_bent,
@@ -20,6 +21,7 @@ from bentkit.spectral import (
     SingularMatrixError,
     _fwht,
     _stack_distances,
+    _stack_identities,
     _transform_input,
     affine_transform,
     dist_to_dual,
@@ -34,6 +36,7 @@ from bentkit.spectral import (
     wht,
     wht_restricted,
 )
+from oracles import fwht_int64_reference, reference_spectrum
 
 X1X3_X2X4 = TruthTable.from_function(
     4, lambda x: (x & (x >> 2) & 1) ^ ((x >> 1) & (x >> 3) & 1)
@@ -53,17 +56,6 @@ def wht_oracle(f: TruthTable, u: int) -> int:
 
 def random_tt(n, rng):
     return TruthTable(n, rng.getrandbits(1 << n))
-
-
-def fwht_int64_reference(f: TruthTable) -> np.ndarray:
-    """Out-of-place int64 butterfly over the +-1 signs of f."""
-    a = np.array([1 - 2 * f[x] for x in range(f.size)], dtype=np.int64)
-    h = 1
-    while h < a.size:
-        a = a.reshape(-1, 2, h)
-        a = np.stack([a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]], axis=1).reshape(-1)
-        h *= 2
-    return a
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +253,9 @@ def test_batched_trace_reindex_equals_per_row(k):
         assert t.tolist() == [row[ctx.gram_map_inv(x)] for x in range(row.size)]
 
 
-def test_stack_distances_match_dist_to_dual_under_both_pairings():
+def test_stack_distances_match_the_int64_reference_under_both_pairings():
+    # the reference dual is the sign bits of the int64 reference spectrum,
+    # and the reference distance the Hamming distance to it
     rng = random.Random(11)
     for k in (2, 3, 4):
         ctx = GF2k(k)
@@ -272,8 +266,11 @@ def test_stack_distances_match_dist_to_dual_under_both_pairings():
             fs.append(mm_bent(pi, random_tt(k, rng)))
         stack = np.array([f.values() for f in fs])
         for pairing in (None, ctx):
-            want = [dist_to_dual(f, pairing) for f in fs]
-            assert _stack_distances(stack, pairing).tolist() == want
+            ref_duals = np.array([reference_spectrum(f, pairing) < 0 for f in fs])
+            duals = np.empty(stack.shape, dtype=bool)
+            got = _stack_distances(_stack_identities(stack, pairing, duals))
+            assert got.tolist() == np.count_nonzero(stack != ref_duals, axis=1).tolist()
+            assert np.array_equal(duals, ref_duals)
 
 
 def test_stack_distances_reject_a_planted_bit_flip():
@@ -284,16 +281,40 @@ def test_stack_distances_reject_a_planted_bit_flip():
     fs = [mm_bent(pi, random_tt(3, rng)) for _ in range(4)]
     stack = np.array([f.values() for f in fs])
     for pairing in (None, GF2k(3)):
-        _stack_distances(stack, pairing)
+        _stack_distances(_stack_identities(stack, pairing))
         bad = stack.copy()
         bad[2, 37] ^= 1
         with pytest.raises(NotBentError):
-            _stack_distances(bad, pairing)
+            _stack_distances(_stack_identities(bad, pairing))
 
 
 def test_stack_distances_reject_a_pairing_of_the_wrong_size():
     with pytest.raises(ValueError):
-        _stack_distances(np.zeros((2, 1 << 6), dtype=np.uint8), GF2k(2))
+        _stack_distances(_stack_identities(np.zeros((2, 1 << 6), dtype=np.uint8), GF2k(2)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: wht(X1X3_X2X4),
+    lambda: wht(X1X3_X2X4, GF2k(2)),
+    lambda: is_bent(X1X3_X2X4),
+    lambda: dual(X1X3_X2X4),
+    lambda: rayleigh_quotient(X1X3_X2X4, GF2k(2)),
+    lambda: dist_to_dual(X1X3_X2X4, GF2k(2)),
+    lambda: _stack_identities(np.array([X1X3_X2X4.values()] * 3), None),
+], ids=["wht", "wht-trace", "is_bent", "dual", "rayleigh_quotient", "dist_to_dual", "stack"])
+def test_parseval_violation_is_asserted_on_every_path(monkeypatch, call):
+    # the last entry of the transform off by 2 breaks the sum of squares:
+    # every path meets the one Parseval assertion
+    fwht = bentkit.spectral._fwht
+
+    def off_by_two(a):
+        out = fwht(a)
+        out.reshape(-1)[-1] += 2
+        return out
+
+    monkeypatch.setattr(bentkit.spectral, "_fwht", off_by_two)
+    with pytest.raises(AssertionError, match="^Parseval identity violated; transform is broken$"):
+        call()
 
 
 def test_linear_index_map_matches_pointwise_images():
