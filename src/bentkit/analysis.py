@@ -19,10 +19,10 @@ import numpy as np
 
 from .boolfun import (
     TruthTable,
+    _linear_index_map,
     _pack_values,
     _weights_array,
     reduce_basis,
-    subspace_span,
     symmetric_bent,
     symmetric_value_pattern,
 )
@@ -38,9 +38,8 @@ from .spectral import (
 from .spreads import (
     SpreadLine,
     SpreadSelection,
-    _indicator_values,
     _lines,
-    _selection_index,
+    _selection_table,
     _selection_tables,
     _unmatched_counts,
     _unmatched_lines,
@@ -108,49 +107,49 @@ def _spread_dist_formula(tables: np.ndarray) -> np.ndarray:
     return _dist_from_hits(n, hits, origin)
 
 
-def _dist_formula_selection(sel: SpreadSelection, plus: bool) -> int:
-    """The counting form on the scattered table of one selection."""
-    vals = _indicator_values(sel.n, _selection_index(sel, plus), plus)
-    return int(_spread_dist_formula(vals[None])[0])
-
-
 def dist_formula_ps_minus(sel: SpreadSelection) -> int:
     """Distance to the dual of ps_minus(sel) by counting support hits on the
-    dual lines; never runs a transform."""
-    return _dist_formula_selection(sel, False)
+    dual lines of its one-row table stack; never runs a transform."""
+    return int(_spread_dist_formula(_selection_table(sel, False))[0])
 
 
 def dist_formula_ps_plus(sel: SpreadSelection) -> int:
     """Same counting form for ps_plus(sel), with the origin excluded from
     each dual line."""
-    return _dist_formula_selection(sel, True)
+    return int(_spread_dist_formula(_selection_table(sel, True))[0])
 
 
-def dual_subspace_points(n: int, points: Sequence[int]) -> list[int]:
-    """Annihilator of a point set under the standard dot product, origin first.
-
-    In the fully reduced echelon basis each pivot bit is set in one vector
-    only, so e_j plus the pivots of the vectors with bit j set, for every
-    non-pivot bit j, is orthogonal to all of them; these span the annihilator.
-    """
+def _annihilator_basis(n: int, points: Sequence[int]) -> list[int]:
+    """A basis of the annihilator of a point set under the standard dot
+    product.  In the fully reduced echelon basis each pivot bit is set in
+    one vector only, so e_j plus the pivots of the vectors with bit j set,
+    for every non-pivot bit j, is orthogonal to all of them."""
     basis = reduce_basis(points)
     pivots = [b.bit_length() - 1 for b in basis]
-    free = [
+    return [
         (1 << j) | sum(1 << p for p, b in zip(pivots, basis) if (b >> j) & 1)
         for j in range(n)
         if j not in pivots
     ]
-    return subspace_span(free)
+
+
+def dual_subspace_points(n: int, points: Sequence[int]) -> list[int]:
+    """Annihilator of a point set under the standard dot product, origin
+    first, in `subspace_span` order of `_annihilator_basis`."""
+    return _linear_index_map(_annihilator_basis(n, points)).tolist()
 
 
 def dist_formula_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> int:
     """The counting form over explicit disjoint subspaces (standard pairing);
     minus or plus type by the family size.  The annihilator of a span is the
-    annihilator of its basis."""
+    annihilator of its basis, and every annihilator (dimension k) is one
+    column of a batched index map."""
     vals = ps_general(n, subspace_bases).values()
+    duals = _linear_index_map(
+        np.array([_annihilator_basis(n, b) for b in subspace_bases]).T
+    )
     # origin first in every annihilator: row 0 is left out
-    duals = np.array([dual_subspace_points(n, basis)[1:] for basis in subspace_bases])
-    return _dist_from_hits(n, int(vals[duals].sum(dtype=np.int64)), int(vals[0]))
+    return _dist_from_hits(n, int(vals[duals[1:]].sum(dtype=np.int64)), int(vals[0]))
 
 
 # ----------------------------------------------------------------------
@@ -632,14 +631,6 @@ class SuiteCheck:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
-def _worked_example_matrices() -> tuple[list[int], list[int], int]:
-    """The explicit order-4 matrices used by the transform examples: an
-    orthogonal one, a non-orthogonal one, and the shift (0,1,1,1)."""
-    orth = [0b0111, 0b1011, 0b1101, 0b1110]
-    nonorth = [0b0001, 0b0011, 0b0111, 0b1111]
-    return orth, nonorth, 0b1110
-
-
 def _check_transform_examples() -> SuiteCheck:
     from .spectral import affine_transform, is_orthogonal
 
@@ -647,13 +638,15 @@ def _check_transform_examples() -> SuiteCheck:
     f = TruthTable.from_function(
         4, lambda x: (x & (x >> 2) & 1) ^ ((x >> 1) & (x >> 3) & 1)
     )
-    orth, nonorth, shift = _worked_example_matrices()
+    orth = [0b0111, 0b1011, 0b1101, 0b1110]
+    nonorth = [0b0001, 0b0011, 0b0111, 0b1111]
     got = {
         "self_dual_base": dist_to_dual(f) == 0,
         "orthogonal": is_orthogonal(orth, 4) and not is_orthogonal(nonorth, 4),
         "dist_after_orthogonal": dist_to_dual(affine_transform(f, orth)),
         "dist_after_nonorthogonal": dist_to_dual(affine_transform(f, nonorth)),
-        "dist_after_shift": dist_to_dual(affine_transform(f, orth, shift)),
+        # the shift (0,1,1,1)
+        "dist_after_shift": dist_to_dual(affine_transform(f, orth, 0b1110)),
     }
     ok = (
         got["self_dual_base"]

@@ -301,9 +301,8 @@ def symmetric_bent(n: int, eps1: int = 0, eps2: int = 0) -> TruthTable:
     """
     if n % 2 or n < 4:
         raise ValueError(f"symmetric bent functions need even n >= 4, got {n}")
-    w = _weights_array(n).astype(np.int64)
-    c = (w * (w - 1) // 2 + eps1 * w + eps2) & 1
-    return TruthTable(n, _pack_values(c.astype(np.uint8)))
+    c = np.array(symmetric_value_pattern(n, eps1, eps2), dtype=np.uint8)
+    return TruthTable(n, _pack_values(c[_weights_array(n)]))
 
 
 def symmetric_value_pattern(n: int, eps1: int = 0, eps2: int = 0) -> list[int]:
@@ -315,41 +314,37 @@ def _weights_array(n: int) -> np.ndarray:
     return popcount_array(np.arange(1 << n, dtype=np.uint32))
 
 
-def _check_permutation(pi: Sequence[int]) -> int:
-    """Validate pi as a bijection on {0..2^k-1} and return k."""
+def _check_mm(pi: Sequence[int], g: TruthTable) -> int:
+    """Validate pi as a bijection on {0..2^k-1} and g on k variables; return k."""
     m = len(pi)
     if m < 2 or m & (m - 1):
         raise ValueError(f"permutation length {m} is not a power of two")
     if sorted(pi) != list(range(m)):
         raise ValueError("table is not a bijection on 0..2^k-1")
-    return m.bit_length() - 1
+    k = m.bit_length() - 1
+    if g.n != k:
+        raise ValueError(f"g must be on {k} variables, got {g.n}")
+    return k
 
 
 def mm_bent(pi: Sequence[int], g: TruthTable) -> TruthTable:
     """Maiorana-McFarland bent function f(x, y) = x . pi(y) + g(y) on n = 2k."""
-    k = _check_permutation(pi)
-    if g.n != k:
-        raise ValueError(f"g must be on {k} variables, got {g.n}")
+    k = _check_mm(pi, g)
     xs = np.arange(1 << k, dtype=np.uint32)
-    p = np.asarray(pi, dtype=np.uint32)
-    inner = popcount_array(xs[None, :] & p[:, None]) & 1  # row y, col x
-    vals = (inner ^ g.values()[:, None]).astype(np.uint8)
-    return TruthTable(2 * k, _pack_values(vals.reshape(-1)))
+    parity = (popcount_array(xs) & 1).astype(np.uint8)
+    # row y, col x: x . pi(y) is the parity of x & pi(y), one gather
+    vals = parity[xs & np.asarray(pi, dtype=np.uint32)[:, None]] ^ g.values()[:, None]
+    return TruthTable(2 * k, _pack_values(vals))
 
 
 def mm_dual(pi: Sequence[int], g: TruthTable) -> TruthTable:
-    """Closed-form dual of mm_bent(pi, g): f~(x, y) = y . pi^-1(x) + g(pi^-1(x)).
+    """Closed-form dual of mm_bent(pi, g): f~(x, y) = y . pi^-1(x) + g(pi^-1(x)),
+    the x <-> y transpose of mm_bent(pi^-1, g o pi^-1).
 
     The inverse permutation acts on the first block; this is the unique form
     whose spectral dual is mm_bent(pi, g) again.
     """
-    k = _check_permutation(pi)
-    if g.n != k:
-        raise ValueError(f"g must be on {k} variables, got {g.n}")
-    pinv = np.empty(1 << k, dtype=np.uint32)
-    pinv[np.asarray(pi, dtype=np.uint32)] = np.arange(1 << k, dtype=np.uint32)
-    ys = np.arange(1 << k, dtype=np.uint32)
-    inner = popcount_array(ys[:, None] & pinv[None, :]) & 1  # row y, col x
-    gv = g.values()
-    vals = (inner ^ gv[pinv][None, :]).astype(np.uint8)
-    return TruthTable(2 * k, _pack_values(vals.reshape(-1)))
+    k = _check_mm(pi, g)
+    pinv = np.argsort(pi).tolist()
+    f = mm_bent(pinv, TruthTable(k, _pack_values(g.values()[pinv])))
+    return TruthTable(2 * k, _pack_values(f.values().reshape(1 << k, -1).T))

@@ -100,7 +100,7 @@ def _pairing_for(args: argparse.Namespace, f: TruthTable):
     return _field_for(args, k)
 
 
-def _parse_lines(text: str, ctx: GF2k) -> list[SpreadLine]:
+def _parse_lines(text: str) -> list[SpreadLine]:
     out = []
     for tok in text.split(","):
         tok = tok.strip().lower()
@@ -191,7 +191,7 @@ def _cmd_construct(args) -> int:
         ctx = _field_for(args, args.k)
         if not args.lines:
             raise UsageError("--lines is required for spread constructions")
-        sel = selection(ctx, _parse_lines(args.lines, ctx))
+        sel = selection(ctx, _parse_lines(args.lines))
         f = ps_minus(sel) if args.family == "ps-" else ps_plus(sel)
         payload = _metadata(f, ctx)
         payload["lines"] = [str(L) for L in sel.lines]

@@ -4,10 +4,13 @@ The spread consists of the 2^k lines E_a = {(x, xa)} together with the
 line at infinity {(0, y)}; any two lines meet only at the origin and the
 union covers the whole plane.  Points are packed as bits(x) + 2^k*bits(y).
 
-Partial-spread functions built from field spreads take their duals under
-the trace-form pairing (the GF2k context itself), under which the dual of
-E_a is E_{a^-1}.  `ps_general` builds the same shapes over arbitrary
-"disjoint" k-dimensional subspaces of F_2^n with the standard pairing.
+Every partial-spread table comes from one builder, `_selection_tables`: a
+stack of selections (rows of spread columns) from one index map of the
+lines it uses and one flat scatter; `ps_minus`, `ps_plus` and
+`psap_from_g` are its one-row case.  Their duals are taken under the
+trace-form pairing (the GF2k context itself), under which the dual of E_a
+is E_{a^-1}.  `ps_general` scatters the same shapes over arbitrary
+"disjoint" k-dimensional subspaces of F_2^n, with the standard pairing.
 """
 
 from __future__ import annotations
@@ -139,48 +142,54 @@ def dual_selection(sel: SpreadSelection) -> SpreadSelection:
     return SpreadSelection(sel.ctx, tuple(_lines(sel.ctx, cols)))
 
 
-def _indicator_values(n: int, points: np.ndarray, origin: int) -> np.ndarray:
-    """The 0/1 table that is 1 on `points` (of any shape), with f(0) = origin."""
-    vals = np.zeros(1 << n, dtype=np.uint8)
-    vals[points] = 1
-    vals[0] = origin
-    return vals
-
-
-def _indicator(n: int, points: np.ndarray, origin: int) -> TruthTable:
-    return TruthTable(n, _pack_values(_indicator_values(n, points, origin)))
-
-
-def _selection_index(sel: SpreadSelection, plus: bool) -> np.ndarray:
-    """Line index of a minus (2^(k-1) lines) or plus (2^(k-1) + 1) selection."""
-    want = (1 << (sel.k - 1)) + plus
-    if len(sel) != want:
-        name = "ps_plus" if plus else "ps_minus"
-        raise ValueError(f"{name} needs {want} lines, got {len(sel)}")
-    return _line_index(sel.ctx, _columns(sel.ctx, sel.lines))
+def _scatter(n: int, rows: int, index: np.ndarray, origin) -> np.ndarray:
+    """(rows, 2^n) uint8 stack that is 1 at the flat positions `index` (of
+    any shape), with column 0, the origin of every row, set to `origin`."""
+    tables = np.zeros((rows, 1 << n), dtype=np.uint8)
+    tables.reshape(-1)[index] = 1
+    tables[:, 0] = origin
+    return tables
 
 
 def _selection_tables(ctx: GF2k, cols: np.ndarray, plus: bool) -> np.ndarray:
     """(B, 2^n) uint8 stack of the ps_minus (or, with `plus`, ps_plus)
     tables of the selections in the rows of `cols` (spread columns): one
-    index map over the whole spread, a column gather per selection and one
-    scatter into the stack."""
-    index = _line_index(ctx, np.arange(ctx.order + 1))
-    tables = np.zeros((len(cols), 1 << (2 * ctx.k)), dtype=np.uint8)
-    tables[np.arange(len(cols))[:, None, None], index.T[cols]] = 1
-    tables[:, 0] = plus
-    return tables
+    index map over the columns the stack uses and one flat scatter.  Only a
+    stack of several rows gathers that index per row and offsets it by
+    2^n per row; one row scatters it as it is (64 MB at n = 24)."""
+    n = 2 * ctx.k
+    used, inverse = np.unique(cols, return_inverse=True)
+    index = _line_index(ctx, used)
+    if len(cols) > 1:
+        index = index.T[inverse.reshape(cols.shape)]
+        index += (np.arange(len(cols)) << n)[:, None, None]
+    return _scatter(n, len(cols), index, plus)
+
+
+def _selection_columns(sel: SpreadSelection, plus: bool) -> np.ndarray:
+    """The spread columns of a minus (2^(k-1) lines) or plus (2^(k-1) + 1)
+    selection as a one-row stack."""
+    want = (1 << (sel.k - 1)) + plus
+    if len(sel) != want:
+        name = "ps_plus" if plus else "ps_minus"
+        raise ValueError(f"{name} needs {want} lines, got {len(sel)}")
+    return _columns(sel.ctx, sel.lines)[None]
+
+
+def _selection_table(sel: SpreadSelection, plus: bool) -> np.ndarray:
+    """The one-row `_selection_tables` stack of a minus or plus selection."""
+    return _selection_tables(sel.ctx, _selection_columns(sel, plus), plus)
 
 
 def ps_minus(sel: SpreadSelection) -> TruthTable:
     """Partial-spread function of the minus type: support is the union of
     2^(k-1) lines with the origin removed."""
-    return _indicator(sel.n, _selection_index(sel, False), 0)
+    return TruthTable(sel.n, _pack_values(_selection_table(sel, False)))
 
 
 def ps_plus(sel: SpreadSelection) -> TruthTable:
     """Plus type: support is the union of 2^(k-1) + 1 lines, origin kept."""
-    return _indicator(sel.n, _selection_index(sel, True), 1)
+    return TruthTable(sel.n, _pack_values(_selection_table(sel, True)))
 
 
 # ----------------------------------------------------------------------
@@ -221,10 +230,7 @@ def _unmatched_lines(sel: SpreadSelection) -> int:
     The dual pairs are {E_0, inf} and {E_a, E_{1/a}}; E_1 is its own dual.
     Every line-counting claim about ps_minus(sel) reads this one number.
     """
-    want = 1 << (sel.k - 1)
-    if len(sel) != want:
-        raise ValueError(f"expected a ps_minus selection of {want} lines")
-    return int(_unmatched_counts(sel.ctx, _columns(sel.ctx, sel.lines)[None])[0])
+    return int(_unmatched_counts(sel.ctx, _selection_columns(sel, False))[0])
 
 
 def is_selfdual_selection(sel: SpreadSelection) -> bool:
@@ -250,14 +256,23 @@ def _family_points(n: int, subspace_bases: Sequence[Sequence[int]]) -> np.ndarra
     """The validated family's spans as an (m, 2^k) array, row i holding the
     points of subspace i in `subspace_span` order (the origin first).
 
-    Disjointness is one count: the nonzero points of all spans, marked in
-    one 2^n table, are all distinct iff no two spans share one.  Only a
-    family that fails looks for the first sharing pair.
+    Once every basis has k vectors in range, one count checks the rest: the
+    nonzero points of all spans, marked in one 2^n table, are all distinct
+    iff no basis is dependent (its span repeats points) and no two spans
+    share one.  Only a family that fails is searched for its first error,
+    in the order dependent, dimension, range, then the first sharing pair.
     """
     _check_n(n)
     if n % 2:
         raise ValueError(f"need even n, got {n}")
     k = n // 2
+    if all(len(b) == k and all(0 <= v < 1 << n for v in b) for b in subspace_bases):
+        bases = np.array(subspace_bases, dtype=np.int64).reshape(-1, k)
+        spans = _linear_index_map(bases.T).T
+        seen = np.zeros(1 << n, dtype=bool)
+        seen[spans[:, 1:]] = True
+        if np.count_nonzero(seen) == spans[:, 1:].size:
+            return spans
     for i, basis in enumerate(subspace_bases):
         if len(reduce_basis(basis)) != len(basis):
             raise ValueError(f"subspace {i}: basis is linearly dependent")
@@ -268,14 +283,8 @@ def _family_points(n: int, subspace_bases: Sequence[Sequence[int]]) -> np.ndarra
         for v in basis:
             if not 0 <= v < (1 << n):
                 raise ValueError(f"subspace {i}: vector {v} out of range")
-    bases = np.array(subspace_bases, dtype=np.int64).reshape(-1, k)
-    spans = _linear_index_map(bases.T).T
-    points = spans[:, 1:]
-    seen = np.zeros(1 << n, dtype=bool)
-    seen[points] = True
-    if np.count_nonzero(seen) < points.size:
-        raise ValueError(_first_shared_point(points))
-    return spans
+    # every basis passed the shape check, so the spans were built
+    raise ValueError(_first_shared_point(spans[:, 1:]))
 
 
 def _first_shared_point(points: np.ndarray) -> str:
@@ -304,4 +313,4 @@ def ps_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> TruthTable:
             f"family size {count} is neither 2^(k-1) = {1 << (k - 1)} nor "
             f"2^(k-1)+1 = {(1 << (k - 1)) + 1}"
         )
-    return _indicator(n, spans, count != 1 << (k - 1))
+    return TruthTable(n, _pack_values(_scatter(n, 1, spans, count != 1 << (k - 1))))

@@ -24,3 +24,16 @@ def reference_spectrum(f: TruthTable, pairing=None) -> np.ndarray:
     if pairing is not None:
         f = TruthTable.from_values(f.n, [f[pairing.gram_map_inv(x)] for x in range(f.size)])
     return fwht_int64_reference(f)
+
+
+def spread_table_reference(ctx, cols, plus: bool) -> np.ndarray:
+    """The 0/1 table of the partial-spread function on the spread columns
+    `cols`, point by point: (x, x a) from the scalar `GF2k.mul` for E_a,
+    (0, y) for the line at infinity (column 2^k), and the origin set for the
+    plus type only."""
+    vals = np.zeros(1 << (2 * ctx.k), dtype=np.uint8)
+    for c in cols:
+        for x in ctx.elements():
+            vals[ctx.pack(0, x) if c == ctx.order else ctx.pack(x, ctx.mul(x, c))] = 1
+    vals[0] = plus
+    return vals

@@ -57,12 +57,13 @@ from bentkit.spreads import (
     desarguesian,
     is_selfdual_selection,
     line_points,
+    ps_general,
     ps_minus,
     ps_plus,
     psap_from_g,
     selection,
 )
-from oracles import reference_spectrum
+from oracles import reference_spectrum, spread_table_reference
 
 F4 = GF2k(2)
 F8 = GF2k(3)
@@ -422,6 +423,49 @@ def test_dist_formula_general_on_example_family():
     assert dist_formula_general(4, [E1, E3, E4]) == 12
 
 
+def _field_spread_bases(ctx):
+    """Bases of the 2^k + 1 Desarguesian lines, infinity last."""
+    k = ctx.k
+    return [[(1 << i) | (ctx.mul(1 << i, a) << k) for i in range(k)]
+            for a in ctx.elements()] + [[1 << (k + i) for i in range(k)]]
+
+
+def _image(images, v):
+    """v under the linear map sending point 2^i to images[i]."""
+    out = 0
+    for i, image in enumerate(images):
+        if v >> i & 1:
+            out ^= image
+    return out
+
+
+def test_dist_formula_general_matches_the_spectral_distance():
+    # seeded disjoint families: field-spread lines through a random invertible
+    # linear map of F_2^n, so the dual lines are no longer field lines, of
+    # both minus and plus size; the n = 20 half field spread
+    rng = random.Random(1414)
+    cases = []
+    for n in (6, 8, 10, 12):
+        k = n // 2
+        for plus in (False, True):
+            for _ in range(3):
+                images = []
+                while len(images) < n:
+                    v = rng.randrange(1, 1 << n)
+                    if len(reduce_basis(images + [v])) > len(images):
+                        images.append(v)
+                lines = rng.sample(_field_spread_bases(GF2k(k)), (1 << (k - 1)) + plus)
+                moved = [[_image(images, v) for v in basis] for basis in lines]
+                cases.append((n, moved))
+    cases.append((20, _field_spread_bases(GF2k(10))[:512]))
+    dists = set()
+    for n, bases in cases:
+        d = dist_formula_general(n, bases)
+        assert d == dist_to_dual(ps_general(n, bases))
+        dists.add(d)
+    assert len(dists) > 10
+
+
 def annihilator_scan(n, points):
     """Annihilator under the standard dot product, by brute force over F_2^n."""
     return [
@@ -473,6 +517,17 @@ def test_intersection_index_examples():
     assert (has_e1, i) == (True, 1)
     has_e1, i = intersection_index(selection(F4, [SpreadLine(2), SpreadLine(3)]))
     assert (has_e1, i) == (False, 2)  # self-dual: i = 2^(k-1)
+
+
+def test_every_selection_reader_gives_the_one_size_message():
+    sel = selection(F8, [SpreadLine(0), SpreadLine(1), LINE_INFINITY])
+    for read in (ps_minus, dist_formula_ps_minus, nf_formula, intersection_index,
+                 is_selfdual_selection):
+        with pytest.raises(ValueError, match=r"^ps_minus needs 4 lines, got 3$"):
+            read(sel)
+    for read in (ps_plus, dist_formula_ps_plus):
+        with pytest.raises(ValueError, match=r"^ps_plus needs 5 lines, got 3$"):
+            read(sel)
 
 
 def test_nf_formula_specific_values():
@@ -623,7 +678,8 @@ def test_exhaustive_class_sizes_match_the_closed_form(k):
 @given(st.data())
 def test_batched_rows_match_the_single_function_path(data):
     # stacks of hypothesis-drawn selections against ps_minus / ps_plus,
-    # dist_to_dual and the counting forms, one selection at a time
+    # dist_to_dual and the counting forms, one selection at a time; the
+    # tables of both paths against the pointwise scalar reference
     k = data.draw(st.integers(2, 5), label="k")
     plus = data.draw(st.booleans(), label="plus")
     ctx = GF2k(k)
@@ -642,6 +698,8 @@ def test_batched_rows_match_the_single_function_path(data):
         sel = selection(ctx, [SpreadLine(None if c == ctx.order else c) for c in row])
         f = build(sel)
         assert np.array_equal(f.values(), table)
+        ref = spread_table_reference(ctx, row, plus)
+        assert np.array_equal(table, ref) and np.array_equal(f.values(), ref)
         assert d == d_formula == dist_to_dual(f, pairing=ctx) == counting(sel)
     if not plus:
         h = _unmatched_counts(ctx, cols)

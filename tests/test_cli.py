@@ -247,6 +247,15 @@ def test_construct_usage_errors(capsys):
     assert code == 2 and "share" in err
 
 
+def test_ps_general_vector_beyond_int64_is_a_range_error(capsys):
+    code, out, err = run_cli(
+        capsys, "construct", "ps-general", "--n", "4",
+        "--subspace", f"{1 << 63},1", "--subspace", "0010,1000",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"bentkit: error: subspace 0: vector {1 << 63} out of range\n"
+
+
 @pytest.mark.parametrize("n", ["-2", "0", "26"])
 def test_ps_general_checks_n_first(capsys, n):
     tracemalloc.start()

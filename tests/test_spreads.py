@@ -22,6 +22,7 @@ from bentkit.spreads import (
     selection_from_g,
     validate_subspace_family,
 )
+from oracles import spread_table_reference
 
 F4 = GF2k(2)
 F8 = GF2k(3)
@@ -148,12 +149,19 @@ def test_line_dual_matches_trace_annihilator():
 # minus- and plus-type functions
 # ----------------------------------------------------------------------
 
+def matches_reference(f, sel, plus):
+    """f against the pointwise scalar spread-table reference of sel."""
+    cols = [sel.ctx.order if L.is_infinity else L.a for L in sel.lines]
+    return (f.values() == spread_table_reference(sel.ctx, cols, plus)).all()
+
+
 def test_ps_minus_shape_and_bentness_exhaustive():
     for ctx in (F4, F8):
         k, n = ctx.k, 2 * ctx.k
         count = 0
         for sel in all_selections(ctx, 1 << (k - 1)):
             f = ps_minus(sel)
+            assert matches_reference(f, sel, False)
             count += 1
             assert f[0] == 0
             assert f.weight() == (1 << (n - 1)) - (1 << (k - 1))
@@ -166,6 +174,7 @@ def test_ps_plus_shape_and_bentness_exhaustive():
         k, n = ctx.k, 2 * ctx.k
         for sel in all_selections(ctx, (1 << (k - 1)) + 1):
             f = ps_plus(sel)
+            assert matches_reference(f, sel, True)
             assert f[0] == 1
             assert f.weight() == (1 << (n - 1)) + (1 << (k - 1))
             assert is_bent(f)
@@ -349,6 +358,32 @@ def test_ps_general_validation_errors():
         ps_general(4, [[1, 2], [3, 12, 15]])
     with pytest.raises(ValueError, match="family size"):
         ps_general(4, [E1, E2, E3, E4])
+
+
+@pytest.mark.parametrize(
+    "bases, message",
+    [
+        # a dependent basis of k vectors before a basis of the wrong dimension
+        ([[3, 3], [2]], "subspace 0: basis is linearly dependent"),
+        ([E1, [1, 2, 3]], "subspace 1: basis is linearly dependent"),
+        ([E1, [0b0010]], "subspace 1: dimension 1 != k = 2"),
+        # shape and range pass; the distinctness count fails on the dependent
+        # basis, which is named before the pair that shares a point
+        ([E1, [0b0001, 0b0010], [0b1000, 0b1000]], "subspace 2: basis is linearly dependent"),
+        ([E1, [0b0001, 0b0010], E2], "subspaces 0 and 1 share nonzero point 1"),
+        ([[0, 1], E2], "subspace 0: basis is linearly dependent"),
+        ([E1, [2, 16]], "subspace 1: vector 16 out of range"),
+        ([E1, [2, -8]], "subspace 1: vector -8 out of range"),
+        ([[1 << 63, 1], E2], f"subspace 0: vector {1 << 63} out of range"),
+        ([E1, [2, 1 << 70]], f"subspace 1: vector {1 << 70} out of range"),
+        ([[1 << 70, 1 << 70], [2]], "subspace 0: basis is linearly dependent"),
+    ],
+)
+def test_family_errors_keep_the_per_subspace_order(bases, message):
+    for check in (validate_subspace_family, ps_general):
+        with pytest.raises(ValueError) as exc:
+            check(4, bases)
+        assert str(exc.value) == message
 
 
 def _pairwise_first_share(bases):
