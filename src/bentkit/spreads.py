@@ -257,10 +257,12 @@ def _family_points(n: int, subspace_bases: Sequence[Sequence[int]]) -> np.ndarra
     points of subspace i in `subspace_span` order (the origin first).
 
     Once every basis has k vectors in range, one count checks the rest: the
-    nonzero points of all spans, marked in one 2^n table, are all distinct
-    iff no basis is dependent (its span repeats points) and no two spans
-    share one.  Only a family that fails is searched for its first error,
-    in the order dependent, dimension, range, then the first sharing pair.
+    span points at nonzero indices, marked in one 2^n table, are all
+    distinct and all nonzero iff no basis is dependent (a dependent basis
+    has a nontrivial combination equal to the origin) and no two spans
+    share a nonzero point.  Only a family that fails is searched for its
+    first error, in the order dependent, dimension, range, then the first
+    sharing pair.
     """
     _check_n(n)
     if n % 2:
@@ -271,7 +273,7 @@ def _family_points(n: int, subspace_bases: Sequence[Sequence[int]]) -> np.ndarra
         spans = _linear_index_map(bases.T).T
         seen = np.zeros(1 << n, dtype=bool)
         seen[spans[:, 1:]] = True
-        if np.count_nonzero(seen) == spans[:, 1:].size:
+        if not seen[0] and np.count_nonzero(seen) == spans[:, 1:].size:
             return spans
     for i, basis in enumerate(subspace_bases):
         if len(reduce_basis(basis)) != len(basis):

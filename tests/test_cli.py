@@ -256,6 +256,12 @@ def test_ps_general_vector_beyond_int64_is_a_range_error(capsys):
     assert err == f"bentkit: error: subspace 0: vector {1 << 63} out of range\n"
 
 
+def test_ps_general_zero_basis_at_n2_is_dependent(capsys):
+    code, out, err = run_cli(capsys, "construct", "ps-general", "--n", "2", "--subspace", "0")
+    assert (code, out) == (2, "")
+    assert err == "bentkit: error: subspace 0: basis is linearly dependent\n"
+
+
 @pytest.mark.parametrize("n", ["-2", "0", "26"])
 def test_ps_general_checks_n_first(capsys, n):
     tracemalloc.start()

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bentkit.analysis import dist_formula_general
 from bentkit.boolfun import TruthTable, reduce_basis, subspace_span
 from bentkit.field import DEFAULT_POLYS, GF2k
 from bentkit.spectral import dist_to_dual, dual, is_bent
@@ -384,6 +385,17 @@ def test_family_errors_keep_the_per_subspace_order(bases, message):
         with pytest.raises(ValueError) as exc:
             check(4, bases)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bases", [[[0]], [[0], [1]], [[1], [0]]])
+def test_a_zero_basis_at_n2_is_dependent(bases):
+    # at k = 1 the span of [0] is [0, 0]: no nonzero point repeats, and only
+    # the origin at a nonzero index shows the dependence
+    i = bases.index([0])
+    for check in (validate_subspace_family, ps_general, dist_formula_general):
+        with pytest.raises(ValueError) as exc:
+            check(2, bases)
+        assert str(exc.value) == f"subspace {i}: basis is linearly dependent"
 
 
 def _pairwise_first_share(bases):
