@@ -252,33 +252,30 @@ def census(
     selections from a seeded PRNG and checks the first five draws and every
     25th spectrally.  A disagreeing row is classed by its spectral distance.
     """
-    return _census(ctx, mode, samples, seed)[0]
-
-
-def _census(ctx: GF2k, mode: str, samples: int | None, seed: int | None):
-    """(report, columns, tables, identities): the census report, the spread
-    columns of every selection, and the stack it checked spectrally with
-    that stack's `_stack_identities`."""
     _census_size_check(mode, ctx.k)
     size = 1 << (ctx.k - 1)
     if mode == "exhaustive":
-        seed = None
-        cols = _combinations(range(ctx.order + 1), size)
-        spot = np.arange(len(cols))
-    else:
-        if not samples or samples <= 0:
-            raise ValueError("sample mode needs a positive sample count")
-        seed = 0 if seed is None else seed
-        rng = random.Random(seed)
-        # sample() draws positions, so the spread columns (desarguesian(ctx)
-        # order) give the same selections as the lines themselves
-        cols = np.array(
-            [rng.sample(range(ctx.order + 1), size) for _ in range(samples)],
-            dtype=np.int64,
-        )
-        idx = np.arange(samples)
-        spot = idx[(idx < 5) | (idx % 25 == 0)]
+        return _census_stack(ctx, _combinations(range(ctx.order + 1), size))[0]
+    if not samples or samples <= 0:
+        raise ValueError("sample mode needs a positive sample count")
+    seed = 0 if seed is None else seed
+    rng = random.Random(seed)
+    # sample() draws positions, so the spread columns (desarguesian(ctx)
+    # order) give the same selections as the lines themselves
+    cols = np.array(
+        [rng.sample(range(ctx.order + 1), size) for _ in range(samples)],
+        dtype=np.int64,
+    )
+    idx = np.arange(samples)
+    return _census_stack(ctx, cols, mode, seed, idx[(idx < 5) | (idx % 25 == 0)])[0]
 
+
+def _census_stack(ctx: GF2k, cols, mode="exhaustive", seed=None, spot=slice(None)):
+    """The census core over any stack of minus-type selections, the rows of
+    spread columns `cols`: (report, cols, tables, identities), with the
+    stack of the rows `spot` (all by default) it checked spectrally and that
+    stack's `_stack_identities`.  A checked row is classed by its spectral
+    distance, any other by the line formula's."""
     dists = (1 << (2 * ctx.k - 1)) - _nf_value(ctx.k, _unmatched_counts(ctx, cols)) // 2
     tables = _selection_tables(ctx, cols[spot], False)
     identities = _stack_identities(tables, ctx)
@@ -296,7 +293,7 @@ def _census(ctx: GF2k, mode: str, samples: int | None, seed: int | None):
         selfdual_count=class_sizes.get(0, 0),
         min_nonzero_dist=min((d for d in class_sizes if d), default=None),
         formula_mismatches=mismatches,
-        spectral_checked=len(spot),
+        spectral_checked=len(tables),
     )
     return report, cols, tables, identities
 
@@ -384,43 +381,42 @@ def selfdual_counts(k: int) -> tuple[int, int]:
     k >= 2 those leave out E_1 and choose 2^(k-2) of the 2^(k-1) dual pairs;
     the quotient form lacks the pair {E_0, inf}, so it chooses among
     2^(k-1) - 1.  For k <= EXHAUSTIVE_K_MAX (4) both values are verified by
-    exhaustive enumeration with the spectral oracle on every row: the
-    spread form is the exhaustive census's self-dual count, and the
-    quotient form transforms the selection of every balanced g.
+    exhaustive censuses, with the line formula and the spectral oracle on
+    every row: of every minus selection, and of the quotient form of every
+    balanced g.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if k > EXHAUSTIVE_K_MAX:
         return _selfdual_counts(k, None, None)
     ctx = GF2k(k)
-    return _selfdual_counts(k, census(ctx), _quotient_distances(ctx)[1])
+    return _selfdual_counts(k, census(ctx), _quotient_census(ctx)[0])
 
 
-def _quotient_distances(ctx: GF2k) -> tuple[np.ndarray, np.ndarray]:
-    """(supports, dists) over every balanced g with g(0) = 0 on k variables,
-    in balanced_g_functions order: the support of each g, and the spectral
-    distance to the dual of its quotient form g(x/y) (psap_from_g), all one
-    stack.  The quotient form of g selects the columns 1/u for u in supp g."""
+def _quotient_census(ctx: GF2k):
+    """`_census_stack` over the quotient forms g(x/y) (psap_from_g) of every
+    balanced g with g(0) = 0 on k variables, in balanced_g_functions order:
+    the selection of g is the columns 1/u for u in supp g, which leave out
+    E_0 and the line at infinity."""
     supports = _combinations(ctx.nonzero(), 1 << (ctx.k - 1))
-    tables = _selection_tables(ctx, ctx.line_dual_index[supports], False)
-    return supports, _stack_distances(_stack_identities(tables, ctx))
+    return _census_stack(ctx, ctx.line_dual_index[supports])
 
 
 def _selfdual_counts(
-    k: int, report: CensusReport | None, g_dists: np.ndarray | None
+    k: int, report: CensusReport | None, quotient: CensusReport | None
 ) -> tuple[int, int]:
     """The binomials of selfdual_counts, checked by enumeration when
-    `report`, the exhaustive census of GF2k(k), and `g_dists`, the
-    quotient-form distances of `_quotient_distances`, are given."""
+    `report`, the exhaustive census of GF2k(k), and `quotient`, its
+    `_quotient_census`, are given; a formula mismatch in either fails."""
     spread_form = comb(1 << (k - 1), 1 << (k - 2))
     g_form = comb((1 << (k - 1)) - 1, 1 << (k - 2))
     if report is not None:
-        found_spread = report.selfdual_count
-        found_g = int(np.count_nonzero(g_dists == 0))
-        if (found_spread, found_g) != (spread_form, g_form):
+        found = (report.selfdual_count, quotient.selfdual_count)
+        mismatches = report.formula_mismatches + quotient.formula_mismatches
+        if found != (spread_form, g_form) or mismatches:
             raise AssertionError(
-                f"enumeration found ({found_spread}, {found_g}), "
-                f"binomials give ({spread_form}, {g_form})"
+                f"enumeration found {found} with {mismatches} formula "
+                f"mismatches, binomials give ({spread_form}, {g_form})"
             )
     return spread_form, g_form
 
@@ -746,19 +742,17 @@ def _check_symmetric(symmetric) -> SuiteCheck:
     return SuiteCheck("symmetric-propositions", not bad, {"failures": bad})
 
 
-def _check_charsum(
-    quotients: Sequence[tuple[GF2k, np.ndarray, np.ndarray]],
-) -> SuiteCheck:
+def _check_charsum(quotients) -> SuiteCheck:
     """The derived relation on every balanced g at k = 2, 3, read off the
-    quotient-form stacks `_quotient_distances` already transformed for the
-    self-dual count: N = 2^n - 2 dist per row, K for every g from one
-    gather."""
+    `_quotient_census` stacks `quotients`: N = 2^n - 2 dist per row from
+    the checked distances, K for every g from one gather."""
     bad = []
-    for ctx, supports, dists in quotients:
-        g_vals = np.zeros((len(supports), ctx.order), dtype=np.uint8)
-        np.put_along_axis(g_vals, supports, 1, axis=1)
+    for ctx, _, cols, _, identities in quotients:
+        g_vals = np.zeros((len(cols), ctx.order), dtype=np.uint8)
+        # the columns 1/u give back supp g through the same involution
+        np.put_along_axis(g_vals, ctx.line_dual_index[cols], 1, axis=1)
         k_nz = _kloosterman_nonzero(ctx, g_vals).tolist()
-        for v, kn, d in zip(g_vals, k_nz, dists.tolist()):
+        for v, kn, d in zip(g_vals, k_nz, _stack_distances(identities).tolist()):
             g = TruthTable(ctx.k, _pack_values(v))
             rep = _charsum_report(g, kn, (1 << (2 * ctx.k)) - 2 * d)
             if not rep.derived_matches:
@@ -791,12 +785,9 @@ def _check_no_antiselfdual(
     return SuiteCheck("no-anti-self-dual", not bad, {"failures": bad})
 
 
-def _check_selfdual_counts(
-    reports: list[CensusReport],
-    quotients: Sequence[tuple[GF2k, np.ndarray, np.ndarray]],
-) -> SuiteCheck:
+def _check_selfdual_counts(reports: list[CensusReport], quotients) -> SuiteCheck:
     try:
-        k2, k3 = (_selfdual_counts(r.k, r, q[2]) for r, q in zip(reports, quotients))
+        k2, k3 = (_selfdual_counts(r.k, r, q[1]) for r, q in zip(reports, quotients))
         ok = k2 == (2, 1) and k3 == (6, 3)
         detail = {"k2": list(k2), "k3": list(k3)}
     except AssertionError as exc:
@@ -813,9 +804,12 @@ def run_verification_suite() -> list[SuiteCheck]:
     the checks that read them.
     """
     fields = [GF2k(k) for k in (2, 3)]
-    censuses = [(ctx, *_census(ctx, "exhaustive", None, None)) for ctx in fields]
+    censuses = [
+        (ctx, *_census_stack(ctx, _combinations(range(ctx.order + 1), ctx.order // 2)))
+        for ctx in fields
+    ]
     reports = [report for _, report, *_ in censuses]
-    quotients = [(ctx, *_quotient_distances(ctx)) for ctx in fields]
+    quotients = [(ctx, *_quotient_census(ctx)) for ctx in fields]
     realized = {4: reports[0], 6: reports[1]}
     rows = {n: _distribution_row(n, realized.get(n)) for n in range(4, 25, 2)}
     symmetric = {n: _symmetric_report(n) for n in range(4, 13, 2)}

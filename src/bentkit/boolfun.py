@@ -311,7 +311,12 @@ def symmetric_value_pattern(n: int, eps1: int = 0, eps2: int = 0) -> list[int]:
 
 
 def _weights_array(n: int) -> np.ndarray:
-    return popcount_array(np.arange(1 << n, dtype=np.uint32))
+    """The uint8 weight of every index below 2^n, by doubling: the weights
+    of 2^i..2^(i+1) - 1 are those of 0..2^i - 1 plus one."""
+    w = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        np.add(w[:1 << i], 1, out=w[1 << i:2 << i])
+    return w
 
 
 def _check_mm(pi: Sequence[int], g: TruthTable) -> int:
@@ -347,4 +352,9 @@ def mm_dual(pi: Sequence[int], g: TruthTable) -> TruthTable:
     k = _check_mm(pi, g)
     pinv = np.argsort(pi).tolist()
     f = mm_bent(pinv, TruthTable(k, _pack_values(g.values()[pinv])))
-    return TruthTable(2 * k, _pack_values(f.values().reshape(1 << k, -1).T))
+    grid = f.values().reshape(1 << k, -1)
+    out = np.empty_like(grid)
+    # the transpose in strips of 256 rows: packing a strided view is slow
+    for i in range(0, len(grid), 256):
+        out[:, i:i + 256] = grid[i:i + 256].T
+    return TruthTable(2 * k, _pack_values(out))

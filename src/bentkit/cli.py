@@ -178,24 +178,7 @@ def _metadata(f: TruthTable, pairing) -> dict:
 
 
 def _cmd_construct(args) -> int:
-    if args.family == "psap":
-        if args.k is None or args.g is None:
-            raise UsageError("construct psap needs --k and --g")
-        ctx = _field_for(args, args.k)
-        sel = selection_from_g(ctx, TruthTable.from_hex(args.g, ctx.k))
-        payload = _metadata(ps_minus(sel), ctx)
-        payload["lines"] = [str(L) for L in sel.lines]
-    elif args.family in ("ps-", "ps+"):
-        if args.k is None:
-            raise UsageError(f"construct {args.family} needs --k")
-        ctx = _field_for(args, args.k)
-        if not args.lines:
-            raise UsageError("--lines is required for spread constructions")
-        sel = selection(ctx, _parse_lines(args.lines))
-        f = ps_minus(sel) if args.family == "ps-" else ps_plus(sel)
-        payload = _metadata(f, ctx)
-        payload["lines"] = [str(L) for L in sel.lines]
-    else:  # ps-general
+    if args.family == "ps-general":
         if not args.subspace:
             raise UsageError("give at least one --subspace")
         if args.n is None:
@@ -205,6 +188,20 @@ def _cmd_construct(args) -> int:
             for spec in args.subspace
         ]
         payload = _metadata(ps_general(args.n, bases), None)
+    else:
+        if args.family == "psap" and (args.k is None or args.g is None):
+            raise UsageError("construct psap needs --k and --g")
+        if args.k is None:
+            raise UsageError(f"construct {args.family} needs --k")
+        ctx = _field_for(args, args.k)
+        if args.family == "psap":
+            sel = selection_from_g(ctx, TruthTable.from_hex(args.g, ctx.k))
+        elif args.lines:
+            sel = selection(ctx, _parse_lines(args.lines))
+        else:
+            raise UsageError("--lines is required for spread constructions")
+        f = ps_plus(sel) if args.family == "ps+" else ps_minus(sel)
+        payload = {**_metadata(f, ctx), "lines": [str(L) for L in sel.lines]}
     if args.format == "hex":
         _emit(args, payload["tt"] + "\n")
     else:

@@ -42,10 +42,6 @@ class SpreadLine:
         return self.a is None
 
     @classmethod
-    def finite(cls, a: int) -> "SpreadLine":
-        return cls(a)
-
-    @classmethod
     def infinity(cls) -> "SpreadLine":
         return cls(None)
 
@@ -158,6 +154,7 @@ def _selection_tables(ctx: GF2k, cols: np.ndarray, plus: bool) -> np.ndarray:
     stack of several rows gathers that index per row and offsets it by
     2^n per row; one row scatters it as it is (64 MB at n = 24)."""
     n = 2 * ctx.k
+    _check_n(n)  # before any index: a field above k = 12 fails fast
     used, inverse = np.unique(cols, return_inverse=True)
     index = _line_index(ctx, used)
     if len(cols) > 1:

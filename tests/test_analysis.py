@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -12,7 +13,8 @@ from bentkit.analysis import (
     CensusReport,
     _spread_dist_formula,
     _check_charsum,
-    _quotient_distances,
+    _check_selfdual_counts,
+    _quotient_census,
     anti_selfdual_check,
     balanced_g_functions,
     census,
@@ -648,15 +650,17 @@ def test_census_sample_mode_deterministic():
     assert c.seed == 8
 
 
-def _closed_form_class_sizes(k: int) -> dict[int, int]:
-    """PS- class sizes: with P = 2^(k-1) dual pairs, e = [E_1 selected] and
-    p = (P - e - h)/2 whole pairs, h unmatched lines occur in
-    C(P, p) C(P - p, h) 2^h selections, at distance h (2^(k+1) - 2)."""
-    big_p = 1 << (k - 1)
+def _closed_form_class_sizes(k: int, big_p: int) -> dict[int, int]:
+    """Class sizes of the 2^(k-1)-line selections among E_1 and P dual
+    pairs: with e = [E_1 selected] and p = (2^(k-1) - e - h)/2 whole pairs,
+    h unmatched lines occur in C(P, p) C(P - p, h) 2^h selections, at
+    distance h (2^(k+1) - 2).  PS- has P = 2^(k-1); the quotient forms lack
+    the pair {E_0, inf}, so P = 2^(k-1) - 1."""
+    size = 1 << (k - 1)
     sizes = {}
     for h in range(big_p + 1):
-        e = (big_p - h) % 2
-        p = (big_p - e - h) // 2
+        e = (size - h) % 2
+        p = (size - e - h) // 2
         sizes[h * ((1 << (k + 1)) - 2)] = comb(big_p, p) * comb(big_p - p, h) * 2**h
     return sizes
 
@@ -664,7 +668,7 @@ def _closed_form_class_sizes(k: int) -> dict[int, int]:
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_exhaustive_class_sizes_match_the_closed_form(k):
     rep = census(GF2k(k))
-    assert rep.class_sizes == _closed_form_class_sizes(k)
+    assert rep.class_sizes == _closed_form_class_sizes(k, 1 << (k - 1))
     assert rep.formula_mismatches == 0
     assert rep.spectral_checked == rep.total_selections == comb((1 << k) + 1, 1 << (k - 1))
     if k == 4:
@@ -856,21 +860,77 @@ def test_charsum_report_second_example():
 def test_quotient_stack_matches_the_single_function_path():
     # the stack the verify battery reads N from: one row per balanced g
     for ctx in (F4, F8):
-        supports, dists = _quotient_distances(ctx)
+        _, cols, tables, identities = _quotient_census(ctx)
         gs = list(balanced_g_functions(ctx.k))
-        assert supports.tolist() == [g.support() for g in gs]
-        for g, d in zip(gs, dists.tolist()):
-            assert d == dist_to_dual(psap_from_g(ctx, g), pairing=ctx)
+        assert ctx.line_dual_index[cols].tolist() == [g.support() for g in gs]
+        for g, table, d in zip(gs, tables, _stack_distances(identities).tolist()):
+            f = psap_from_g(ctx, g)
+            assert np.array_equal(table, f.values())
+            assert d == dist_to_dual(f, pairing=ctx)
             assert rayleigh_vs_charsum(ctx, g).N_f_actual == (1 << (2 * ctx.k)) - 2 * d
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_quotient_census_class_sizes_match_the_closed_form(k):
+    # the quotient forms are the minus selections that avoid E_0 and inf
+    rep = _quotient_census(GF2k(k))[0]
+    assert rep.class_sizes == _closed_form_class_sizes(k, (1 << (k - 1)) - 1)
+    assert rep.formula_mismatches == 0
+    assert rep.spectral_checked == rep.total_selections == comb((1 << k) - 1, 1 << (k - 1))
+    assert rep.selfdual_count == selfdual_counts(k)[1]
+    assert rep.class_sizes == [
+        {0: 1, 6: 2},
+        {0: 3, 14: 12, 28: 12, 42: 8},
+        {0: 35, 30: 280, 60: 840, 90: 1680, 120: 1680, 150: 1344, 180: 448, 210: 128},
+    ][k - 2]
+
+
+def test_selfdual_counts_fail_on_a_planted_quotient_mismatch(monkeypatch):
+    # one flipped bit in the unmatched-line count of one quotient row: the
+    # line formula disagrees with the spectrum, the self-dual count does not
+    counts = bentkit.analysis._unmatched_counts
+
+    def planted(ctx, cols):
+        h = counts(ctx, cols)
+        if not (cols == ctx.order).any():  # only the quotient stacks
+            h[1] ^= 1
+        return h
+
+    monkeypatch.setattr(bentkit.analysis, "_unmatched_counts", planted)
+    assert _quotient_census(F8)[0].formula_mismatches == 1
+    with pytest.raises(AssertionError, match="1 formula mismatches"):
+        selfdual_counts(3)
+    checks = {c.name: c for c in run_verification_suite()}
+    assert [name for name, c in checks.items() if not c.ok] == ["selfdual-counts"]
+    assert "1 formula mismatches" in checks["selfdual-counts"].detail["error"]
+
+
+def test_selfdual_check_reads_both_census_records():
+    reports = [census(F4), census(F8)]
+    quotients = [(ctx, *_quotient_census(ctx)) for ctx in (F4, F8)]
+    assert _check_selfdual_counts(reports, quotients).detail == {"k2": [2, 1], "k3": [6, 3]}
+    ctx, quotient, *stack = quotients[1]
+    for wrong, found in (
+        (dataclasses.replace(quotient, selfdual_count=4), "(6, 4) with 0"),
+        (dataclasses.replace(quotient, formula_mismatches=2), "(6, 3) with 2"),
+    ):
+        check = _check_selfdual_counts(reports, [quotients[0], (ctx, wrong, *stack)])
+        assert not check.ok
+        assert check.detail == {"error": f"enumeration found {found} formula "
+                                         "mismatches, binomials give (6, 3)"}
+    spread = dataclasses.replace(reports[1], selfdual_count=5)
+    assert not _check_selfdual_counts([reports[0], spread], quotients).ok
 
 
 def test_charsum_check_reports_each_planted_row():
     ctx = F8
-    supports, dists = _quotient_distances(ctx)
-    assert _check_charsum([(ctx, supports, dists)]).ok
-    wrong = dists.copy()
-    wrong[[4, 20]] += 2
-    check = _check_charsum([(ctx, supports, wrong)])
+    quotient = _quotient_census(ctx)
+    assert _check_charsum([(ctx, *quotient)]).ok
+    report, cols, tables, identities = quotient
+    wrong = identities.copy()
+    wrong[[4, 20], 0] += 2  # the direct and the spectral distance agree
+    wrong[[4, 20], 2] += 2
+    check = _check_charsum([(ctx, report, cols, tables, wrong)])
     gs = list(balanced_g_functions(3))
     assert not check.ok
     assert [f["g"] for f in check.detail["failures"]] == [gs[4].to_hex(), gs[20].to_hex()]

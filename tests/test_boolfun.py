@@ -8,8 +8,10 @@ from hypothesis import given, strategies as st
 from bentkit.boolfun import (
     AnfPoly,
     TruthTable,
+    _weights_array,
     mm_bent,
     mm_dual,
+    popcount_array,
     reduce_basis,
     subspace_indicator,
     subspace_span,
@@ -357,6 +359,13 @@ def test_symmetric_bent_permutation_invariant():
         assert g == f
 
 
+def test_weight_table_is_the_popcount():
+    for n in range(1, 17):
+        w = _weights_array(n)
+        assert w.dtype == np.uint8
+        assert np.array_equal(w, popcount_array(np.arange(1 << n)))
+
+
 def test_symmetric_bent_rejects_odd_or_tiny_n():
     with pytest.raises(ValueError):
         symmetric_bent(5)
@@ -397,6 +406,21 @@ def test_mm_dual_matches_spectral_dual():
         d = mm_dual(pi, g)
         assert d == dual(f)
         assert dual(d) == f  # involution
+
+
+def test_mm_dual_is_the_pointwise_dual_across_transpose_strips():
+    # k = 9: the 512-row grid is transposed in two strips
+    rng = random.Random(31)
+    k = 9
+    pi = list(range(1 << k))
+    rng.shuffle(pi)
+    g = TruthTable(k, rng.getrandbits(1 << k))
+    pinv = np.argsort(pi)
+    x = np.arange(1 << k)[None, :]
+    y = np.arange(1 << k)[:, None]
+    # f~(x, y) = y . pi^-1(x) + g(pi^-1(x)) at index x + 2^k y
+    want = (popcount_array(y & pinv[x]) & 1) ^ g.values()[pinv[x]]
+    assert np.array_equal(mm_dual(pi, g).values(), want.reshape(-1))
 
 
 def test_mm_rejects_non_bijection():

@@ -279,6 +279,23 @@ def test_ps_general_checks_n_first(capsys, n):
     assert peak < 1 << 20  # far below a 2^n-point table
 
 
+@pytest.mark.parametrize("family, arg", [
+    ("ps-", ("--lines", ",".join(map(str, range(1 << 12))))),
+    ("psap", ("--g", TruthTable.from_support(13, range(1, (1 << 12) + 1)).to_hex())),
+])
+def test_spread_constructions_above_k12_fail_fast(capsys, family, arg):
+    # --poly gives GF(2^13), but n = 26 is out of range: exit 2 before any table
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "construct", family, "--k", "13", "--poly", "0x201b", *arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "bentkit: error: variable count must be in 2..24, got 26\n"
+    assert peak < 8 << 20
+
+
 # ----------------------------------------------------------------------
 # spectral subcommands
 # ----------------------------------------------------------------------

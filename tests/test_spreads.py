@@ -1,9 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from bentkit.analysis import dist_formula_general
+from bentkit.analysis import dist_formula_general, dist_formula_ps_minus
 from bentkit.boolfun import TruthTable, reduce_basis, subspace_span
 from bentkit.field import DEFAULT_POLYS, GF2k
 from bentkit.spectral import dist_to_dual, dual, is_bent
@@ -445,3 +446,24 @@ def test_ps_general_runs_a_half_field_spread_at_k10():
     bases = [[(1 << i) | (ctx.mul(1 << i, a) << 10) for i in range(10)] for a in range(512)]
     f = ps_general(20, bases)
     assert f.weight() == 512 * 1023 and f[0] == 0
+
+
+def test_spread_tables_above_k12_fail_before_any_table():
+    # GF(2^13) exists, but n = 26 is out of range: each builder raises
+    # before the 2^26-point table and its line index (~350 MB) are made
+    ctx = GF2k(13, 0x201B)
+    sel = selection(ctx, [SpreadLine(a) for a in range(1 << 12)])
+    g = TruthTable.from_support(13, range(1, (1 << 12) + 1))
+    for build in (
+        lambda: ps_minus(sel),
+        lambda: psap_from_g(ctx, g),
+        lambda: dist_formula_ps_minus(sel),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^variable count must be in 2\.\.24, got 26$"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
