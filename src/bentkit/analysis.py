@@ -252,10 +252,10 @@ def census(
     selections from a seeded PRNG and checks the first five draws and every
     25th spectrally.  A disagreeing row is classed by its spectral distance.
     """
+    if mode == "exhaustive":
+        return _exhaustive_census(ctx)[0]
     _census_size_check(mode, ctx.k)
     size = 1 << (ctx.k - 1)
-    if mode == "exhaustive":
-        return _census_stack(ctx, _combinations(range(ctx.order + 1), size))[0]
     if not samples or samples <= 0:
         raise ValueError("sample mode needs a positive sample count")
     seed = 0 if seed is None else seed
@@ -268,6 +268,12 @@ def census(
     )
     idx = np.arange(samples)
     return _census_stack(ctx, cols, mode, seed, idx[(idx < 5) | (idx % 25 == 0)])[0]
+
+
+def _exhaustive_census(ctx: GF2k):
+    """`_census_stack` over every minus-type selection of GF2k(ctx.k)."""
+    _census_size_check("exhaustive", ctx.k)
+    return _census_stack(ctx, _combinations(range(ctx.order + 1), 1 << (ctx.k - 1)))
 
 
 def _census_stack(ctx: GF2k, cols, mode="exhaustive", seed=None, spot=slice(None)):
@@ -804,10 +810,7 @@ def run_verification_suite() -> list[SuiteCheck]:
     the checks that read them.
     """
     fields = [GF2k(k) for k in (2, 3)]
-    censuses = [
-        (ctx, *_census_stack(ctx, _combinations(range(ctx.order + 1), ctx.order // 2)))
-        for ctx in fields
-    ]
+    censuses = [(ctx, *_exhaustive_census(ctx)) for ctx in fields]
     reports = [report for _, report, *_ in censuses]
     quotients = [(ctx, *_quotient_census(ctx)) for ctx in fields]
     realized = {4: reports[0], 6: reports[1]}

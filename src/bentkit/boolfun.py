@@ -352,9 +352,4 @@ def mm_dual(pi: Sequence[int], g: TruthTable) -> TruthTable:
     k = _check_mm(pi, g)
     pinv = np.argsort(pi).tolist()
     f = mm_bent(pinv, TruthTable(k, _pack_values(g.values()[pinv])))
-    grid = f.values().reshape(1 << k, -1)
-    out = np.empty_like(grid)
-    # the transpose in strips of 256 rows: packing a strided view is slow
-    for i in range(0, len(grid), 256):
-        out[:, i:i + 256] = grid[i:i + 256].T
-    return TruthTable(2 * k, _pack_values(out))
+    return TruthTable(2 * k, _pack_values(f.values().reshape(1 << k, -1).T))

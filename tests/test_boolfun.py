@@ -408,8 +408,8 @@ def test_mm_dual_matches_spectral_dual():
         assert dual(d) == f  # involution
 
 
-def test_mm_dual_is_the_pointwise_dual_across_transpose_strips():
-    # k = 9: the 512-row grid is transposed in two strips
+def test_mm_dual_is_the_pointwise_dual_at_k9():
+    # a random pi and g on a 512 x 512 grid, against the pointwise formula
     rng = random.Random(31)
     k = 9
     pi = list(range(1 << k))
