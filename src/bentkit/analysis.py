@@ -201,7 +201,7 @@ def _census_size_check(mode: str, k: int) -> None:
 
 @dataclass
 class CensusReport:
-    """Aggregate of one census run over minus-type spread selections."""
+    """Aggregate of one census run over partial-spread selections."""
 
     k: int
     mode: str
@@ -230,11 +230,6 @@ class CensusReport:
             "formula_mismatches": self.formula_mismatches,
             "spectral_checked": self.spectral_checked,
         }
-
-
-def _combinations(items: Sequence[int], r: int) -> np.ndarray:
-    """Every r-subset of `items` as one row, in lexicographic order."""
-    return np.array(list(itertools.combinations(items, r)), dtype=np.int64).reshape(-1, r)
 
 
 def census(
@@ -270,20 +265,26 @@ def census(
     return _census_stack(ctx, cols, mode, seed, idx[(idx < 5) | (idx % 25 == 0)])[0]
 
 
-def _exhaustive_census(ctx: GF2k):
-    """`_census_stack` over every minus-type selection of GF2k(ctx.k)."""
+def _exhaustive_census(ctx: GF2k, universe=None, width=None):
+    """`_census_stack` over every `width`-subset of the spread columns
+    `universe`, in lexicographic order of their positions.  The defaults,
+    all 2^k + 1 columns and width 2^(k-1), are the minus selections; width
+    2^(k-1) + 1 gives the plus ones."""
     _census_size_check("exhaustive", ctx.k)
-    return _census_stack(ctx, _combinations(range(ctx.order + 1), 1 << (ctx.k - 1)))
+    universe = np.arange(ctx.order + 1) if universe is None else universe
+    subsets = itertools.combinations(range(len(universe)), width or ctx.order // 2)
+    return _census_stack(ctx, universe[np.array(list(subsets), dtype=np.int64)])
 
 
 def _census_stack(ctx: GF2k, cols, mode="exhaustive", seed=None, spot=slice(None)):
-    """The census core over any stack of minus-type selections, the rows of
-    spread columns `cols`: (report, cols, tables, identities), with the
-    stack of the rows `spot` (all by default) it checked spectrally and that
-    stack's `_stack_identities`.  A checked row is classed by its spectral
-    distance, any other by the line formula's."""
+    """The census core over any stack of minus- or plus-type selections, the
+    rows of spread columns `cols`: (report, cols, tables, identities), with
+    the stack of the rows `spot` (all by default) it checked spectrally and
+    that stack's `_stack_identities`.  A checked row is classed by its
+    spectral distance, any other by the line formula's; a plus selection
+    has the h, and so the distance, of its complement, a minus selection."""
     dists = (1 << (2 * ctx.k - 1)) - _nf_value(ctx.k, _unmatched_counts(ctx, cols)) // 2
-    tables = _selection_tables(ctx, cols[spot], False)
+    tables = _selection_tables(ctx, cols[spot])
     identities = _stack_identities(tables, ctx)
     spectral = _stack_distances(identities)
     mismatches = int(np.count_nonzero(spectral != dists[spot]))
@@ -400,12 +401,11 @@ def selfdual_counts(k: int) -> tuple[int, int]:
 
 
 def _quotient_census(ctx: GF2k):
-    """`_census_stack` over the quotient forms g(x/y) (psap_from_g) of every
-    balanced g with g(0) = 0 on k variables, in balanced_g_functions order:
-    the selection of g is the columns 1/u for u in supp g, which leave out
-    E_0 and the line at infinity."""
-    supports = _combinations(ctx.nonzero(), 1 << (ctx.k - 1))
-    return _census_stack(ctx, ctx.line_dual_index[supports])
+    """The exhaustive census of the quotient forms g(x/y) (psap_from_g) of
+    every balanced g with g(0) = 0 on k variables, in balanced_g_functions
+    order: the selection of g is the columns 1/u for u in supp g, so the
+    universe is E_{1/u} for u != 0, which leaves out E_0 and infinity."""
+    return _exhaustive_census(ctx, ctx.line_dual_index[1:ctx.order])
 
 
 def _selfdual_counts(
@@ -712,30 +712,29 @@ def _check_metric_identities(spread, symmetric) -> SuiteCheck:
 
 
 def _check_distance_formulas(censuses) -> SuiteCheck:
-    """The counting form against the spectral distance, row by row over
-    stacks: every minus selection at k = 2, 3 (the `censuses` stacks), every
-    plus selection at k = 2, 3, and 200 seeded minus draws at k = 4."""
-
-    def stack(ctx, plus, cols):
-        tables = _selection_tables(ctx, cols, plus)
-        return ctx, plus, cols, tables, _stack_identities(tables, ctx)
-
-    rng = random.Random(404)
-    draws = np.array([rng.sample(range(17), 8) for _ in range(200)])
+    """The counting form and the line formula against the spectral distance,
+    over census stacks: every minus selection at k = 2, 3 (the `censuses`
+    stacks), every plus selection at k = 2, 3, and 200 seeded minus draws
+    at k = 4.  A row fails on the counting form; a stack fails on any line
+    formula mismatch its census counted."""
     stacks = []
-    for ctx, _, cols, tables, identities in censuses:
-        plus_cols = _combinations(range(ctx.order + 1), (1 << (ctx.k - 1)) + 1)
-        stacks += [(ctx, False, cols, tables, identities), stack(ctx, True, plus_cols)]
-    stacks.append(stack(GF2k(4), False, draws))
+    for ctx, *minus in censuses:
+        stacks += [(ctx, *minus), (ctx, *_exhaustive_census(ctx, width=ctx.order // 2 + 1))]
+    ctx = GF2k(4)
+    rng = random.Random(404)
+    draws = np.array([rng.sample(range(ctx.order + 1), ctx.order // 2) for _ in range(200)])
+    stacks.append((ctx, *_census_stack(ctx, draws, "sample", 404)))
     failures = []
-    for ctx, plus, cols, tables, identities in stacks:
+    for ctx, report, cols, tables, identities in stacks:
         k = ctx.k
+        tag = {"form": "plus" if cols.shape[1] > ctx.order // 2 else "minus", "k": k}
+        if report.formula_mismatches:
+            failures.append({**tag, "formula_mismatches": report.formula_mismatches})
         a = _spread_dist_formula(tables)
         bad = (a != _stack_distances(identities)) | (a > (1 << (2 * k)) - (1 << k))
         for i in np.flatnonzero(bad).tolist():
             lines = [str(L) for L in _lines(ctx, cols[i])]
-            where = {"index": i} if k == 4 else {"lines": lines}
-            failures.append({"form": "plus" if plus else "minus", "k": k, **where})
+            failures.append({**tag, **({"index": i} if k == 4 else {"lines": lines})})
     return SuiteCheck("ps-distance-formulas", not failures, {"failures": failures[:5]})
 
 

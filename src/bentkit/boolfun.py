@@ -20,15 +20,6 @@ import numpy as np
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 
 
-def popcount_array(arr: np.ndarray) -> np.ndarray:
-    """Per-element popcount of a uint32 array (SWAR; values below 2^32)."""
-    v = arr.astype(np.uint32)
-    v = v - ((v >> 1) & 0x55555555)
-    v = (v & 0x33333333) + ((v >> 2) & 0x33333333)
-    v = (v + (v >> 4)) & 0x0F0F0F0F
-    return (v * 0x01010101) >> 24
-
-
 def _moebius(vals: np.ndarray) -> np.ndarray:
     """Binary Moebius transform (in-place butterfly over subsets); an involution."""
     a = vals.copy()
@@ -211,7 +202,7 @@ class AnfPoly:
     def degree(self) -> int:
         """Max weight of a monomial index; the zero polynomial reports 0."""
         mons = np.flatnonzero(_unpack_values(self.coeffs, self.n))
-        return int(popcount_array(mons).max(initial=0))
+        return int(_weights_array(self.n)[mons].max(initial=0))
 
     def evaluate(self, x: int) -> int:
         """Direct monomial-sum evaluation, independent of the transform."""
@@ -336,7 +327,7 @@ def mm_bent(pi: Sequence[int], g: TruthTable) -> TruthTable:
     """Maiorana-McFarland bent function f(x, y) = x . pi(y) + g(y) on n = 2k."""
     k = _check_mm(pi, g)
     xs = np.arange(1 << k, dtype=np.uint32)
-    parity = (popcount_array(xs) & 1).astype(np.uint8)
+    parity = _weights_array(k) & 1
     # row y, col x: x . pi(y) is the parity of x & pi(y), one gather
     vals = parity[xs & np.asarray(pi, dtype=np.uint32)[:, None]] ^ g.values()[:, None]
     return TruthTable(2 * k, _pack_values(vals))

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boolfun import _linear_index_map, popcount_array, reduce_basis
+from .boolfun import _linear_index_map, _weights_array, reduce_basis
 
 # Low-weight irreducible defaults for every k a spread table reaches
 # (n = 2k <= 24).  k = 13..16 must supply a polynomial.
@@ -120,8 +120,7 @@ class GF2k:
         # Tr is F_2-linear: Tr(a) is the parity of a & tmask, where bit i of
         # tmask is Tr(x^i).
         tmask = sum(self._trace_slow(1 << i) << i for i in range(k))
-        elems = np.arange(self.order, dtype=np.uint32)
-        self._trace_table = (popcount_array(elems & tmask) & 1).tolist()
+        self._trace_table = (_weights_array(k)[np.arange(self.order) & tmask] & 1).tolist()
         # Gram matrix of the trace form: gram[i][j] = Tr(x^i * x^j), row masks.
         self.gram_rows = [
             self._gram_row(i) for i in range(k)

@@ -56,7 +56,7 @@ from .boolfun import (
     TruthTable,
     _linear_index_map,
     _pack_values,
-    popcount_array,
+    _weights_array,
     reduce_basis,
 )
 from .field import GF2k
@@ -238,9 +238,9 @@ def wht_restricted(f: TruthTable, u: int, subset: str = "even") -> int:
         raise ValueError(f"subset must be 'even' or 'odd', got {subset!r}")
     if not 0 <= u < f.size:
         raise ValueError(f"point {u} out of range for n={f.n}")
-    xs = np.arange(f.size, dtype=np.uint32)
-    mask = (popcount_array(xs) & 1) == (1 if subset == "odd" else 0)
-    chi = popcount_array(xs & u) & 1
+    w = _weights_array(f.n)
+    mask = (w & 1) == (1 if subset == "odd" else 0)
+    chi = w[np.arange(f.size, dtype=np.uint32) & u] & 1
     signs = 1 - 2 * (f.values() ^ chi).astype(np.int64)
     return int(signs[mask].sum())
 

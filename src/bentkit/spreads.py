@@ -7,10 +7,12 @@ union covers the whole plane.  Points are packed as bits(x) + 2^k*bits(y).
 Every partial-spread table comes from one builder, `_selection_tables`: a
 stack of selections (rows of spread columns) from one index map of the
 lines it uses and one flat scatter; `ps_minus`, `ps_plus` and
-`psap_from_g` are its one-row case.  Their duals are taken under the
-trace-form pairing (the GF2k context itself), under which the dual of E_a
-is E_{a^-1}.  `ps_general` scatters the same shapes over arbitrary
-"disjoint" k-dimensional subspaces of F_2^n, with the standard pairing.
+`psap_from_g` are its one-row case.  The table type is read off the row
+width: 2^(k-1) + 1 columns make plus tables, any other width minus ones.
+Their duals are taken under the trace-form pairing (the GF2k context
+itself), under which the dual of E_a is E_{a^-1}.  `ps_general` scatters
+the same shapes over arbitrary "disjoint" k-dimensional subspaces of F_2^n,
+with the standard pairing.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ class SpreadLine:
     def infinity(cls) -> "SpreadLine":
         return cls(None)
 
-    def sort_key(self) -> tuple[int, int]:
-        # finite lines by element value, infinity last
-        return (1, 0) if self.a is None else (0, self.a)
-
     def __str__(self) -> str:
         return "inf" if self.a is None else str(self.a)
 
@@ -79,14 +77,12 @@ class SpreadSelection:
 
 
 def selection(ctx: GF2k, lines: Iterable[SpreadLine]) -> SpreadSelection:
-    """Build a selection in canonical order (finite by value, infinity last)."""
-    lines = list(lines)
-    for line in lines:
-        if line.a is not None and not 0 <= line.a < ctx.order:
-            raise ValueError(f"line element {line.a} outside GF(2^{ctx.k})")
-    if len(set(lines)) != len(lines):
+    """Build a selection in canonical order (finite by value, infinity last),
+    which is the order of the spread columns."""
+    cols = np.sort(_columns(ctx, lines))
+    if (cols[1:] == cols[:-1]).any():
         raise ValueError("selection contains duplicate lines")
-    return SpreadSelection(ctx, tuple(sorted(lines, key=SpreadLine.sort_key)))
+    return SpreadSelection(ctx, tuple(_lines(ctx, cols)))
 
 
 def desarguesian(ctx: GF2k) -> list[SpreadLine]:
@@ -95,10 +91,14 @@ def desarguesian(ctx: GF2k) -> list[SpreadLine]:
 
 
 def _columns(ctx: GF2k, lines: Iterable[SpreadLine]) -> np.ndarray:
-    """Spread columns of the lines: a for E_a, 2^k for the line at infinity."""
-    return np.array(
-        [ctx.order if L.is_infinity else L.a for L in lines], dtype=np.int64
-    )
+    """Spread columns of the lines: a for E_a, 2^k for the line at infinity.
+    Every call that takes lines reads them here: their one range check."""
+    cols = []
+    for L in lines:
+        if not (L.is_infinity or 0 <= L.a < ctx.order):
+            raise ValueError(f"line element {L.a} outside GF(2^{ctx.k})")
+        cols.append(ctx.order if L.is_infinity else L.a)
+    return np.array(cols, dtype=np.int64)
 
 
 def _lines(ctx: GF2k, cols: np.ndarray) -> list[SpreadLine]:
@@ -125,8 +125,6 @@ def line_points(ctx: GF2k, line: SpreadLine) -> frozenset[int]:
 def line_dual(ctx: GF2k, line: SpreadLine) -> SpreadLine:
     """Orthogonal complement under the trace pairing: E_a -> E_{a^-1},
     with E_0 and the infinity line swapping.  An involution."""
-    if line.a is not None and not 0 <= line.a < ctx.order:
-        raise ValueError(f"line element {line.a} outside GF(2^{ctx.k})")
     return _lines(ctx, ctx.line_dual_index[_columns(ctx, [line])])[0]
 
 
@@ -147,12 +145,12 @@ def _scatter(n: int, rows: int, index: np.ndarray, origin) -> np.ndarray:
     return tables
 
 
-def _selection_tables(ctx: GF2k, cols: np.ndarray, plus: bool) -> np.ndarray:
-    """(B, 2^n) uint8 stack of the ps_minus (or, with `plus`, ps_plus)
-    tables of the selections in the rows of `cols` (spread columns): one
-    index map over the columns the stack uses and one flat scatter.  Only a
-    stack of several rows gathers that index per row and offsets it by
-    2^n per row; one row scatters it as it is (64 MB at n = 24)."""
+def _selection_tables(ctx: GF2k, cols: np.ndarray) -> np.ndarray:
+    """(B, 2^n) uint8 stack of the tables of the selections in the rows of
+    `cols` (spread columns), ps_plus for 2^(k-1) + 1 columns and ps_minus
+    otherwise: one index map over the columns the stack uses and one flat
+    scatter.  Only a stack of several rows gathers that index per row and
+    offsets it by 2^n per row; one row scatters it as it is (64 MB at n = 24)."""
     n = 2 * ctx.k
     _check_n(n)  # before any index: a field above k = 12 fails fast
     used, inverse = np.unique(cols, return_inverse=True)
@@ -160,7 +158,7 @@ def _selection_tables(ctx: GF2k, cols: np.ndarray, plus: bool) -> np.ndarray:
     if len(cols) > 1:
         index = index.T[inverse.reshape(cols.shape)]
         index += (np.arange(len(cols)) << n)[:, None, None]
-    return _scatter(n, len(cols), index, plus)
+    return _scatter(n, len(cols), index, cols.shape[1] == (1 << (ctx.k - 1)) + 1)
 
 
 def _selection_columns(sel: SpreadSelection, plus: bool) -> np.ndarray:
@@ -175,7 +173,7 @@ def _selection_columns(sel: SpreadSelection, plus: bool) -> np.ndarray:
 
 def _selection_table(sel: SpreadSelection, plus: bool) -> np.ndarray:
     """The one-row `_selection_tables` stack of a minus or plus selection."""
-    return _selection_tables(sel.ctx, _selection_columns(sel, plus), plus)
+    return _selection_tables(sel.ctx, _selection_columns(sel, plus))
 
 
 def ps_minus(sel: SpreadSelection) -> TruthTable:

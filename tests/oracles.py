@@ -1,8 +1,18 @@
-"""Reference spectra for the tests, computed without bentkit's spectral layer."""
+"""References for the tests, computed without bentkit: spectra by an int64
+butterfly, tables point by point, and a SWAR popcount."""
 
 import numpy as np
 
 from bentkit.boolfun import TruthTable
+
+
+def popcount_array(arr: np.ndarray) -> np.ndarray:
+    """Per-element popcount of a uint32 array (SWAR; values below 2^32)."""
+    v = arr.astype(np.uint32)
+    v = v - ((v >> 1) & 0x55555555)
+    v = (v & 0x33333333) + ((v >> 2) & 0x33333333)
+    v = (v + (v >> 4)) & 0x0F0F0F0F
+    return (v * 0x01010101) >> 24
 
 
 def fwht_int64_reference(f: TruthTable) -> np.ndarray:

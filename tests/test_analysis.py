@@ -14,6 +14,7 @@ from bentkit.analysis import (
     _spread_dist_formula,
     _check_charsum,
     _check_selfdual_counts,
+    _exhaustive_census,
     _quotient_census,
     anti_selfdual_check,
     balanced_g_functions,
@@ -268,7 +269,7 @@ def test_stack_identities_match_the_int64_reference_row_by_row():
 
 
 def _k3_minus_tables():
-    return _selection_tables(F8, np.array(list(itertools.combinations(range(9), 4))), False)
+    return _selection_tables(F8, np.array(list(itertools.combinations(range(9), 4))))
 
 
 def test_stack_identities_are_the_same_in_chunks(monkeypatch):
@@ -678,6 +679,18 @@ def test_exhaustive_class_sizes_match_the_closed_form(k):
         }
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_plus_census_has_the_minus_class_sizes(k):
+    # the complement of a minus selection is a plus selection with the same
+    # h, so the plus census, every row checked, has the minus classes
+    ctx = GF2k(k)
+    rep, _, tables, _ = _exhaustive_census(ctx, width=(1 << (k - 1)) + 1)
+    assert (tables[:, 0] == 1).all()  # plus tables keep the origin
+    assert rep.class_sizes == census(ctx).class_sizes
+    assert rep.formula_mismatches == 0
+    assert rep.spectral_checked == rep.total_selections == comb((1 << k) + 1, (1 << (k - 1)) + 1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_batched_rows_match_the_single_function_path(data):
@@ -694,7 +707,7 @@ def test_batched_rows_match_the_single_function_path(data):
         min_size=1, max_size=5,
     ), label="rows")
     cols = np.array(rows, dtype=np.int64)
-    tables = _selection_tables(ctx, cols, plus)
+    tables = _selection_tables(ctx, cols)
     dists = _stack_distances(_stack_identities(tables, ctx))
     formula = _spread_dist_formula(tables)
     build, counting = (ps_plus, dist_formula_ps_plus) if plus else (ps_minus, dist_formula_ps_minus)
@@ -705,18 +718,17 @@ def test_batched_rows_match_the_single_function_path(data):
         ref = spread_table_reference(ctx, row, plus)
         assert np.array_equal(table, ref) and np.array_equal(f.values(), ref)
         assert d == d_formula == dist_to_dual(f, pairing=ctx) == counting(sel)
-    if not plus:
-        h = _unmatched_counts(ctx, cols)
-        step = (1 << (k + 1)) - 2
-        assert (dists == h * step).all()
+    # a plus selection has the h of its complement, a minus selection
+    h = _unmatched_counts(ctx, cols)
+    assert (dists == h * ((1 << (k + 1)) - 2)).all()
 
 
 def test_census_fails_on_a_planted_bit_flip(monkeypatch):
     # a flipped bit in one row of the census stack is an error, never a class
     build = bentkit.analysis._selection_tables
 
-    def planted(ctx, cols, plus):
-        tables = build(ctx, cols, plus)
+    def planted(ctx, cols):
+        tables = build(ctx, cols)
         tables[len(tables) // 2, 5] ^= 1
         return tables
 
@@ -1033,7 +1045,7 @@ def test_verification_suite_runs_each_census_once(monkeypatch):
     census_inputs = {}
     for ctx in (F4, F8):
         cols = np.array(list(itertools.combinations(range(ctx.order + 1), ctx.order // 2)))
-        a = _transform_input(_selection_tables(ctx, cols, False), ctx)
+        a = _transform_input(_selection_tables(ctx, cols), ctx)
         census_inputs[ctx.k] = (a.shape, a.tobytes())
     inputs = []
     fwht = bentkit.spectral._fwht
@@ -1058,6 +1070,56 @@ def test_verification_suite_runs_each_census_once(monkeypatch):
     ]
     assert all(c.ok for c in checks)
     assert {k: inputs.count(stack) for k, stack in census_inputs.items()} == {2: 1, 3: 1}
+
+
+def test_every_verify_spread_stack_is_a_census_stack(monkeypatch):
+    # (k, shape, inside the census core?) of every spread stack verify
+    # builds: the minus and the quotient censuses at k = 2, 3, then every
+    # plus selection at k = 2, 3 and the 200 k = 4 draws
+    core, build = bentkit.analysis._census_stack, bentkit.analysis._selection_tables
+    depth, stacks = [], []
+
+    def census_stack(*args, **kwargs):
+        depth.append(1)
+        try:
+            return core(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    def selection_tables(ctx, cols):
+        stacks.append((ctx.k, cols.shape, bool(depth)))
+        return build(ctx, cols)
+
+    monkeypatch.setattr(bentkit.analysis, "_census_stack", census_stack)
+    monkeypatch.setattr(bentkit.analysis, "_selection_tables", selection_tables)
+    assert all(c.ok for c in run_verification_suite())
+    assert stacks == [
+        (2, (10, 2), True), (3, (126, 4), True), (2, (3, 2), True), (3, (35, 4), True),
+        (2, (10, 3), True), (3, (126, 5), True), (4, (200, 8), True),
+    ]
+
+
+@pytest.mark.parametrize("where, failure", [
+    (lambda ctx, cols: cols.shape[1] > 1 << (ctx.k - 1), {"form": "plus", "k": 3}),
+    (lambda ctx, cols: ctx.k == 4, {"form": "minus", "k": 4}),
+], ids=["plus-row", "k4-draw"])
+def test_distance_check_fails_on_a_planted_line_formula_flip(monkeypatch, where, failure):
+    # one flipped bit in h of one row: in one plus row at k = 3, or in one
+    # of the k = 4 draws; the line formula then disagrees with the spectrum
+    counts = bentkit.analysis._unmatched_counts
+
+    def planted(ctx, cols):
+        h = counts(ctx, cols)
+        if ctx.k > 2 and where(ctx, cols):
+            h[7] ^= 1
+        return h
+
+    monkeypatch.setattr(bentkit.analysis, "_unmatched_counts", planted)
+    checks = {c.name: c for c in run_verification_suite()}
+    assert [name for name, c in checks.items() if not c.ok] == ["ps-distance-formulas"]
+    assert checks["ps-distance-formulas"].detail == {
+        "failures": [{**failure, "formula_mismatches": 1}]
+    }
 
 
 def test_verification_suite_transforms_stacks(monkeypatch):

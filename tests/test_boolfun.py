@@ -11,7 +11,6 @@ from bentkit.boolfun import (
     _weights_array,
     mm_bent,
     mm_dual,
-    popcount_array,
     reduce_basis,
     subspace_indicator,
     subspace_span,
@@ -19,6 +18,7 @@ from bentkit.boolfun import (
     symmetric_value_pattern,
 )
 from bentkit.spectral import dual, is_bent
+from oracles import popcount_array
 
 
 def tt_x1(n: int) -> TruthTable:

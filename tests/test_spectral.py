@@ -11,7 +11,6 @@ from bentkit.boolfun import (
     TruthTable,
     mm_bent,
     mm_dual,
-    popcount_array,
     symmetric_bent,
 )
 from bentkit.field import DEFAULT_POLYS, GF2k, reducible_factor
@@ -36,7 +35,7 @@ from bentkit.spectral import (
     wht,
     wht_restricted,
 )
-from oracles import fwht_int64_reference, reference_spectrum
+from oracles import fwht_int64_reference, popcount_array, reference_spectrum
 
 X1X3_X2X4 = TruthTable.from_function(
     4, lambda x: (x & (x >> 2) & 1) ^ ((x >> 1) & (x >> 3) & 1)

@@ -4,13 +4,14 @@ import tracemalloc
 
 import pytest
 
-from bentkit.analysis import dist_formula_general, dist_formula_ps_minus
+from bentkit.analysis import dist_formula_general, dist_formula_ps_minus, nf_formula
 from bentkit.boolfun import TruthTable, reduce_basis, subspace_span
 from bentkit.field import DEFAULT_POLYS, GF2k
 from bentkit.spectral import dist_to_dual, dual, is_bent
 from bentkit.spreads import (
     LINE_INFINITY,
     SpreadLine,
+    SpreadSelection,
     desarguesian,
     dual_selection,
     is_selfdual_selection,
@@ -227,6 +228,25 @@ def test_ps_size_validation():
         selection(F4, [SpreadLine(0), SpreadLine(0)])
     with pytest.raises(ValueError):
         selection(F4, [SpreadLine(7)])
+
+
+@pytest.mark.parametrize("a", [8, 99, -1])
+def test_out_of_range_lines_fail_in_every_call(a):
+    # one range check for every call that reads lines, also for a
+    # hand-built selection that never went through selection()
+    bad = SpreadLine(a)
+    sel = SpreadSelection(F8, (bad, SpreadLine(1), SpreadLine(2), SpreadLine(3)))
+    for call in (
+        lambda: line_points(F8, bad),
+        lambda: line_dual(F8, bad),
+        lambda: selection(F8, [bad, bad]),  # the range check comes first
+        lambda: dual_selection(sel),
+        lambda: ps_minus(sel),
+        lambda: nf_formula(sel),
+        lambda: dist_formula_ps_minus(sel),
+    ):
+        with pytest.raises(ValueError, match=rf"^line element {a} outside GF\(2\^3\)$"):
+            call()
 
 
 def test_selection_canonical_order():
