@@ -241,28 +241,32 @@ def census(
     """Enumerate minus-type selections and aggregate distance classes.
 
     Every selection gets the line formula's distance, with h for all rows
-    from one gather.  Exhaustive mode (k <= 4) also computes every
-    distance spectrally, in one batched transform over the stack of tables,
-    and counts disagreements.  Sample mode (k <= 7) draws `samples`
-    selections from a seeded PRNG and checks the first five draws and every
-    25th spectrally.  A disagreeing row is classed by its spectral distance.
+    from one gather.  Exhaustive mode (k <= 4) checks every selection
+    spectrally, in one batched transform over the stack of tables; sample
+    mode (k <= 7) draws `samples` from a seeded PRNG and checks the first
+    five draws and every 25th.  `formula_mismatches` counts the checked
+    rows where either closed form, the line formula or the counting form,
+    disagrees with the spectrum; a checked row is classed by the spectrum.
     """
     if mode == "exhaustive":
         return _exhaustive_census(ctx)[0]
     _census_size_check(mode, ctx.k)
-    size = 1 << (ctx.k - 1)
     if not samples or samples <= 0:
         raise ValueError("sample mode needs a positive sample count")
     seed = 0 if seed is None else seed
+    idx = np.arange(samples)
+    spot = idx[(idx < 5) | (idx % 25 == 0)]
+    return _census_stack(ctx, _minus_draws(ctx, samples, seed), mode, seed, spot)[0]
+
+
+def _minus_draws(ctx: GF2k, count: int, seed: int) -> np.ndarray:
+    """`count` minus selections drawn by Random(seed), as rows of spread
+    columns (sample() draws positions, so columns and lines draw alike)."""
     rng = random.Random(seed)
-    # sample() draws positions, so the spread columns (desarguesian(ctx)
-    # order) give the same selections as the lines themselves
-    cols = np.array(
-        [rng.sample(range(ctx.order + 1), size) for _ in range(samples)],
+    return np.array(
+        [rng.sample(range(ctx.order + 1), ctx.order // 2) for _ in range(count)],
         dtype=np.int64,
     )
-    idx = np.arange(samples)
-    return _census_stack(ctx, cols, mode, seed, idx[(idx < 5) | (idx % 25 == 0)])[0]
 
 
 def _exhaustive_census(ctx: GF2k, universe=None, width=None):
@@ -278,16 +282,17 @@ def _exhaustive_census(ctx: GF2k, universe=None, width=None):
 
 def _census_stack(ctx: GF2k, cols, mode="exhaustive", seed=None, spot=slice(None)):
     """The census core over any stack of minus- or plus-type selections, the
-    rows of spread columns `cols`: (report, cols, tables, identities), with
-    the stack of the rows `spot` (all by default) it checked spectrally and
-    that stack's `_stack_identities`.  A checked row is classed by its
-    spectral distance, any other by the line formula's; a plus selection
-    has the h, and so the distance, of its complement, a minus selection."""
+    rows of spread columns `cols`: (report, cols, identities), with the
+    `_stack_identities` of the rows `spot` (all by default) it checked
+    spectrally.  A checked row is a formula mismatch when the line formula
+    or the counting form disagrees with its spectral distance, and is
+    classed by that distance, any other row by the line formula's (a plus
+    selection has the h of its complement, a minus selection)."""
     dists = (1 << (2 * ctx.k - 1)) - _nf_value(ctx.k, _unmatched_counts(ctx, cols)) // 2
     tables = _selection_tables(ctx, cols[spot])
     identities = _stack_identities(tables, ctx)
     spectral = _stack_distances(identities)
-    mismatches = int(np.count_nonzero(spectral != dists[spot]))
+    bad = (spectral != dists[spot]) | (spectral != _spread_dist_formula(tables))
     dists[spot] = spectral
     values, counts = np.unique(dists, return_counts=True)
     class_sizes = dict(zip(values.tolist(), counts.tolist()))
@@ -299,10 +304,10 @@ def _census_stack(ctx: GF2k, cols, mode="exhaustive", seed=None, spot=slice(None
         class_sizes=class_sizes,
         selfdual_count=class_sizes.get(0, 0),
         min_nonzero_dist=min((d for d in class_sizes if d), default=None),
-        formula_mismatches=mismatches,
+        formula_mismatches=int(np.count_nonzero(bad)),
         spectral_checked=len(tables),
     )
-    return report, cols, tables, identities
+    return report, cols, identities
 
 
 # ----------------------------------------------------------------------
@@ -348,9 +353,9 @@ def _distribution_row(n: int, realized: CensusReport | None) -> DistributionRow:
     """distribution_table's row, checked against the census `realized`."""
     k = n // 2
     # N rises as h falls; dist = 2^(n-1) - N/2 rises with h
-    nf_values = [_nf_value(k, h) for h in range(1 << (k - 1), -1, -1)]
-    dist_values = [(1 << (n - 1)) - nf // 2 for nf in reversed(nf_values)]
-    row = DistributionRow(n, nf_values, dist_values)
+    nf = _nf_value(k, np.arange(1 << (k - 1), -1, -1))
+    dist_values = ((1 << (n - 1)) - nf[::-1] // 2).tolist()
+    row = DistributionRow(n, nf.tolist(), dist_values)
     if realized is not None:
         if set(realized.class_sizes) != set(dist_values):
             raise AssertionError(
@@ -679,7 +684,7 @@ def _check_metric_identities(spread, symmetric) -> SuiteCheck:
     symmetric bents at each n = 4..12, and 25 seeded MM bents at n = 6, 8."""
     from .boolfun import mm_bent
 
-    ctx3, _, cols, _, spread_identities = spread
+    ctx3, _, cols, spread_identities = spread
     # (identities, the failure record of row i)
     stacks = [(
         spread_identities,
@@ -712,29 +717,22 @@ def _check_metric_identities(spread, symmetric) -> SuiteCheck:
 
 
 def _check_distance_formulas(censuses) -> SuiteCheck:
-    """The counting form and the line formula against the spectral distance,
-    over census stacks: every minus selection at k = 2, 3 (the `censuses`
-    stacks), every plus selection at k = 2, 3, and 200 seeded minus draws
-    at k = 4.  A row fails on the counting form; a stack fails on any line
-    formula mismatch its census counted."""
+    """Both closed forms against the spectral distance, as the census core
+    checks them, over stacks with every row checked: every minus selection
+    at k = 2, 3 (the `censuses` stacks), every plus selection at k = 2, 3,
+    and 200 seeded minus draws at k = 4.  A stack fails on any formula
+    mismatch its census counted, or on a distance class above 2^n - 2^k."""
     stacks = []
     for ctx, *minus in censuses:
         stacks += [(ctx, *minus), (ctx, *_exhaustive_census(ctx, width=ctx.order // 2 + 1))]
     ctx = GF2k(4)
-    rng = random.Random(404)
-    draws = np.array([rng.sample(range(ctx.order + 1), ctx.order // 2) for _ in range(200)])
-    stacks.append((ctx, *_census_stack(ctx, draws, "sample", 404)))
+    stacks.append((ctx, *_census_stack(ctx, _minus_draws(ctx, 200, 404), "sample", 404)))
     failures = []
-    for ctx, report, cols, tables, identities in stacks:
-        k = ctx.k
-        tag = {"form": "plus" if cols.shape[1] > ctx.order // 2 else "minus", "k": k}
-        if report.formula_mismatches:
-            failures.append({**tag, "formula_mismatches": report.formula_mismatches})
-        a = _spread_dist_formula(tables)
-        bad = (a != _stack_distances(identities)) | (a > (1 << (2 * k)) - (1 << k))
-        for i in np.flatnonzero(bad).tolist():
-            lines = [str(L) for L in _lines(ctx, cols[i])]
-            failures.append({**tag, **({"index": i} if k == 4 else {"lines": lines})})
+    for ctx, report, cols, _ in stacks:
+        bad = report.formula_mismatches
+        if bad or max(report.class_sizes) > (1 << (2 * ctx.k)) - ctx.order:
+            form = "plus" if cols.shape[1] > ctx.order // 2 else "minus"
+            failures.append({"form": form, "k": ctx.k, "formula_mismatches": bad})
     return SuiteCheck("ps-distance-formulas", not failures, {"failures": failures[:5]})
 
 
@@ -752,7 +750,7 @@ def _check_charsum(quotients) -> SuiteCheck:
     `_quotient_census` stacks `quotients`: N = 2^n - 2 dist per row from
     the checked distances, K for every g from one gather."""
     bad = []
-    for ctx, _, cols, _, identities in quotients:
+    for ctx, _, cols, identities in quotients:
         g_vals = np.zeros((len(cols), ctx.order), dtype=np.uint8)
         # the columns 1/u give back supp g through the same involution
         np.put_along_axis(g_vals, ctx.line_dual_index[cols], 1, axis=1)

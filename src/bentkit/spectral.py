@@ -56,7 +56,6 @@ from .boolfun import (
     TruthTable,
     _linear_index_map,
     _pack_values,
-    _weights_array,
     reduce_basis,
 )
 from .field import GF2k
@@ -232,17 +231,16 @@ def wht(f: TruthTable, pairing: Pairing = None) -> WalshSpectrum:
 def wht_restricted(f: TruthTable, u: int, subset: str = "even") -> int:
     """Walsh sum at u restricted to even-weight or odd-weight inputs.
 
-    Standard dot product only; `subset` is "even" or "odd".
+    Standard dot product only; `subset` is "even" or "odd".  (-1)^wt(x)
+    is the character of 1...1, so the sum is (W(u) +- W(u ^ 1...1)) / 2.
     """
     if subset not in ("even", "odd"):
         raise ValueError(f"subset must be 'even' or 'odd', got {subset!r}")
     if not 0 <= u < f.size:
         raise ValueError(f"point {u} out of range for n={f.n}")
-    w = _weights_array(f.n)
-    mask = (w & 1) == (1 if subset == "odd" else 0)
-    chi = w[np.arange(f.size, dtype=np.uint32) & u] & 1
-    signs = 1 - 2 * (f.values() ^ chi).astype(np.int64)
-    return int(signs[mask].sum())
+    spec = wht(f)
+    other = spec[u ^ (f.size - 1)]
+    return (spec[u] + (other if subset == "even" else -other)) // 2
 
 
 def _nonlinearity(spec: WalshSpectrum) -> int:

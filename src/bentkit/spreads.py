@@ -17,7 +17,7 @@ with the standard pairing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -56,10 +56,21 @@ LINE_INFINITY = SpreadLine(None)
 
 @dataclass(frozen=True)
 class SpreadSelection:
-    """An ordered, duplicate-free choice of spread lines over one field."""
+    """A duplicate-free choice of spread lines over one field in canonical
+    order (finite by value, infinity last), that of its read-only spread
+    columns `cols`; the constructor checks range and duplicates once."""
 
     ctx: GF2k
     lines: tuple[SpreadLine, ...]
+    cols: np.ndarray = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        cols = np.sort(_columns(self.ctx, self.lines))
+        if (cols[1:] == cols[:-1]).any():
+            raise ValueError("selection contains duplicate lines")
+        cols.flags.writeable = False
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "lines", tuple(_lines(self.ctx, cols)))
 
     @property
     def k(self) -> int:
@@ -77,12 +88,8 @@ class SpreadSelection:
 
 
 def selection(ctx: GF2k, lines: Iterable[SpreadLine]) -> SpreadSelection:
-    """Build a selection in canonical order (finite by value, infinity last),
-    which is the order of the spread columns."""
-    cols = np.sort(_columns(ctx, lines))
-    if (cols[1:] == cols[:-1]).any():
-        raise ValueError("selection contains duplicate lines")
-    return SpreadSelection(ctx, tuple(_lines(ctx, cols)))
+    """The selection of `lines`, in any order."""
+    return SpreadSelection(ctx, tuple(lines))
 
 
 def desarguesian(ctx: GF2k) -> list[SpreadLine]:
@@ -129,11 +136,8 @@ def line_dual(ctx: GF2k, line: SpreadLine) -> SpreadLine:
 
 
 def dual_selection(sel: SpreadSelection) -> SpreadSelection:
-    """The selection of the dual lines.  The line duality is a bijection and
-    column order is canonical order, so the sorted dual columns already
-    form a valid selection: one gather, no scalar inversion."""
-    cols = np.sort(sel.ctx.line_dual_index[_columns(sel.ctx, sel.lines)])
-    return SpreadSelection(sel.ctx, tuple(_lines(sel.ctx, cols)))
+    """The selection of the dual lines: one gather, no scalar inversion."""
+    return SpreadSelection(sel.ctx, tuple(_lines(sel.ctx, sel.ctx.line_dual_index[sel.cols])))
 
 
 def _scatter(n: int, rows: int, index: np.ndarray, origin) -> np.ndarray:
@@ -168,7 +172,7 @@ def _selection_columns(sel: SpreadSelection, plus: bool) -> np.ndarray:
     if len(sel) != want:
         name = "ps_plus" if plus else "ps_minus"
         raise ValueError(f"{name} needs {want} lines, got {len(sel)}")
-    return _columns(sel.ctx, sel.lines)[None]
+    return sel.cols[None]
 
 
 def _selection_table(sel: SpreadSelection, plus: bool) -> np.ndarray:

@@ -47,3 +47,14 @@ def spread_table_reference(ctx, cols, plus: bool) -> np.ndarray:
             vals[ctx.pack(0, x) if c == ctx.order else ctx.pack(x, ctx.mul(x, c))] = 1
     vals[0] = plus
     return vals
+
+
+def restricted_sum_reference(f: TruthTable, u: int, subset: str) -> int:
+    """sum of (-1)^(f(x) + u.x) over the inputs x of even (or odd) weight,
+    point by point."""
+    odd = subset == "odd"
+    return sum(
+        1 - 2 * (f[x] ^ ((x & u).bit_count() & 1))
+        for x in range(f.size)
+        if (x.bit_count() & 1) == odd
+    )

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import json
 import random
 from math import comb
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bentkit.analysis
+import bentkit.cli
 from bentkit.analysis import (
     CensusReport,
     _spread_dist_formula,
@@ -684,8 +686,8 @@ def test_plus_census_has_the_minus_class_sizes(k):
     # the complement of a minus selection is a plus selection with the same
     # h, so the plus census, every row checked, has the minus classes
     ctx = GF2k(k)
-    rep, _, tables, _ = _exhaustive_census(ctx, width=(1 << (k - 1)) + 1)
-    assert (tables[:, 0] == 1).all()  # plus tables keep the origin
+    rep, cols, _ = _exhaustive_census(ctx, width=(1 << (k - 1)) + 1)
+    assert (_selection_tables(ctx, cols)[:, 0] == 1).all()  # plus tables keep the origin
     assert rep.class_sizes == census(ctx).class_sizes
     assert rep.formula_mismatches == 0
     assert rep.spectral_checked == rep.total_selections == comb((1 << k) + 1, (1 << (k - 1)) + 1)
@@ -872,9 +874,10 @@ def test_charsum_report_second_example():
 def test_quotient_stack_matches_the_single_function_path():
     # the stack the verify battery reads N from: one row per balanced g
     for ctx in (F4, F8):
-        _, cols, tables, identities = _quotient_census(ctx)
+        _, cols, identities = _quotient_census(ctx)
         gs = list(balanced_g_functions(ctx.k))
         assert ctx.line_dual_index[cols].tolist() == [g.support() for g in gs]
+        tables = _selection_tables(ctx, cols)
         for g, table, d in zip(gs, tables, _stack_distances(identities).tolist()):
             f = psap_from_g(ctx, g)
             assert np.array_equal(table, f.values())
@@ -938,11 +941,11 @@ def test_charsum_check_reports_each_planted_row():
     ctx = F8
     quotient = _quotient_census(ctx)
     assert _check_charsum([(ctx, *quotient)]).ok
-    report, cols, tables, identities = quotient
+    report, cols, identities = quotient
     wrong = identities.copy()
     wrong[[4, 20], 0] += 2  # the direct and the spectral distance agree
     wrong[[4, 20], 2] += 2
-    check = _check_charsum([(ctx, report, cols, tables, wrong)])
+    check = _check_charsum([(ctx, report, cols, wrong)])
     gs = list(balanced_g_functions(3))
     assert not check.ok
     assert [f["g"] for f in check.detail["failures"]] == [gs[4].to_hex(), gs[20].to_hex()]
@@ -1120,6 +1123,43 @@ def test_distance_check_fails_on_a_planted_line_formula_flip(monkeypatch, where,
     assert checks["ps-distance-formulas"].detail == {
         "failures": [{**failure, "formula_mismatches": 1}]
     }
+
+
+def _plant_counting_form_flip(monkeypatch, where):
+    # one row's counting form off by 2 in the census stacks `where` picks
+    formula = bentkit.analysis._spread_dist_formula
+
+    def planted(tables):
+        dists = formula(tables)
+        if where(tables):
+            dists[7] += 2
+        return dists
+
+    monkeypatch.setattr(bentkit.analysis, "_spread_dist_formula", planted)
+
+
+@pytest.mark.parametrize("where, failing", [
+    (
+        lambda t: len(t) == 126 and not t[0, 0],
+        ["census-k3", "selfdual-counts", "ps-distance-formulas"],
+    ),
+    (lambda t: len(t) == 126 and t[0, 0], ["ps-distance-formulas"]),
+    (lambda t: len(t) == 35, ["selfdual-counts"]),
+    (lambda t: len(t) == 200, ["ps-distance-formulas"]),
+], ids=["minus-k3", "plus-k3", "quotient-k3", "k4-draw"])
+def test_a_counting_form_flip_fails_the_checks_that_read_its_stack(monkeypatch, where, failing):
+    # the census core checks the counting form on every row it transforms,
+    # so exactly the checks that read the planted stack's report fail
+    _plant_counting_form_flip(monkeypatch, where)
+    assert [c.name for c in run_verification_suite() if not c.ok] == failing
+
+
+def test_census_counts_a_counting_form_flip(monkeypatch, capsys):
+    _plant_counting_form_flip(monkeypatch, lambda t: len(t) > 7)
+    assert census(F8).formula_mismatches == 1
+    assert census(GF2k(5), "sample", samples=300, seed=9).formula_mismatches == 1
+    assert bentkit.cli.main(["census", "--k", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["formula_mismatches"] == 1
 
 
 def test_verification_suite_transforms_stacks(monkeypatch):

@@ -1,8 +1,11 @@
 import io
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from bentkit.field import GF2k
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -506,3 +510,34 @@ def test_readme_quick_start_prints_its_census_comment(capsys):
     assert comment == "{0: 6, 14: 24, 28: 48, 42: 32, 56: 16}"
     exec(compile(code, str(README), "exec"), {})
     assert comment in capsys.readouterr().out.splitlines()
+
+
+# ----------------------------------------------------------------------
+# the interpreter entry point
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, stdin, code", [
+    (["verify", "--suite", "all"], None, 0),
+    (["rayleigh"], "6ca0\n", 0),
+    (["rayleigh", "6cz0"], None, 2),
+], ids=["verify", "rayleigh-stdin", "bad-table"])
+def test_python_m_bentkit(tmp_path, argv, stdin, code):
+    # `python -m bentkit` in a fresh interpreter: __main__ passes main's
+    # exit code on, and a bad table is one error line, never a traceback
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "bentkit", *argv],
+        input=stdin or "",
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert run.returncode == code, run.stderr
+    if code:
+        assert run.stdout == ""
+        assert re.fullmatch(r"bentkit: error: [^\n]*\n", run.stderr)
+    else:
+        assert json.loads(run.stdout)["schema"] == 1
+        assert run.stderr == ""

@@ -35,7 +35,12 @@ from bentkit.spectral import (
     wht,
     wht_restricted,
 )
-from oracles import fwht_int64_reference, popcount_array, reference_spectrum
+from oracles import (
+    fwht_int64_reference,
+    popcount_array,
+    reference_spectrum,
+    restricted_sum_reference,
+)
 
 X1X3_X2X4 = TruthTable.from_function(
     4, lambda x: (x & (x >> 2) & 1) ^ ((x >> 1) & (x >> 3) & 1)
@@ -375,6 +380,16 @@ def test_restricted_partition_identity():
         even = wht_restricted(f, u, "even")
         odd = wht_restricted(f, u, "odd")
         assert even + odd == spec[u]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_restricted_sums_match_the_pointwise_sum(n):
+    rng = random.Random(40 + n)
+    for _ in range(3):
+        f = random_tt(n, rng)
+        for u in {0, (1 << n) - 1, *(rng.randrange(1 << n) for _ in range(4))}:
+            for subset in ("even", "odd"):
+                assert wht_restricted(f, u, subset) == restricted_sum_reference(f, u, subset)
 
 
 def test_restricted_specific_values():

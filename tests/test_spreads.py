@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from bentkit.analysis import dist_formula_general, dist_formula_ps_minus, nf_formula
+from bentkit.analysis import dist_formula_general, dist_formula_ps_minus
 from bentkit.boolfun import TruthTable, reduce_basis, subspace_span
 from bentkit.field import DEFAULT_POLYS, GF2k
 from bentkit.spectral import dist_to_dual, dual, is_bent
@@ -232,21 +232,31 @@ def test_ps_size_validation():
 
 @pytest.mark.parametrize("a", [8, 99, -1])
 def test_out_of_range_lines_fail_in_every_call(a):
-    # one range check for every call that reads lines, also for a
-    # hand-built selection that never went through selection()
+    # one range check for every call that reads lines; a hand-built
+    # selection that never went through selection() fails in its constructor
     bad = SpreadLine(a)
-    sel = SpreadSelection(F8, (bad, SpreadLine(1), SpreadLine(2), SpreadLine(3)))
     for call in (
         lambda: line_points(F8, bad),
         lambda: line_dual(F8, bad),
         lambda: selection(F8, [bad, bad]),  # the range check comes first
-        lambda: dual_selection(sel),
-        lambda: ps_minus(sel),
-        lambda: nf_formula(sel),
-        lambda: dist_formula_ps_minus(sel),
+        lambda: SpreadSelection(F8, (bad, SpreadLine(1), SpreadLine(2), SpreadLine(3))),
     ):
         with pytest.raises(ValueError, match=rf"^line element {a} outside GF\(2\^3\)$"):
             call()
+
+
+def test_hand_built_selections_are_checked_and_canonical():
+    # a repeated line would give a table that is not bent
+    with pytest.raises(ValueError, match="^selection contains duplicate lines$"):
+        SpreadSelection(F8, (SpreadLine(1), SpreadLine(1), SpreadLine(2), SpreadLine(3)))
+    lines = (LINE_INFINITY, SpreadLine(5), SpreadLine(2), SpreadLine(3))
+    sel = SpreadSelection(F8, lines)
+    assert sel == selection(F8, lines) == selection(F8, reversed(lines))
+    assert [str(L) for L in sel.lines] == ["2", "3", "5", "inf"]
+    assert sel.cols.tolist() == [2, 3, 5, 8]
+    with pytest.raises(ValueError):
+        sel.cols[0] = 1
+    assert hash(sel) == hash(selection(F8, lines))
 
 
 def test_selection_canonical_order():
