@@ -22,7 +22,6 @@ from .boolfun import (
     _linear_index_map,
     _pack_values,
     _weights_array,
-    reduce_basis,
     symmetric_bent,
     symmetric_value_pattern,
 )
@@ -119,24 +118,42 @@ def dist_formula_ps_plus(sel: SpreadSelection) -> int:
     return int(_spread_dist_formula(_selection_table(sel, True))[0])
 
 
-def _annihilator_basis(n: int, points: Sequence[int]) -> list[int]:
-    """A basis of the annihilator of a point set under the standard dot
-    product.  In the fully reduced echelon basis each pivot bit is set in
-    one vector only, so e_j plus the pivots of the vectors with bit j set,
-    for every non-pivot bit j, is orthogonal to all of them."""
-    basis = reduce_basis(points)
-    pivots = [b.bit_length() - 1 for b in basis]
-    return [
-        (1 << j) | sum(1 << p for p, b in zip(pivots, basis) if (b >> j) & 1)
-        for j in range(n)
-        if j not in pivots
-    ]
+def _annihilator_bases(n: int, point_sets: Sequence[Sequence[int]]) -> np.ndarray:
+    """Row b: a basis of the annihilator of the point set point_sets[b] under
+    the standard dot product, from one GF(2) elimination over all the sets
+    at once; every set must have the same rank.  The elimination leaves each
+    set in the fully reduced echelon form of `reduce_basis`, where each
+    pivot bit is set in one vector only, so e_j plus the pivots of the
+    vectors with bit j set, for every non-pivot bit j in ascending order, is
+    orthogonal to all of them."""
+    vecs = np.array(point_sets, dtype=np.int64).reshape(len(point_sets), -1)
+    # a zero vector in every set keeps an empty one well-formed; it never pivots
+    vecs = np.concatenate([vecs, np.zeros((len(vecs), 1), np.int64)], axis=1)
+    free = np.ones(vecs.shape, dtype=bool)  # not (yet) the pivot of a bit
+    lead = np.zeros(vecs.shape, dtype=np.int64)  # the pivot bit of each vector
+    each = np.arange(len(vecs))
+    for c in reversed(range(max(n, int(vecs.max()).bit_length()))):
+        hit = (vecs >> c) & 1 == 1
+        row = (hit & free).argmax(axis=1)
+        found = (hit & free)[each, row]
+        # the pivot clears bit c from every other vector of its set
+        hit[each, row] = False
+        vecs ^= np.where(hit & found[:, None], vecs[each, row][:, None], 0)
+        free[each[found], row[found]] = False
+        lead[each[found], row[found]] = c
+    basis = vecs[~free].reshape(len(vecs), -1)
+    lead = lead[~free].reshape(len(vecs), -1)
+    j = np.arange(n)
+    dual = (1 << j) | np.bitwise_or.reduce(
+        ((basis[:, :, None] >> j) & 1) << lead[:, :, None], axis=1
+    )
+    return dual[~(lead[:, :, None] == j).any(axis=1)].reshape(len(vecs), -1)
 
 
 def dual_subspace_points(n: int, points: Sequence[int]) -> list[int]:
     """Annihilator of a point set under the standard dot product, origin
-    first, in `subspace_span` order of `_annihilator_basis`."""
-    return _linear_index_map(_annihilator_basis(n, points)).tolist()
+    first, in `subspace_span` order of its `_annihilator_bases` basis."""
+    return _linear_index_map(_annihilator_bases(n, [list(points)])[0]).tolist()
 
 
 def dist_formula_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> int:
@@ -145,9 +162,7 @@ def dist_formula_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> int
     annihilator of its basis, and every annihilator (dimension k) is one
     column of a batched index map."""
     vals = ps_general(n, subspace_bases).values()
-    duals = _linear_index_map(
-        np.array([_annihilator_basis(n, b) for b in subspace_bases]).T
-    )
+    duals = _linear_index_map(_annihilator_bases(n, subspace_bases).T)
     # origin first in every annihilator: row 0 is left out
     return _dist_from_hits(n, int(vals[duals[1:]].sum(dtype=np.int64)), int(vals[0]))
 
@@ -756,7 +771,7 @@ def _check_charsum(quotients) -> SuiteCheck:
         np.put_along_axis(g_vals, ctx.line_dual_index[cols], 1, axis=1)
         k_nz = _kloosterman_nonzero(ctx, g_vals).tolist()
         for v, kn, d in zip(g_vals, k_nz, _stack_distances(identities).tolist()):
-            g = TruthTable(ctx.k, _pack_values(v))
+            g = TruthTable._from_packed(ctx.k, _pack_values(v))
             rep = _charsum_report(g, kn, (1 << (2 * ctx.k)) - 2 * d)
             if not rep.derived_matches:
                 bad.append(rep.to_json_dict())

@@ -1,14 +1,18 @@
 """Truth-table Boolean functions: ANF, derivatives, and constructive families.
 
-A function on n variables (2 <= n <= 24) is a packed bit array of length
-2^n inside a Python int.  The index convention is little-endian in the
-variables: the point (x1, ..., xn) sits at index sum x_i * 2^(i-1), so x1
-is the least significant bit.  Functions on F_{2^k} x F_{2^k} use the
-layout index = bits(x) + 2^k * bits(y).
+A function on n variables (2 <= n <= 24) is stored as its packed table:
+the 2^n values as bits, little-endian in bytes, so f(x) is bit x % 8 of
+byte x // 8 (n = 2 fills the low nibble of its one byte).  The same table
+as a Python int, bit x = f(x), is derived from it on demand (`bits`).  The
+index convention is little-endian in the variables: the point
+(x1, ..., xn) sits at index sum x_i * 2^(i-1), so x1 is the least
+significant bit.  Functions on F_{2^k} x F_{2^k} use the layout
+index = bits(x) + 2^k * bits(y).
 
 Hex serialization writes the packed table as a lowercase hex string of
 exactly 2^n / 4 digits with index 0 in the least significant nibble,
-i.e. the rightmost hex digit holds f(0)..f(3).
+i.e. the rightmost hex digit holds f(0)..f(3): the packed bytes in reverse
+order.  Reading or writing hex never builds the table as an int.
 """
 
 from __future__ import annotations
@@ -32,16 +36,21 @@ def _moebius(vals: np.ndarray) -> np.ndarray:
     return a
 
 
-def _pack_values(values: np.ndarray) -> int:
-    return int.from_bytes(
-        np.packbits(values, bitorder="little").tobytes(), "little"
-    )
+def _pack_values(values: np.ndarray) -> bytes:
+    """The packed table of a 0/1 array (flattened): eight values a byte,
+    little-endian."""
+    return np.packbits(values, bitorder="little").tobytes()
 
 
-def _unpack_values(bits: int, n: int) -> np.ndarray:
+def _unpack_values(packed: bytes, n: int) -> np.ndarray:
     """Inverse of _pack_values: a uint8 0/1 array of length 2^n."""
-    raw = np.frombuffer(bits.to_bytes(((1 << n) + 7) // 8, "little"), dtype=np.uint8)
+    raw = np.frombuffer(packed, dtype=np.uint8)
     return np.unpackbits(raw, bitorder="little")[: 1 << n]
+
+
+def _packed_size(n: int) -> int:
+    """Bytes of the packed table of 2^n values."""
+    return ((1 << n) + 7) // 8
 
 
 def _check_n(n: int) -> None:
@@ -50,14 +59,31 @@ def _check_n(n: int) -> None:
 
 
 class TruthTable:
-    """A Boolean function on 2^n points, bit-packed into an int."""
+    """A Boolean function on 2^n points.  It stores its packed table
+    (little-endian bytes, see the module docstring); `bits`, the same
+    table as an int, is built from them when read."""
 
     def __init__(self, n: int, bits: int = 0):
         _check_n(n)
         if bits < 0 or bits >> (1 << n):
             raise ValueError("packed table does not fit in 2^n bits")
         self.n = n
-        self.bits = bits
+        self._packed = int(bits).to_bytes(_packed_size(n), "little")
+
+    @classmethod
+    def _from_packed(cls, n: int, packed: bytes) -> "TruthTable":
+        """The function whose packed table is `packed` (_packed_size(n) bytes,
+        the bits past 2^n zero)."""
+        _check_n(n)
+        table = cls.__new__(cls)
+        table.n = n
+        table._packed = packed
+        return table
+
+    @property
+    def bits(self) -> int:
+        """The table as an int: bit x is f(x)."""
+        return int.from_bytes(self._packed, "little")
 
     @property
     def size(self) -> int:
@@ -72,7 +98,7 @@ class TruthTable:
         arr = np.asarray(list(values), dtype=np.uint8)
         if arr.size != 1 << n:
             raise ValueError(f"expected {1 << n} values, got {arr.size}")
-        return cls(n, _pack_values(arr))
+        return cls._from_packed(n, _pack_values(arr))
 
     @classmethod
     def from_support(cls, n: int, support: Iterable[int]) -> "TruthTable":
@@ -86,7 +112,7 @@ class TruthTable:
             raise ValueError(f"support point {bad} out of range for n={n}")
         vals = np.zeros(1 << n, dtype=np.uint8)
         vals[idx] = 1
-        return cls(n, _pack_values(vals))
+        return cls._from_packed(n, _pack_values(vals))
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int], int]) -> "TruthTable":
@@ -96,9 +122,17 @@ class TruthTable:
     def from_hex(cls, text: str, n: int | None = None) -> "TruthTable":
         """Parse the hex serialization; n is inferred from the digit count."""
         text = text.strip()
-        # bytes.fromhex alone would also take inner whitespace, and int(text,
-        # 16) a 0x prefix, "_" and a sign.
-        if not text.isascii() or text.encode().translate(None, _HEX_DIGITS.encode()):
+        # An odd digit count (n = 2, or a bad length) gets a leading 0.
+        # bytes.fromhex also skips whitespace between digit pairs, so every
+        # character is a hex digit iff it parses to half as many bytes as
+        # there are digits (int(text, 16) would take a 0x prefix, "_" and a
+        # sign).
+        digits = text if len(text) % 2 == 0 else "0" + text
+        try:
+            packed = bytes.fromhex(digits)
+        except ValueError:
+            packed = b""
+        if 2 * len(packed) != len(digits):
             bad = next(c for c in text if c not in _HEX_DIGITS)
             raise ValueError(f"non-hex character {bad!r} in hex truth table")
         if n is None:
@@ -112,20 +146,20 @@ class TruthTable:
                 f"hex truth table must have {(1 << n) // 4} digits for n={n}, "
                 f"got {len(text)}"
             )
-        # zfill pads the one digit of n = 2 to a whole byte
-        return cls(n, int.from_bytes(bytes.fromhex(text.zfill(2)), "big"))
+        return cls._from_packed(n, packed[::-1])
 
     def to_hex(self) -> str:
         # n = 2 has one digit: the low nibble of the one byte
-        raw = self.bits.to_bytes((self.size + 7) // 8, "big")
-        return raw.hex()[-(self.size // 4):]
+        return self._packed[::-1].hex()[-(self.size // 4):]
 
     # ------------------------------------------------------------------
     # basic queries
     # ------------------------------------------------------------------
 
     def __getitem__(self, x: int) -> int:
-        return (self.bits >> x) & 1
+        if not 0 <= x < self.size:
+            raise IndexError(f"point {x} out of range for n={self.n}")
+        return (self._packed[x >> 3] >> (x & 7)) & 1
 
     def weight(self) -> int:
         return self.bits.bit_count()
@@ -138,25 +172,26 @@ class TruthTable:
 
     def values(self) -> np.ndarray:
         """The table as a uint8 0/1 array of length 2^n."""
-        return _unpack_values(self.bits, self.n)
+        return _unpack_values(self._packed, self.n)
 
     def complement(self) -> "TruthTable":
-        return TruthTable(self.n, self.bits ^ ((1 << self.size) - 1))
+        return TruthTable._from_packed(self.n, _pack_values(self.values() ^ 1))
 
     def __xor__(self, other: "TruthTable") -> "TruthTable":
         if self.n != other.n:
             raise ValueError("variable counts differ")
-        return TruthTable(self.n, self.bits ^ other.bits)
+        a, b = (np.frombuffer(t._packed, dtype=np.uint8) for t in (self, other))
+        return TruthTable._from_packed(self.n, (a ^ b).tobytes())
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, TruthTable)
             and self.n == other.n
-            and self.bits == other.bits
+            and self._packed == other._packed
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.bits))
+        return hash((self.n, self._packed))
 
     def __repr__(self) -> str:
         if self.size <= 64:
@@ -173,10 +208,11 @@ class TruthTable:
             raise ValueError(f"direction {u} out of range")
         vals = self.values()
         shifted = vals[np.arange(self.size) ^ u]
-        return TruthTable(self.n, _pack_values(vals ^ shifted))
+        return TruthTable._from_packed(self.n, _pack_values(vals ^ shifted))
 
     def anf(self) -> "AnfPoly":
-        return AnfPoly(self.n, _pack_values(_moebius(self.values())))
+        packed = _pack_values(_moebius(self.values()))
+        return AnfPoly(self.n, int.from_bytes(packed, "little"))
 
     def degree(self) -> int:
         return self.anf().degree()
@@ -196,22 +232,26 @@ class AnfPoly:
     def is_zero(self) -> bool:
         return self.coeffs == 0
 
+    def _values(self) -> np.ndarray:
+        """The coefficients as a uint8 0/1 array of length 2^n."""
+        packed = self.coeffs.to_bytes(_packed_size(self.n), "little")
+        return _unpack_values(packed, self.n)
+
     def monomials(self) -> list[int]:
-        return np.flatnonzero(_unpack_values(self.coeffs, self.n)).tolist()
+        return np.flatnonzero(self._values()).tolist()
 
     def degree(self) -> int:
         """Max weight of a monomial index; the zero polynomial reports 0."""
-        mons = np.flatnonzero(_unpack_values(self.coeffs, self.n))
+        mons = np.flatnonzero(self._values())
         return int(_weights_array(self.n)[mons].max(initial=0))
 
     def evaluate(self, x: int) -> int:
         """Direct monomial-sum evaluation, independent of the transform."""
-        mons = np.flatnonzero(_unpack_values(self.coeffs, self.n))
+        mons = np.flatnonzero(self._values())
         return int(np.count_nonzero((mons & x) == mons) & 1)
 
     def to_truth_table(self) -> TruthTable:
-        vals = _unpack_values(self.coeffs, self.n)
-        return TruthTable(self.n, _pack_values(_moebius(vals)))
+        return TruthTable._from_packed(self.n, _pack_values(_moebius(self._values())))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -293,7 +333,7 @@ def symmetric_bent(n: int, eps1: int = 0, eps2: int = 0) -> TruthTable:
     if n % 2 or n < 4:
         raise ValueError(f"symmetric bent functions need even n >= 4, got {n}")
     c = np.array(symmetric_value_pattern(n, eps1, eps2), dtype=np.uint8)
-    return TruthTable(n, _pack_values(c[_weights_array(n)]))
+    return TruthTable._from_packed(n, _pack_values(c[_weights_array(n)]))
 
 
 def symmetric_value_pattern(n: int, eps1: int = 0, eps2: int = 0) -> list[int]:
@@ -330,7 +370,7 @@ def mm_bent(pi: Sequence[int], g: TruthTable) -> TruthTable:
     parity = _weights_array(k) & 1
     # row y, col x: x . pi(y) is the parity of x & pi(y), one gather
     vals = parity[xs & np.asarray(pi, dtype=np.uint32)[:, None]] ^ g.values()[:, None]
-    return TruthTable(2 * k, _pack_values(vals))
+    return TruthTable._from_packed(2 * k, _pack_values(vals))
 
 
 def mm_dual(pi: Sequence[int], g: TruthTable) -> TruthTable:
@@ -342,5 +382,5 @@ def mm_dual(pi: Sequence[int], g: TruthTable) -> TruthTable:
     """
     k = _check_mm(pi, g)
     pinv = np.argsort(pi).tolist()
-    f = mm_bent(pinv, TruthTable(k, _pack_values(g.values()[pinv])))
-    return TruthTable(2 * k, _pack_values(f.values().reshape(1 << k, -1).T))
+    f = mm_bent(pinv, TruthTable._from_packed(k, _pack_values(g.values()[pinv])))
+    return TruthTable._from_packed(2 * k, _pack_values(f.values().reshape(1 << k, -1).T))

@@ -84,10 +84,10 @@ def _read_tt(args: argparse.Namespace, count: int = 1) -> list[TruthTable]:
     """Positional hex tables, or that many lines from stdin."""
     texts = list(args.tt)
     while len(texts) < count:
-        line = sys.stdin.readline()
-        if not line.strip():
+        text = sys.stdin.readline().strip()
+        if not text:
             raise UsageError(f"expected {count} hex truth table(s)")
-        texts.append(line.strip())
+        texts.append(text)
     return [TruthTable.from_hex(t, args.n) for t in texts[:count]]
 
 

@@ -13,9 +13,14 @@ There is one spectral path, over a (B, 2^n) uint8 stack of 0/1 tables, and
 every single-table function is its one-row case:
 
   * `_spectra` transforms a stack in chunks of <= 2^24 entries and checks
-    every row: Parseval always, and flatness for a bent stack (NotBentError
-    names the first bad point of the first bad row).  `wht`, `is_bent`,
-    `nonlinearity`, `dual` and `rayleigh_quotient` read its one row;
+    every row.  A bent stack is tested for flatness first (every |W(u)| =
+    2^(n/2), read as |W| min and max in blocks of 2^16 entries); a flat
+    integer spectrum satisfies Parseval exactly, so Parseval's int64 sum
+    runs only on a chunk with some row not flat, or on a stack that need
+    not be bent, and tells a broken transform (AssertionError) from a
+    non-bent row (NotBentError names the first bad point of the first bad
+    row).  `wht`, `is_bent`, `nonlinearity`, `dual` and
+    `rayleigh_quotient` read its one row;
   * `_stack_identities` reads the direct distance to the sign-bit dual,
     both metric-identity forms and the zero-sum residual of every row off
     it, and `_stack_distances` checks each row's spectral distance against
@@ -41,7 +46,9 @@ and every partial sum, in any summation order, is an integer of magnitude
 <= 2^n <= 2^24 (an even one of magnitude <= 2^25 in the last factor), and
 float32 holds every such integer.  Spectrum values are 32-bit signed
 integers; sums that can exceed that range (Parseval's sum of squares, the
-Rayleigh sum) accumulate exactly in int64.
+Rayleigh sum) accumulate exactly in int64.  The row sums of a flat
+spectrum are read in blocks of 2^16 columns, each summed in int32: a
+block sum is at most 2^16 * 2^12 = 2^28 in magnitude.
 """
 
 from __future__ import annotations
@@ -193,12 +200,29 @@ def _transform_input(tables: np.ndarray, pairing: Pairing) -> np.ndarray:
     return out.reshape(tables.shape)
 
 
+def _flat(spec: np.ndarray, target: int) -> bool:
+    """True iff every |W(u)| of the int32 chunk `spec` is `target`, read as
+    |W| min and max in blocks of <= _BLOCK entries through one scratch."""
+    rows = max(1, _BLOCK // spec.shape[1])
+    cols = min(spec.shape[1], _BLOCK)
+    scratch = np.empty(min(rows, len(spec)) * cols, dtype=np.int32)
+    for r in range(0, len(spec), rows):
+        for c in range(0, spec.shape[1], cols):
+            w = spec[r:r + rows, c:c + cols]
+            a = np.abs(w, out=scratch[:w.size].reshape(w.shape))
+            if a.min() != target or a.max() != target:
+                return False
+    return True
+
+
 def _spectra(tables: np.ndarray, pairing: Pairing, bent: bool = True):
     """Yield (start, rows, spectra) for a (B, 2^n) uint8 stack of 0/1 tables,
     one transform per chunk of <= _STACK entries: the int32 spectra of the
-    chunk's rows `tables[start:start + len(rows)]`, with Parseval asserted
-    per row (an int64 sum) and, for a `bent` stack, flatness (NotBentError
-    with the first bad point of the first bad row)."""
+    chunk's rows `tables[start:start + len(rows)]`.  A `bent` chunk whose
+    every |W(u)| is 2^(n/2) is yielded as it is (a flat integer spectrum
+    satisfies Parseval exactly); any other chunk has Parseval asserted per
+    row (an int64 sum) and, if `bent`, raises NotBentError with the first
+    bad point of the first bad row."""
     n = tables.shape[1].bit_length() - 1
     if pairing is not None and n != 2 * pairing.k:
         raise ValueError(f"trace pairing needs n = 2k = {2 * pairing.k}, got n = {n}")
@@ -209,13 +233,15 @@ def _spectra(tables: np.ndarray, pairing: Pairing, bent: bool = True):
         # W = 2^n [u = 0] - 2 (H f)
         spec = _fwht(_transform_input(f, pairing))
         spec[:, 0] += 1 << n
-        if np.any(np.einsum("ij,ij->i", spec, spec, dtype=np.int64) != 1 << (2 * n)):
-            raise AssertionError("Parseval identity violated; transform is broken")
-        # Under Parseval, max |W| = 2^(n/2) is flatness, and impossible for
-        # odd n: a non-flat row has a point with |W(u)| != 2^(n//2).
-        if bent:
-            bad = np.flatnonzero(np.maximum(spec.max(axis=1), -spec.min(axis=1)) != target)
-            if bad.size:
+        # No spectrum is flat at odd n: there |W| = 2^(n//2) everywhere
+        # breaks Parseval, which is then asserted.
+        if not (bent and n % 2 == 0 and _flat(spec, target)):
+            if np.any(np.einsum("ij,ij->i", spec, spec, dtype=np.int64) != 1 << (2 * n)):
+                raise AssertionError("Parseval identity violated; transform is broken")
+            # Under Parseval, max |W| = 2^(n/2) is flatness, and impossible for
+            # odd n: a non-flat row has a point with |W(u)| != 2^(n//2).
+            if bent:
+                bad = np.flatnonzero(np.maximum(spec.max(axis=1), -spec.min(axis=1)) != target)
                 row = spec[bad[0]]
                 u = int(np.flatnonzero(np.abs(row) != target)[0])
                 raise NotBentError(n, u, int(row[u]))
@@ -266,7 +292,7 @@ def is_bent(f: TruthTable) -> bool:
 def dual(f: TruthTable, pairing: Pairing = None) -> TruthTable:
     """The dual bent function: f~(u) = 1 iff W(u) = -2^(n/2)."""
     spec = next(_spectra(f.values()[None], pairing))[2]
-    return TruthTable(f.n, _pack_values(spec[0] < 0))
+    return TruthTable._from_packed(f.n, _pack_values(spec[0] < 0))
 
 
 def _exact_div(a, b: int, what: str):
@@ -278,17 +304,22 @@ def _exact_div(a, b: int, what: str):
     return a // b
 
 
-def _row_sums(f: np.ndarray, spec: np.ndarray, neg: np.ndarray | None = None) -> np.ndarray:
+def _row_sums(
+    f: np.ndarray, spec: np.ndarray, neg: np.ndarray | None = None, flat: bool = False
+) -> np.ndarray:
     """(sum_u W(u), sum_u f(u) W(u), #{u : f(u) != [W(u) < 0]}) of every
     row of a chunk, as a (3, B) int64 array; the sign bits [W(u) < 0] go to
     `neg` when it is given.  Read in blocks of _BLOCK columns, so that no
-    temporary is as large as an n = 24 table."""
+    temporary is as large as an n = 24 table.  The sums of a block are
+    int64, or in the spectrum's own dtype for `flat` rows (every |W(u)| =
+    2^(n/2)), whose block sums are at most 2^16 2^12 = 2^28 in magnitude."""
+    acc = spec.dtype if flat else np.int64
     sums = np.zeros((3, len(f)), dtype=np.int64)
     for c in range(0, f.shape[1], _BLOCK):
         cols = slice(c, c + _BLOCK)
         w = spec[:, cols]
-        sums[0] += w.sum(axis=1, dtype=np.int64)
-        sums[1] += np.einsum("ij,ij->i", f[:, cols], w, dtype=np.int64)
+        sums[0] += w.sum(axis=1, dtype=acc)
+        sums[1] += np.einsum("ij,ij->i", f[:, cols], w, dtype=acc)
         sign = np.less(w, 0, out=None if neg is None else neg[:, cols])
         sums[2] += np.count_nonzero(f[:, cols] != sign, axis=1)
     return sums
@@ -320,7 +351,9 @@ def _stack_identities(
     out = np.empty((len(tables), 4), dtype=np.int64)
     for start, f, spec in _spectra(tables, pairing):
         rows = slice(start, start + len(f))
-        total, supp, direct = _row_sums(f, spec, None if duals is None else duals[rows])
+        total, supp, direct = _row_sums(
+            f, spec, None if duals is None else duals[rows], flat=True
+        )
         s = total - 2 * supp
         sign0 = 1 - 2 * f[:, 0].astype(np.int64)
         out[rows, 0] = direct
@@ -366,7 +399,7 @@ def rayleigh(f: TruthTable, pairing: Pairing = None) -> tuple[int, int]:
 def hamming_dist(f: TruthTable, g: TruthTable) -> int:
     if f.n != g.n:
         raise ValueError(f"variable counts differ: {f.n} vs {g.n}")
-    return (f.bits ^ g.bits).bit_count()
+    return (f ^ g).weight()
 
 
 def dist_to_dual(f: TruthTable, pairing: Pairing = None) -> int:
@@ -447,4 +480,4 @@ def affine_transform(f: TruthTable, matrix: Sequence, shift: int = 0) -> TruthTa
     if not 0 <= shift < f.size:
         raise ValueError(f"shift {shift} out of range")
     perm = _linear_index_map(rows) ^ shift
-    return TruthTable(f.n, _pack_values(f.values()[perm]))
+    return TruthTable._from_packed(f.n, _pack_values(f.values()[perm]))

@@ -183,12 +183,12 @@ def _selection_table(sel: SpreadSelection, plus: bool) -> np.ndarray:
 def ps_minus(sel: SpreadSelection) -> TruthTable:
     """Partial-spread function of the minus type: support is the union of
     2^(k-1) lines with the origin removed."""
-    return TruthTable(sel.n, _pack_values(_selection_table(sel, False)))
+    return TruthTable._from_packed(sel.n, _pack_values(_selection_table(sel, False)))
 
 
 def ps_plus(sel: SpreadSelection) -> TruthTable:
     """Plus type: support is the union of 2^(k-1) + 1 lines, origin kept."""
-    return TruthTable(sel.n, _pack_values(_selection_table(sel, True)))
+    return TruthTable._from_packed(sel.n, _pack_values(_selection_table(sel, True)))
 
 
 # ----------------------------------------------------------------------
@@ -314,4 +314,4 @@ def ps_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> TruthTable:
             f"family size {count} is neither 2^(k-1) = {1 << (k - 1)} nor "
             f"2^(k-1)+1 = {(1 << (k - 1)) + 1}"
         )
-    return TruthTable(n, _pack_values(_scatter(n, 1, spans, count != 1 << (k - 1))))
+    return TruthTable._from_packed(n, _pack_values(_scatter(n, 1, spans, count != 1 << (k - 1))))

@@ -494,6 +494,49 @@ def test_dual_subspace_points_matches_brute_force_scan():
             assert got[0] == 0
 
 
+def _annihilator_per_basis(n, points):
+    """The annihilator basis one set at a time: `reduce_basis`, then e_j plus
+    the pivots of the vectors with bit j set, for each non-pivot bit j."""
+    basis = reduce_basis(points)
+    pivots = [b.bit_length() - 1 for b in basis]
+    return [
+        (1 << j) | sum(1 << p for p, b in zip(pivots, basis) if (b >> j) & 1)
+        for j in range(n)
+        if j not in pivots
+    ]
+
+
+@pytest.mark.parametrize("n", range(4, 25))
+def test_batched_annihilators_match_the_per_basis_route(n):
+    # seeded families of equal-rank point sets: independent vectors, then
+    # sums of them and zeros mixed in, in a shuffled order
+    rng = random.Random(1000 + n)
+    for dim in sorted({0, 1, n // 2, n - 1, n, rng.randint(1, n)}):
+        family = []
+        for _ in range(12):
+            basis = []
+            while len(basis) < dim:
+                v = rng.randrange(1, 1 << n)
+                if len(reduce_basis(basis + [v])) > len(basis):
+                    basis.append(v)
+            points = basis + [0, 0, 0]
+            if dim:  # two of the zeros become sums of basis vectors
+                points[-2:] = [
+                    functools.reduce(lambda a, b: a ^ b, rng.sample(basis, rng.randint(1, dim)))
+                    for _ in range(2)
+                ]
+            rng.shuffle(points)
+            family.append(points)
+        got = bentkit.analysis._annihilator_bases(n, family)
+        assert got.shape == (len(family), n - dim)
+        for points, row in zip(family, got.tolist()):
+            assert row == _annihilator_per_basis(n, points)
+        # the one-set case behind dual_subspace_points (its span has 2^(n - dim) points)
+        if n - dim <= 16:
+            want = bentkit.boolfun._linear_index_map(_annihilator_per_basis(n, family[0]))
+            assert dual_subspace_points(n, family[0]) == want.tolist()
+
+
 def test_dual_subspace_points_matches_known_duality():
     span3 = sorted(dual_subspace_points(4, [0b0011, 0b1101]))
     from bentkit.boolfun import subspace_span

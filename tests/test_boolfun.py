@@ -17,7 +17,7 @@ from bentkit.boolfun import (
     symmetric_bent,
     symmetric_value_pattern,
 )
-from bentkit.spectral import dual, is_bent
+from bentkit.spectral import dual, hamming_dist, is_bent
 from oracles import popcount_array
 
 
@@ -98,6 +98,43 @@ def test_hex_round_trip_and_single_bad_character_property(data):
     )
     with pytest.raises(ValueError):
         TruthTable.from_hex(text[:pos] + bad + text[pos + 1:], n)
+
+
+def _codec_cases(n):
+    """(bits, other bits) pairs: every table at n = 2, 3, else two seeded ones."""
+    if n <= 3:
+        tables = range(1 << (1 << n))
+        return [(a, (a * 7 + 3) % len(tables)) for a in tables]
+    rng = random.Random(100 + n)
+    return [(rng.getrandbits(1 << n), rng.getrandbits(1 << n)) for _ in range(2)]
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_packed_and_int_backed_tables_agree(n):
+    # from_hex keeps the packed table it parsed, TruthTable(n, bits) starts
+    # from an int; the hex and the values below are derived from the int alone
+    size = 1 << n
+    for bits, other_bits in _codec_cases(n):
+        digits = format(bits, f"0{size // 4}x")
+        packed = TruthTable.from_hex(digits)
+        by_int = TruthTable(n, bits)
+        other = TruthTable(n, other_bits)
+        assert packed == by_int and hash(packed) == hash(by_int)
+        assert packed.bits == by_int.bits == bits
+        want = np.unpackbits(
+            np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8),
+            bitorder="little",
+        )[:size]
+        for t in (packed, by_int):
+            assert np.array_equal(t.values(), want)
+            assert t.to_hex() == digits
+            assert t.weight() == bits.bit_count()
+            assert (t ^ other).bits == bits ^ other_bits
+            assert (t ^ other) == TruthTable(n, bits ^ other_bits)
+            assert hamming_dist(t, other) == (bits ^ other_bits).bit_count()
+            assert t.complement().bits == bits ^ ((1 << size) - 1)
+        for x in (0, 1, size // 2 + 1, size - 1):
+            assert packed[x] == by_int[x] == (bits >> x) & 1
 
 
 def test_constructor_validation():

@@ -321,6 +321,67 @@ def test_parseval_violation_is_asserted_on_every_path(monkeypatch, call):
         call()
 
 
+def _plant_spectra(monkeypatch, rows):
+    """Make the transform return the int32 spectra `rows` (one per table of
+    the stack): `_spectra` adds 2^n at u = 0 to what `_fwht` returns."""
+    planted = np.array(rows, dtype=np.int32).reshape(-1, len(rows[0]))
+    planted[:, 0] -= planted.shape[1]
+    monkeypatch.setattr(bentkit.spectral, "_fwht", lambda a: planted.copy())
+
+
+# The spectrum of x1 on four variables: not bent, Parseval intact.
+X1_SPECTRUM = wht(TruthTable.from_function(4, lambda x: x & 1)).values.tolist()
+FLAT = wht(X1X3_X2X4).values.tolist()
+OFF_FLAT = FLAT[:-1] + [FLAT[-1] + 2]  # one entry off by 2: breaks Parseval
+
+
+def test_flat_rows_are_yielded_unchanged(monkeypatch):
+    # every |W(u)| = 4, whatever the signs: flat, so the chunk is yielded
+    rows = [FLAT, [-v for v in FLAT], [4] * 16]
+    _plant_spectra(monkeypatch, rows)
+    tables = np.zeros((3, 16), dtype=np.uint8)
+    (start, f, spec), = bentkit.spectral._spectra(tables, None)
+    assert start == 0 and np.array_equal(f, tables) and spec.tolist() == rows
+
+
+def test_a_non_flat_row_with_parseval_intact_is_the_not_bent_witness(monkeypatch):
+    # the first bad point of the first bad row, as Parseval-then-max found it
+    _plant_spectra(monkeypatch, [FLAT, X1_SPECTRUM, FLAT])
+    u = next(i for i, v in enumerate(X1_SPECTRUM) if abs(v) != 4)
+    with pytest.raises(NotBentError) as exc:
+        list(bentkit.spectral._spectra(np.zeros((3, 16), dtype=np.uint8), None))
+    assert (exc.value.u, exc.value.value) == (u, X1_SPECTRUM[u])
+    assert str(exc.value) == f"function is not bent: |W({u})| = {abs(X1_SPECTRUM[u])} != 2^2"
+
+
+@pytest.mark.parametrize("rows", [
+    [X1_SPECTRUM, OFF_FLAT],  # Parseval broken behind an earlier non-flat row
+    [OFF_FLAT, X1_SPECTRUM],
+    [FLAT, OFF_FLAT],
+], ids=["non-flat-first", "broken-first", "flat-first"])
+def test_parseval_is_asserted_on_every_chunk_with_a_non_flat_row(monkeypatch, rows):
+    _plant_spectra(monkeypatch, rows)
+    with pytest.raises(AssertionError, match="^Parseval identity violated; transform is broken$"):
+        list(bentkit.spectral._spectra(np.zeros((2, 16), dtype=np.uint8), None))
+
+
+def test_an_odd_n_spectrum_with_every_abs_value_2_to_the_n_over_2_is_not_flat(monkeypatch):
+    # |W(u)| = 2^(n//2) everywhere breaks Parseval at odd n, so it is asserted
+    _plant_spectra(monkeypatch, [[4, -4] * 16])
+    with pytest.raises(AssertionError, match="^Parseval identity violated"):
+        list(bentkit.spectral._spectra(np.zeros((1, 32), dtype=np.uint8), None))
+
+
+@pytest.mark.parametrize("call", [wht, rayleigh_quotient], ids=["wht", "rayleigh_quotient"])
+def test_non_bent_paths_assert_parseval_on_a_broken_non_bent_spectrum(monkeypatch, call):
+    broken = X1_SPECTRUM[:-1] + [X1_SPECTRUM[-1] + 2]
+    _plant_spectra(monkeypatch, [broken])
+    with pytest.raises(AssertionError, match="^Parseval identity violated"):
+        call(TruthTable.from_function(4, lambda x: x & 1))
+    _plant_spectra(monkeypatch, [X1_SPECTRUM])  # intact: read as it is
+    call(TruthTable.from_function(4, lambda x: x & 1))
+
+
 def test_linear_index_map_matches_pointwise_images():
     rng = random.Random(4)
     for n in range(0, 10):
