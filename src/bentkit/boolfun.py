@@ -95,7 +95,10 @@ class TruthTable:
 
     @classmethod
     def from_values(cls, n: int, values: Iterable[int]) -> "TruthTable":
-        arr = np.asarray(list(values), dtype=np.uint8)
+        # Cast an array whole: a list of 2^24 numpy scalars takes ~2 s to build.
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        arr = np.asarray(values, dtype=np.uint8)
         if arr.size != 1 << n:
             raise ValueError(f"expected {1 << n} values, got {arr.size}")
         return cls._from_packed(n, _pack_values(arr))

@@ -4,6 +4,11 @@ Truth tables travel as lowercase hex strings (2^n/4 digits, index 0 in the
 least significant nibble); everything else is JSON with a top-level
 "schema": 1 field, or CSV where noted.  Exit codes: 0 success, 1 reserved
 for failed mathematical checks, 2 for usage problems.
+
+One parser per request: `main` builds only the named subcommand's parser
+(from the `_COMMANDS` table that `build_parser` also reads) and hands the
+request to the full nine-command parser only when that one cannot take it
+whole, so help text, usage errors and exit codes are the full parser's.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .analysis import (
     EXHAUSTIVE_K_MAX,
@@ -84,10 +90,10 @@ def _read_tt(args: argparse.Namespace, count: int = 1) -> list[TruthTable]:
     """Positional hex tables, or that many lines from stdin."""
     texts = list(args.tt)
     while len(texts) < count:
-        text = sys.stdin.readline().strip()
-        if not text:
+        line = sys.stdin.readline()  # from_hex strips it
+        if not line or line.isspace():
             raise UsageError(f"expected {count} hex truth table(s)")
-        texts.append(text)
+        texts.append(line)
     return [TruthTable.from_hex(t, args.n) for t in texts[:count]]
 
 
@@ -211,7 +217,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_census(args) -> int:
     # Before GF2k(k), so a capped k with no default polynomial says "capped".
-    _census_size_check(args.mode, args.k)
+    _census_size_check(args.mode, args.k, args.samples)
     report = census(
         _field_for(args, args.k),
         mode=args.mode,
@@ -271,86 +277,112 @@ def _add_tt_options(
     p.add_argument("--out", default=None, help="write output to this path")
 
 
+_paired_tt_args = partial(_add_tt_options, pairing=True)
+
+
+def _dual_args(p: argparse.ArgumentParser) -> None:
+    _paired_tt_args(p)
+    p.add_argument("--format", choices=("json", "hex"), default="json")
+
+
+def _construct_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("family", choices=("psap", "ps-", "ps+", "ps-general"))
+    p.add_argument("--k", type=int, default=None, help="field degree (n = 2k)")
+    p.add_argument("--n", type=int, default=None, help="variable count (ps-general)")
+    p.add_argument("--poly", default=None, help="field polynomial as a hex mask")
+    p.add_argument("--g", default=None, help="hex table of g on k variables (psap)")
+    p.add_argument(
+        "--lines",
+        default=None,
+        help="comma-separated line elements, 'inf' for the infinity line",
+    )
+    p.add_argument(
+        "--subspace",
+        action="append",
+        default=None,
+        help="comma-separated basis points (bit strings or ints); repeatable",
+    )
+    p.add_argument("--format", choices=("json", "hex"), default="json")
+    p.add_argument("--out", default=None)
+
+
+def _census_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--poly", default=None)
+    p.add_argument(
+        "--mode",
+        choices=("exhaustive", "sample"),
+        default="exhaustive",
+        help=f"exhaustive caps at k<={EXHAUSTIVE_K_MAX}, sample at k<={SAMPLE_K_MAX}",
+    )
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default=None)
+
+
+def _table_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", default=None)
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--suite", choices=("all",), default="all")
+    p.add_argument("--out", default=None)
+
+
+# Each subcommand's help line, argument builder and handler, in the order
+# the top-level help lists them.  build_parser() and main() both read it,
+# so a subcommand's grammar is written once.
+_COMMANDS = {
+    "wht": ("full Walsh-Hadamard spectrum", _paired_tt_args, _cmd_wht),
+    "bent": ("bentness and nonlinearity", _add_tt_options, _cmd_bent),
+    "dual": ("dual of a bent function", _dual_args, _cmd_dual),
+    "rayleigh": ("Rayleigh quotient S, N, and dist to dual", _paired_tt_args, _cmd_rayleigh),
+    "dist": (
+        "Hamming distance between two tables",
+        partial(_add_tt_options, count=2),
+        _cmd_dist,
+    ),
+    "construct": ("build a partial-spread function", _construct_args, _cmd_construct),
+    "census": ("distance-class census over spread selections", _census_args, _cmd_census),
+    "table": ("distribution of N and dist for one n", _table_args, _cmd_table),
+    "verify": ("run the full identity/proposition battery", _verify_args, _cmd_verify),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="bentkit",
         description="bent Boolean functions from partial spreads",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("wht", help="full Walsh-Hadamard spectrum")
-    _add_tt_options(s, pairing=True)
-    s.set_defaults(handler=_cmd_wht)
-
-    s = sub.add_parser("bent", help="bentness and nonlinearity")
-    _add_tt_options(s)
-    s.set_defaults(handler=_cmd_bent)
-
-    s = sub.add_parser("dual", help="dual of a bent function")
-    _add_tt_options(s, pairing=True)
-    s.add_argument("--format", choices=("json", "hex"), default="json")
-    s.set_defaults(handler=_cmd_dual)
-
-    s = sub.add_parser("rayleigh", help="Rayleigh quotient S, N, and dist to dual")
-    _add_tt_options(s, pairing=True)
-    s.set_defaults(handler=_cmd_rayleigh)
-
-    s = sub.add_parser("dist", help="Hamming distance between two tables")
-    _add_tt_options(s, count=2)
-    s.set_defaults(handler=_cmd_dist)
-
-    s = sub.add_parser("construct", help="build a partial-spread function")
-    s.add_argument("family", choices=("psap", "ps-", "ps+", "ps-general"))
-    s.add_argument("--k", type=int, default=None, help="field degree (n = 2k)")
-    s.add_argument("--n", type=int, default=None, help="variable count (ps-general)")
-    s.add_argument("--poly", default=None, help="field polynomial as a hex mask")
-    s.add_argument("--g", default=None, help="hex table of g on k variables (psap)")
-    s.add_argument(
-        "--lines",
-        default=None,
-        help="comma-separated line elements, 'inf' for the infinity line",
-    )
-    s.add_argument(
-        "--subspace",
-        action="append",
-        default=None,
-        help="comma-separated basis points (bit strings or ints); repeatable",
-    )
-    s.add_argument("--format", choices=("json", "hex"), default="json")
-    s.add_argument("--out", default=None)
-    s.set_defaults(handler=_cmd_construct)
-
-    s = sub.add_parser("census", help="distance-class census over spread selections")
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--poly", default=None)
-    s.add_argument(
-        "--mode",
-        choices=("exhaustive", "sample"),
-        default="exhaustive",
-        help=f"exhaustive caps at k<={EXHAUSTIVE_K_MAX}, sample at k<={SAMPLE_K_MAX}",
-    )
-    s.add_argument("--samples", type=int, default=None)
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--out", default=None)
-    s.set_defaults(handler=_cmd_census)
-
-    s = sub.add_parser("table", help="distribution of N and dist for one n")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--format", choices=("json", "csv"), default="json")
-    s.add_argument("--out", default=None)
-    s.set_defaults(handler=_cmd_table)
-
-    s = sub.add_parser("verify", help="run the full identity/proposition battery")
-    s.add_argument("--suite", choices=("all",), default="all")
-    s.add_argument("--out", default=None)
-    s.set_defaults(handler=_cmd_verify)
-
+    for name, (help_text, add_args, handler) in _COMMANDS.items():
+        s = sub.add_parser(name, help=help_text)
+        add_args(s)
+        s.set_defaults(handler=handler)
     return p
 
 
+def _parse_request(argv: list[str]) -> argparse.Namespace:
+    """The namespace build_parser() gives `argv`, read by the named
+    subcommand's parser alone when it consumes every argument.  Anything
+    else (no subcommand, top-level help, an unknown command, a leftover
+    argument) goes to the full parser, whose usage line and message it gets."""
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is not None:
+        _, add_args, handler = entry
+        p = argparse.ArgumentParser(prog=f"bentkit {argv[0]}")
+        add_args(p)
+        args, rest = p.parse_known_args(argv[1:])
+        if not rest:
+            args.command, args.handler = argv[0], handler
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_request(sys.argv[1:] if argv is None else argv)
     try:
         return args.handler(args)
     except ValueError as exc:  # UsageError and every library argument check

@@ -794,6 +794,16 @@ def test_census_mode_caps():
         census(F4, mode="bogus")
 
 
+def test_sample_count_cap_is_checked_before_any_allocation():
+    # 10^11 draws would need an 800 GB index array: a MemoryError, not this
+    for k, samples in ((4, 10**11), (2, bentkit.analysis._SAMPLE_COUNT_MAX + 1)):
+        with pytest.raises(ValueError, match="sample census is capped at 100000 samples"):
+            census(GF2k(k), mode="sample", samples=samples)
+    bentkit.analysis._census_size_check("sample", 7, bentkit.analysis._SAMPLE_COUNT_MAX)
+    # exhaustive mode reads no sample count
+    assert census(F4, mode="exhaustive", samples=10**11).total_selections == 10
+
+
 # ----------------------------------------------------------------------
 # the distribution table
 # ----------------------------------------------------------------------

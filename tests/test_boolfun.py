@@ -171,6 +171,21 @@ def test_from_support_matches_from_values(data):
     assert TruthTable.from_support(n, supp) == TruthTable.from_values(n, vals)
 
 
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_from_values_of_an_array_matches_its_element_list(n, dtype):
+    # an array takes the direct cast; its list of numpy scalars the generic path
+    arr = np.random.default_rng(n).integers(0, 2, 1 << n).astype(dtype)
+    f = TruthTable.from_values(n, arr)
+    assert f == TruthTable.from_values(n, list(arr)) == TruthTable.from_values(n, arr.tolist())
+    assert TruthTable.from_values(n, arr.reshape(2, -1)) == f
+    for wrong in (arr[1:], np.concatenate([arr, arr[:1]])):
+        with pytest.raises(ValueError) as by_list:
+            TruthTable.from_values(n, list(wrong))
+        with pytest.raises(ValueError, match=f"^{by_list.value}$"):
+            TruthTable.from_values(n, wrong)
+
+
 def test_xor_and_complement():
     f = tt_x1(4)
     assert (f ^ f).weight() == 0
