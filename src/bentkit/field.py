@@ -1,9 +1,12 @@
 """GF(2^k) arithmetic in the polynomial basis, 1 <= k <= 16.
 
 Field elements are k-bit integers: bit i holds the coefficient of x^i.
-Multiplication is carry-less shift-xor reduced modulo an irreducible
-polynomial given as a (k+1)-bit mask; no log tables are used, which keeps
-everything exact and fast enough at these sizes.
+Each operation has one implementation, over arrays of elements: the
+product `GF2k._mul_array` is carry-less shift-xor reduced modulo an
+irreducible polynomial given as a (k+1)-bit mask (no log tables, so
+everything stays exact), and the squaring map, the trace, the inverse and
+the Gram map are index tables built from it.  The scalar methods (`mul`,
+`inv`, `trace`, `gram_map`, ...) are one-element reads of those arrays.
 
 A context also exposes the trace bilinear form through its Gram matrix in
 the polynomial basis, so the pairing Tr(xx') + Tr(yy') on pairs of field
@@ -18,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boolfun import _linear_index_map, _weights_array, reduce_basis
+from .boolfun import _linear_index_map, _weights_array
 
 # Low-weight irreducible defaults for every k a spread table reaches
 # (n = 2k <= 24).  k = 13..16 must supply a polynomial.
@@ -81,14 +84,18 @@ def reducible_factor(poly: int) -> int | None:
 class GF2k:
     """Arithmetic context for GF(2^k).
 
+    Every scalar method reads the field's arrays after one range check,
+    `_check`: ValueError for an element outside 0..2^k - 1, a packed pair
+    outside 0..4^k - 1 or a negative exponent.
+
     Instances are immutable after construction and safe to share between
     threads.  A GF2k doubles as the trace-form pairing marker for the
     spectral layer: passing one as `pairing` selects the bilinear form
     Tr(xx') + Tr(yy') on F_{2^k} x F_{2^k} instead of the standard dot
     product.  That form is diag(G, G) with G the k x k Gram matrix, so
     W_tr(x, y) = W(Gx, Gy): the spectral layer views the input table as a
-    2^k x 2^k grid (row y, column x) and re-indexes both axes through the
-    inverse of `gram_index` before its one standard transform.
+    2^k x 2^k grid (row y, column x) and re-indexes both axes through
+    `gram_inv_index` before its one standard transform.
 
     `line_dual_index` is built on first use only, so construction stays
     cheap; building it twice from two threads gives the same array.
@@ -117,51 +124,48 @@ class GF2k:
         self.poly = poly
         self.order = 1 << k
         self.mask = self.order - 1
+        basis = 1 << np.arange(k)
+        products = self._mul_array(basis[:, None], basis)  # x^i * x^j
+        # Squaring is F_2-linear: one index map from the squares of the basis.
+        self._square = _linear_index_map(products.diagonal())
         # Tr is F_2-linear: Tr(a) is the parity of a & tmask, where bit i of
-        # tmask is Tr(x^i).
-        tmask = sum(self._trace_slow(1 << i) << i for i in range(k))
-        self._trace_table = (_weights_array(k)[np.arange(self.order) & tmask] & 1).tolist()
+        # tmask is Tr(x^i), the sum of the conjugates of x^i.
+        trace = conjugate = basis
+        for _ in range(k - 1):
+            conjugate = self._square[conjugate]
+            trace = trace ^ conjugate
+        self._trace_table = _weights_array(k)[np.arange(self.order) & int(trace @ basis)] & 1
+        self._trace_table.flags.writeable = False
         # Gram matrix of the trace form: gram[i][j] = Tr(x^i * x^j), row masks.
-        self.gram_rows = [
-            self._gram_row(i) for i in range(k)
-        ]
+        self.gram_rows = (self._trace_table[products] @ basis).tolist()
         # Index array x -> Gx over the whole field (2^k entries).  G is
         # symmetric, so row i is the image of x^i.
         self.gram_index = _linear_index_map(self.gram_rows)
-        self.gram_index.flags.writeable = False
-        # Fully reducing the augmented rows [G | I] leaves [I | G^-1].  The
-        # basis comes in descending pivot order; reversed, vector i is e_i
-        # followed by row i of G^-1.
-        reduced = reduce_basis(
-            (row << k) | (1 << i) for i, row in enumerate(self.gram_rows)
-        )[::-1]
-        if [v >> k for v in reduced] != [1 << i for i in range(k)]:
+        self.gram_inv_index = np.argsort(self.gram_index)
+        if not np.array_equal(self.gram_index[self.gram_inv_index], np.arange(self.order)):
             raise ValueError("matrix is singular over F_2")
-        self.gram_inv_rows = [v & self.mask for v in reduced]
+        self.gram_index.flags.writeable = False
+        self.gram_inv_index.flags.writeable = False
 
-    def _gram_row(self, i: int) -> int:
-        row = 0
-        for j in range(self.k):
-            row |= self.trace(self.mul(1 << i, 1 << j)) << j
-        return row
+    def _check(self, bound: int | None, *values: int) -> None:
+        """ValueError unless each value is in 0..bound - 1 (>= 0 if no bound)."""
+        for v in values:
+            if v < 0 or (bound is not None and v >= bound):
+                need = "an exponent >= 0" if bound is None else f"in 0..{bound - 1}"
+                raise ValueError(f"{v} is not {need} for {self!r}")
 
     # ------------------------------------------------------------------
     # element arithmetic
     # ------------------------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        """Carry-less product of a and b reduced modulo the field polynomial."""
-        p = 0
-        while b:
-            if b & 1:
-                p ^= a
-            b >>= 1
-            a <<= 1
-            if a & self.order:
-                a ^= self.poly
-        return p
+        """Product of a and b in the field."""
+        self._check(self.order, a, b)
+        return int(self._mul_array(a, b))
 
     def pow(self, a: int, e: int) -> int:
+        self._check(self.order, a)
+        self._check(None, e)
         r = 1
         while e:
             if e & 1:
@@ -172,13 +176,15 @@ class GF2k:
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; zero has none."""
+        self._check(self.order, a)
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(2^k)")
-        return self.pow(a, self.order - 2)
+        return int(self.line_dual_index[a])
 
     def _mul_array(self, a, b) -> np.ndarray:
-        """Elementwise product of two broadcastable arrays of field elements;
-        the same shift-xor as `mul`, one bit of b per step."""
+        """Elementwise product of two broadcastable arrays of field elements:
+        carry-less shift-xor, one bit of b per step, reduced modulo the
+        field polynomial."""
         a, b = np.asarray(a, np.int64), np.asarray(b, np.int64)
         p = np.zeros(np.broadcast_shapes(a.shape, b.shape), np.int64)
         for i in range(self.k):
@@ -193,13 +199,12 @@ class GF2k:
         2^k + 1 columns of the Desarguesian spread (E_a is column a, the line
         at infinity column 2^k): E_a -> E_{1/a}, E_0 <-> inf.  On the nonzero
         elements it is the inverse table over the whole field at once:
-        a^(2^k - 2) = a^2 a^4 ... a^(2^(k-1)), with squaring (F_2-linear) as
-        one index map.  Read-only."""
-        square = _linear_index_map([self.mul(1 << i, 1 << i) for i in range(self.k)])
+        a^(2^k - 2) = a^2 a^4 ... a^(2^(k-1)), through the squaring index
+        map.  Read-only."""
         frob = np.arange(self.order, dtype=np.int64)
         inv = np.ones_like(frob)
         for _ in range(self.k - 1):
-            frob = square[frob]
+            frob = self._square[frob]
             inv = self._mul_array(inv, frob)
         index = np.append(inv, 0)
         index[0] = self.order
@@ -207,22 +212,13 @@ class GF2k:
         return index
 
     def div0(self, x: int, y: int) -> int:
-        """Division with the convention x/0 = 0."""
-        if y == 0:
-            return 0
-        return self.mul(x, self.inv(y))
-
-    def _trace_slow(self, a: int) -> int:
-        t = a
-        frob = a
-        for _ in range(self.k - 1):
-            frob = self.mul(frob, frob)
-            t ^= frob
-        return t
+        """Division with the convention x/0 = x * 0 = 0."""
+        return self.mul(x, self.inv(y) if y else 0)
 
     def trace(self, a: int) -> int:
         """Absolute trace: sum of the Frobenius conjugates, in {0, 1}."""
-        return self._trace_table[a]
+        self._check(self.order, a)
+        return int(self._trace_table[a])
 
     def trace_pairing(self, p: tuple[int, int], q: tuple[int, int]) -> int:
         """Tr(xx') + Tr(yy') for p = (x, y), q = (x', y')."""
@@ -234,16 +230,12 @@ class GF2k:
 
     def pack(self, x: int, y: int) -> int:
         """Domain index of the pair (x, y): bits(x) + 2^k * bits(y)."""
+        self._check(self.order, x, y)
         return x | (y << self.k)
 
     def unpack(self, p: int) -> tuple[int, int]:
+        self._check(self.order << self.k, p)
         return p & self.mask, p >> self.k
-
-    def _apply_rows(self, rows: list[int], v: int) -> int:
-        out = 0
-        for i, row in enumerate(rows):
-            out |= ((row & v).bit_count() & 1) << i
-        return out
 
     def gram_map(self, u: int) -> int:
         """Apply diag(G, G) to a packed 2k-bit index.
@@ -253,17 +245,11 @@ class GF2k:
         of q, for all pairs p, q.
         """
         x, y = self.unpack(u)
-        return self.pack(
-            self._apply_rows(self.gram_rows, x),
-            self._apply_rows(self.gram_rows, y),
-        )
+        return self.pack(int(self.gram_index[x]), int(self.gram_index[y]))
 
     def gram_map_inv(self, u: int) -> int:
         x, y = self.unpack(u)
-        return self.pack(
-            self._apply_rows(self.gram_inv_rows, x),
-            self._apply_rows(self.gram_inv_rows, y),
-        )
+        return self.pack(int(self.gram_inv_index[x]), int(self.gram_inv_index[y]))
 
     def elements(self) -> range:
         return range(self.order)

@@ -182,7 +182,7 @@ def _transform_input(tables: np.ndarray, pairing: Pairing) -> np.ndarray:
     `tables` is neither modified nor copied whole."""
     if pairing is None:
         return tables.astype(np.float32)
-    g_inv = np.argsort(pairing.gram_index)  # the inverse permutation
+    g_inv = pairing.gram_inv_index
     # Row y of table b is row b 2^k + y of `rows`, and comes from row
     # b 2^k + G^-1 y; the columns of each row are then gathered through G^-1.
     rows = tables.reshape(-1, g_inv.size)

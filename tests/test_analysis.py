@@ -68,7 +68,14 @@ from bentkit.spreads import (
     psap_from_g,
     selection,
 )
-from oracles import reference_spectrum, spread_table_reference
+from oracles import (
+    field_mul_oracle,
+    gram_map_oracle,
+    inv_oracle,
+    reference_spectrum,
+    spread_table_reference,
+    trace_oracle,
+)
 
 F4 = GF2k(2)
 F8 = GF2k(3)
@@ -137,7 +144,7 @@ def _derivative_sums(f, pairing):
     paired point Pu, over the whole domain and over its anisotropic half
     {x : <x, x> = 1}.  Returns (total, anisotropic sum, anisotropic mask).
 
-    The paired point comes pointwise from `gram_map` and parities from
+    The paired point comes pointwise from `gram_map_oracle` and parities from
     int.bit_count, independent of the spectral layer's grid re-index."""
     fv = f.values()
     xs = np.arange(f.size, dtype=np.int64)
@@ -145,14 +152,14 @@ def _derivative_sums(f, pairing):
     if pairing is None:
         aniso = par.astype(bool)  # odd-weight points
     else:
-        tr = np.array([pairing.trace(a) for a in pairing.elements()], dtype=np.uint8)
+        tr = np.array([trace_oracle(a, pairing.poly) for a in range(pairing.order)], dtype=np.uint8)
         aniso = (tr[xs & pairing.mask] ^ tr[xs >> pairing.k]).astype(bool)
 
     deriv_total = 0
     deriv_aniso = 0
     for u in range(f.size):
         dv = fv ^ fv[xs ^ u]
-        pu = u if pairing is None else pairing.gram_map(u)
+        pu = u if pairing is None else gram_map_oracle(pairing, u)
         chi = par[xs & pu]
         s = 1 - 2 * (dv ^ chi).astype(np.int64)
         deriv_total += int(s.sum())
@@ -214,9 +221,11 @@ def test_form2_and_residual_match_the_derivative_oracle():
         if pairing is None:
             q = np.array([x.bit_count() & 1 for x in range(f.size)], dtype=bool)
         else:
+            # <x, x> = Tr(x0 x0) + Tr(x1 x1) for x = (x0, x1)
+            sq = [trace_oracle(field_mul_oracle(a, a, pairing.poly), pairing.poly)
+                  for a in range(pairing.order)]
             q = np.array(
-                [pairing.trace_pairing(pairing.unpack(x), pairing.unpack(x))
-                 for x in range(f.size)],
+                [sq[x & pairing.mask] ^ sq[x >> pairing.k] for x in range(f.size)],
                 dtype=bool,
             )
         assert np.array_equal(q, aniso)
@@ -431,7 +440,7 @@ def test_dist_formula_general_on_example_family():
 def _field_spread_bases(ctx):
     """Bases of the 2^k + 1 Desarguesian lines, infinity last."""
     k = ctx.k
-    return [[(1 << i) | (ctx.mul(1 << i, a) << k) for i in range(k)]
+    return [[(1 << i) | (field_mul_oracle(1 << i, a, ctx.poly) << k) for i in range(k)]
             for a in ctx.elements()] + [[1 << (k + i) for i in range(k)]]
 
 
@@ -613,10 +622,12 @@ def test_counting_formula_matches_spectra_at_k7_to_9():
 @functools.cache
 def trace_dual_by_annihilator(k: int) -> dict:
     """Each spread line of GF2k(k) mapped to the spread line whose points are
-    the trace annihilator of its points; uses only ctx.mul and ctx.trace."""
+    the trace annihilator of its points; the pairing comes from the field
+    oracles."""
     ctx = GF2k(k)
     tr = np.array(
-        [[ctx.trace(ctx.mul(a, b)) for b in ctx.elements()] for a in ctx.elements()],
+        [[trace_oracle(field_mul_oracle(a, b, ctx.poly), ctx.poly) for b in ctx.elements()]
+         for a in ctx.elements()],
         dtype=np.uint8,
     )
     by_points = {line_points(ctx, L): L for L in desarguesian(ctx)}
@@ -625,7 +636,7 @@ def trace_dual_by_annihilator(k: int) -> dict:
         # grid row y', column x' is the packed point x' + 2^k y'
         zero = np.ones((ctx.order, ctx.order), dtype=bool)
         for p in pts:
-            x, y = ctx.unpack(p)
+            x, y = p & ctx.mask, p >> k
             zero &= (tr[y][:, None] ^ tr[x][None, :]) == 0
         dual_of[line] = by_points[frozenset(np.flatnonzero(zero).tolist())]
     return dual_of
@@ -899,10 +910,9 @@ def test_kloosterman_inversion_symmetric_g():
 
 
 def test_kloosterman_trace_matches_direct_sum():
-    g = TruthTable.from_values(3, [F8.trace(u) for u in range(8)])
-    direct = sum(
-        (-1) ** (F8.trace(u) ^ F8.trace(F8.inv(u))) for u in range(1, 8)
-    )
+    tr = [trace_oracle(u, F8.poly) for u in range(8)]
+    g = TruthTable.from_values(3, tr)
+    direct = sum((-1) ** (tr[u] ^ tr[inv_oracle(u, F8.poly)]) for u in range(1, 8))
     k_nz, _ = kloosterman_sum(F8, g)
     assert k_nz == direct
 

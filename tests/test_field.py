@@ -9,33 +9,21 @@ from bentkit.field import (
     poly_str,
     reducible_factor,
 )
+from oracles import (
+    field_mul_oracle,
+    gram_map_oracle,
+    inv_oracle,
+    poly_mod_oracle,
+    trace_oracle,
+)
+
+
+F8 = GF2k(3)
 
 
 # ----------------------------------------------------------------------
-# independent oracles (deliberately naive)
+# construction and irreducibility
 # ----------------------------------------------------------------------
-
-def poly_mul_oracle(a: int, b: int) -> int:
-    """Schoolbook carry-less product, no reduction."""
-    p = 0
-    i = 0
-    while b >> i:
-        if (b >> i) & 1:
-            p ^= a << i
-        i += 1
-    return p
-
-
-def poly_mod_oracle(a: int, m: int) -> int:
-    dm = m.bit_length() - 1
-    while a.bit_length() - 1 >= dm and a:
-        a ^= m << (a.bit_length() - 1 - dm)
-    return a
-
-
-def field_mul_oracle(a: int, b: int, poly: int) -> int:
-    return poly_mod_oracle(poly_mul_oracle(a, b), poly)
-
 
 def is_irreducible_oracle(poly: int) -> bool:
     """Trial division by every smaller polynomial of positive degree."""
@@ -45,18 +33,6 @@ def is_irreducible_oracle(poly: int) -> bool:
             if poly_mod_oracle(poly, cand) == 0:
                 return False
     return True
-
-
-def inv_oracle(ctx: GF2k, a: int) -> int:
-    for b in ctx.nonzero():
-        if ctx.mul(a, b) == 1:
-            return b
-    raise AssertionError(f"no inverse for {a}")
-
-
-# ----------------------------------------------------------------------
-# construction and irreducibility
-# ----------------------------------------------------------------------
 
 def test_default_polys_are_irreducible():
     for k, poly in DEFAULT_POLYS.items():
@@ -135,24 +111,27 @@ def test_inverse_exhaustive_k_up_to_8():
 def test_inverse_specific_values_and_zero_error():
     F4, F8 = GF2k(2), GF2k(3)
     assert F4.inv(1) == 1
-    assert F4.inv(0b10) == 0b11 == inv_oracle(F4, 0b10)
-    assert F8.inv(0b010) == 0b101 == inv_oracle(F8, 0b010)
+    assert F4.inv(0b10) == 0b11 == inv_oracle(0b10, F4.poly)
+    assert F8.inv(0b010) == 0b101 == inv_oracle(0b010, F8.poly)
     with pytest.raises(ZeroDivisionError):
         F4.inv(0)
 
 
 @given(st.data())
 def test_array_mul_and_inverse_match_the_scalar_oracle(data):
-    # the whole-field arrays against scalar mul / inv (through pow)
+    # the whole-field arrays against the schoolbook product and the
+    # extended Euclidean inverse
     k = data.draw(st.integers(1, 12), label="k")
     ctx = GF2k(k)
     a = data.draw(st.lists(st.integers(0, ctx.mask), min_size=1, max_size=16))
     b = data.draw(st.lists(st.integers(0, ctx.mask), min_size=len(a), max_size=len(a)))
-    assert ctx._mul_array(a, b).tolist() == [ctx.mul(x, y) for x, y in zip(a, b)]
+    assert ctx._mul_array(a, b).tolist() == [
+        field_mul_oracle(x, y, ctx.poly) for x, y in zip(a, b)
+    ]
     index = ctx.line_dual_index
     for x in a:
         if x:
-            assert index[x] == ctx.inv(x)
+            assert index[x] == inv_oracle(x, ctx.poly)
 
 
 @pytest.mark.parametrize("k", sorted(DEFAULT_POLYS))
@@ -180,27 +159,18 @@ def test_division_convention():
 # trace and the trace form
 # ----------------------------------------------------------------------
 
-def trace_oracle(ctx: GF2k, a: int) -> int:
-    t = 0
-    x = a
-    for _ in range(ctx.k):
-        t ^= x
-        x = ctx.mul(x, x)
-    return t
-
-
 def test_trace_matches_conjugate_sum_oracle():
     for k in (2, 3, 4, 5):
         ctx = GF2k(k)
         for a in ctx.elements():
-            assert ctx.trace(a) == trace_oracle(ctx, a)
+            assert ctx.trace(a) == trace_oracle(a, ctx.poly)
 
 
 @pytest.mark.parametrize("k, poly", sorted(DEFAULT_POLYS.items()))
 def test_trace_table_built_by_linearity_matches_conjugate_sum(k, poly):
     ctx = GF2k(k, poly)
     assert [ctx.trace(a) for a in ctx.elements()] == [
-        ctx._trace_slow(a) for a in ctx.elements()
+        trace_oracle(a, poly) for a in ctx.elements()
     ]
     assert all(type(ctx.trace(a)) is int for a in ctx.elements())
 
@@ -272,6 +242,60 @@ def test_gram_map_linear_and_invertible():
             assert ctx.gram_map_inv(v) == u
             seen.add(v)
         assert len(seen) == 1 << n
+
+
+@pytest.mark.parametrize("k", sorted(DEFAULT_POLYS))
+def test_gram_index_and_its_inverse_are_read_only_inverse_permutations(k):
+    ctx = GF2k(k)
+    g, g_inv = ctx.gram_index, ctx.gram_inv_index
+    assert np.array_equal(g[g_inv], np.arange(ctx.order))
+    assert np.array_equal(g_inv[g], np.arange(ctx.order))
+    for index in (g, g_inv):
+        with pytest.raises(ValueError):
+            index[0] = 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_gram_map_and_its_inverse_match_the_pointwise_oracle(k):
+    ctx = GF2k(k)
+    for u in range(1 << (2 * k)):
+        assert ctx.gram_map(u) == gram_map_oracle(ctx, u)
+        assert ctx.gram_map_inv(u) == gram_map_oracle(ctx, u, inverse=True)
+
+
+# ----------------------------------------------------------------------
+# bad field elements
+# ----------------------------------------------------------------------
+
+# GF(8): elements 0..7, packed pairs 0..63.  Each scalar method at -1 and
+# at its first value out of range, in each argument it takes.
+BAD_CALLS = [
+    ("mul", (1, -1)), ("mul", (-1, 1)), ("mul", (8, 3)), ("mul", (3, 8)),
+    ("pow", (2, -1)), ("pow", (-1, 2)), ("pow", (8, 2)), ("pow", (8, 0)),
+    ("inv", (-1,)), ("inv", (-3,)), ("inv", (8,)),
+    ("div0", (1, -2)), ("div0", (-1, 1)), ("div0", (8, 1)), ("div0", (8, 0)),
+    ("div0", (1, 8)),
+    ("trace", (-1,)), ("trace", (8,)),
+    ("trace_pairing", ((1, 2), (3, -1))), ("trace_pairing", ((8, 0), (1, 1))),
+    ("pack", (-1, 0)), ("pack", (0, 8)),
+    ("unpack", (-1,)), ("unpack", (64,)),
+    ("gram_map", (-1,)), ("gram_map", (64,)),
+    ("gram_map_inv", (-1,)), ("gram_map_inv", (64,)),
+]
+
+
+@pytest.mark.parametrize("method, args", BAD_CALLS, ids=[f"{m}{a}" for m, a in BAD_CALLS])
+def test_out_of_range_arguments_raise_value_error(method, args):
+    with pytest.raises(ValueError, match=r"is not (in 0\.\.(7|63)|an exponent)"):
+        getattr(F8, method)(*args)
+
+
+def test_largest_in_range_arguments_are_accepted():
+    assert F8.mul(7, 7) == field_mul_oracle(7, 7, F8.poly)
+    assert F8.pow(7, 0) == 1 and F8.inv(7) == inv_oracle(7, F8.poly)
+    assert F8.div0(7, 0) == 0 and F8.trace(7) == trace_oracle(7, F8.poly)
+    assert F8.unpack(63) == (7, 7) and F8.pack(7, 7) == 63
+    assert F8.gram_map_inv(F8.gram_map(63)) == 63
 
 
 def test_context_equality_and_repr():

@@ -37,6 +37,7 @@ from bentkit.spectral import (
 )
 from oracles import (
     fwht_int64_reference,
+    gram_map_oracle,
     popcount_array,
     reference_spectrum,
     restricted_sum_reference,
@@ -185,7 +186,7 @@ def _other_poly(k: int) -> int:
 def test_trace_spectrum_is_gram_permutation_of_standard():
     # wht re-indexes the input through G^-1; the oracles re-index the
     # standard spectrum, a 2^k x 2^k grid (row y, column x), at (Gx, Gy) and
-    # spot-check the scalar gram_map.  Every k = 1..12 under the default
+    # spot-check it against the pointwise gram_map_oracle.  Every k = 1..12 under the default
     # polynomial, and under one other from k = 4 on.
     for k in sorted(DEFAULT_POLYS):
         rng = random.Random(k)
@@ -201,7 +202,7 @@ def test_trace_spectrum_is_gram_permutation_of_standard():
             else:
                 points = [0, f.size - 1] + [rng.randrange(f.size) for _ in range(300)]
             for u in points:
-                assert tr[u] == std[ctx.gram_map(u)]
+                assert tr[u] == std[gram_map_oracle(ctx, u)]
 
 
 def _sparse_spectrum(n: int, support: list[int]) -> np.ndarray:
@@ -248,13 +249,14 @@ def test_batched_fwht_rows_equal_single_transforms(n):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_batched_trace_reindex_equals_per_row(k):
-    # t(x) = f(diag(G, G)^-1 x), per row of the stack and by the scalar map
+    # t(x) = f(diag(G, G)^-1 x), per row of the stack and by the pointwise oracle
     ctx = GF2k(k)
     stack = np.random.default_rng(k).integers(0, 2, (5, 1 << (2 * k)), dtype=np.uint8)
     got = _transform_input(stack.copy(), ctx)
     for row, t in zip(stack, got):
         assert np.array_equal(t, _transform_input(row.copy(), ctx))
-        assert t.tolist() == [row[ctx.gram_map_inv(x)] for x in range(row.size)]
+        want = [row[gram_map_oracle(ctx, x, inverse=True)] for x in range(row.size)]
+        assert t.tolist() == want
 
 
 def test_stack_distances_match_the_int64_reference_under_both_pairings():

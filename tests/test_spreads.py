@@ -25,7 +25,12 @@ from bentkit.spreads import (
     selection_from_g,
     validate_subspace_family,
 )
-from oracles import spread_table_reference
+from oracles import (
+    field_mul_oracle,
+    inv_oracle,
+    spread_table_reference,
+    trace_oracle,
+)
 
 F4 = GF2k(2)
 F8 = GF2k(3)
@@ -81,9 +86,9 @@ def test_line_points_match_field_products():
         ctx = GF2k(k)
         for line in desarguesian(ctx):
             if line.is_infinity:
-                want = {ctx.pack(0, y) for y in ctx.elements()}
+                want = {y << k for y in ctx.elements()}
             else:
-                want = {ctx.pack(x, ctx.mul(x, line.a)) for x in ctx.elements()}
+                want = {x | field_mul_oracle(x, line.a, ctx.poly) << k for x in ctx.elements()}
             assert line_points(ctx, line) == want
 
 
@@ -111,13 +116,13 @@ def test_line_dual_involution():
 
 @pytest.mark.parametrize("k", sorted(DEFAULT_POLYS))
 def test_line_dual_and_dual_selection_match_scalar_inversion(k):
-    # E_a -> E_{inv(a)} by the scalar field inverse, E_0 <-> inf
+    # E_a -> E_{1/a} by the extended Euclidean inverse, E_0 <-> inf
     ctx = GF2k(k)
 
     def scalar_dual(line):
         if line.is_infinity:
             return SpreadLine(0)
-        return LINE_INFINITY if line.a == 0 else SpreadLine(ctx.inv(line.a))
+        return LINE_INFINITY if line.a == 0 else SpreadLine(inv_oracle(line.a, ctx.poly))
 
     lines = desarguesian(ctx)
     want = {L: scalar_dual(L) for L in lines}
@@ -131,14 +136,17 @@ def test_line_dual_and_dual_selection_match_scalar_inversion(k):
 
 
 def annihilator(ctx, points):
-    n = 2 * ctx.k
-    return {
-        q
-        for q in range(1 << n)
-        if all(
-            ctx.trace_pairing(ctx.unpack(q), ctx.unpack(p)) == 0 for p in points
-        )
-    }
+    """The points q with Tr(q0 p0) + Tr(q1 p1) = 0 for every p in `points`,
+    from the field oracles."""
+    k = ctx.k
+
+    def pairing(q, p):
+        return sum(
+            trace_oracle(field_mul_oracle(q >> s & ctx.mask, p >> s & ctx.mask, ctx.poly), ctx.poly)
+            for s in (0, k)
+        ) & 1
+
+    return {q for q in range(1 << (2 * k)) if all(pairing(q, p) == 0 for p in points)}
 
 
 def test_line_dual_matches_trace_annihilator():
@@ -277,10 +285,11 @@ def test_psap_specific_selection():
 
 
 def assert_quotient_form(ctx, g, f):
-    """f(x, y) = g(x/y) at every point, from scalar field division."""
+    """f(x, y) = g(x/y) at every point, x/0 = 0, from the field oracles."""
     for x in ctx.elements():
         for y in ctx.elements():
-            assert f[ctx.pack(x, y)] == g[ctx.div0(x, y)]
+            quotient = field_mul_oracle(x, inv_oracle(y, ctx.poly), ctx.poly) if y else 0
+            assert f[x | y << ctx.k] == g[quotient]
 
 
 def test_psap_equals_ps_minus_of_selection():
@@ -313,7 +322,7 @@ def test_psap_selfdual_iff_g_inversion_symmetric():
     for ctx in (F4, F8):
         for g in balanced_gs(ctx.k):
             symmetric = g[1] == 0 and all(
-                g[u] == g[ctx.inv(u)] for u in ctx.nonzero()
+                g[u] == g[inv_oracle(u, ctx.poly)] for u in ctx.nonzero()
             )
             selfdual = dist_to_dual(psap_from_g(ctx, g), pairing=ctx) == 0
             assert symmetric == selfdual
@@ -449,7 +458,7 @@ def test_family_disjointness_matches_the_pairwise_loop():
     for _ in range(300):
         k = rng.choice((2, 3, 4))
         n, ctx = 2 * k, GF2k(k)
-        bases = [[(1 << i) | (ctx.mul(1 << i, a) << k) for i in range(k)]
+        bases = [[(1 << i) | (field_mul_oracle(1 << i, a, ctx.poly) << k) for i in range(k)]
                  for a in ctx.elements()] + [[1 << (k + i) for i in range(k)]]
         rng.shuffle(bases)
         bases = bases[:rng.randint(2, len(bases))]
@@ -473,7 +482,8 @@ def test_family_disjointness_matches_the_pairwise_loop():
 
 def test_ps_general_runs_a_half_field_spread_at_k10():
     ctx = GF2k(10)
-    bases = [[(1 << i) | (ctx.mul(1 << i, a) << 10) for i in range(10)] for a in range(512)]
+    bases = [[(1 << i) | (field_mul_oracle(1 << i, a, ctx.poly) << 10) for i in range(10)]
+             for a in range(512)]
     f = ps_general(20, bases)
     assert f.weight() == 512 * 1023 and f[0] == 0
 
