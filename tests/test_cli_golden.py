@@ -41,6 +41,27 @@ CASES = {
         ["census", "--k", "5", "--mode", "sample", "--samples", "200", "--seed", "7"],
         None,
     ),
+    "census_k7_sample": (
+        ["census", "--k", "7", "--mode", "sample", "--samples", "200", "--seed", "7"],
+        None,
+    ),
+    "table_n24_csv": (["table", "--n", "24", "--format", "csv"], None),
+    # one valid family, then each error the rank check decides
+    **{
+        f"construct_ps-general_{name}": (
+            ["construct", "ps-general", "--n", "4",
+             *(arg for spec in specs for arg in ("--subspace", spec))],
+            None,
+        )
+        for name, specs in {
+            "valid": ("1,2", "4,8", "5,10"),
+            "dependent": ("1,2", "3,3"),
+            "dependent_2e70": (f"{1 << 70},{1 << 70}", "2"),
+            "vector16": ("1,2", "2,16"),
+            "vector_2e63": (f"{1 << 63},1", "4,8"),
+            "shared_point": ("1,2", "1,4"),
+        }.items()
+    },
     "construct_psap_k3": (["construct", "psap", "--k", "3", "--g", "1e"], None),
     "construct_psap_k4": (["construct", "psap", "--k", "4", "--g", "0ff0"], None),
     "construct_ps-_k3": (["construct", "ps-", "--k", "3", "--lines", "0,1,2,3"], None),
