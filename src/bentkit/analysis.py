@@ -21,6 +21,7 @@ from .boolfun import (
     TruthTable,
     _linear_index_map,
     _pack_values,
+    _row_reduce,
     _weights_array,
     symmetric_bent,
     symmetric_value_pattern,
@@ -120,29 +121,15 @@ def dist_formula_ps_plus(sel: SpreadSelection) -> int:
 
 def _annihilator_bases(n: int, point_sets: Sequence[Sequence[int]]) -> np.ndarray:
     """Row b: a basis of the annihilator of the point set point_sets[b] under
-    the standard dot product, from one GF(2) elimination over all the sets
-    at once; every set must have the same rank.  The elimination leaves each
-    set in the fully reduced echelon form of `reduce_basis`, where each
-    pivot bit is set in one vector only, so e_j plus the pivots of the
-    vectors with bit j set, for every non-pivot bit j in ascending order, is
-    orthogonal to all of them."""
+    the standard dot product, from one `_row_reduce` over all the sets at
+    once; every set must have the same rank.  Its pivot vectors are in fully
+    reduced echelon form, each pivot bit set in one of them only, so e_j
+    plus the pivots of the vectors with bit j set, for every non-pivot bit j
+    in ascending order, is orthogonal to all of them."""
     vecs = np.array(point_sets, dtype=np.int64).reshape(len(point_sets), -1)
-    # a zero vector in every set keeps an empty one well-formed; it never pivots
-    vecs = np.concatenate([vecs, np.zeros((len(vecs), 1), np.int64)], axis=1)
-    free = np.ones(vecs.shape, dtype=bool)  # not (yet) the pivot of a bit
-    lead = np.zeros(vecs.shape, dtype=np.int64)  # the pivot bit of each vector
-    each = np.arange(len(vecs))
-    for c in reversed(range(max(n, int(vecs.max()).bit_length()))):
-        hit = (vecs >> c) & 1 == 1
-        row = (hit & free).argmax(axis=1)
-        found = (hit & free)[each, row]
-        # the pivot clears bit c from every other vector of its set
-        hit[each, row] = False
-        vecs ^= np.where(hit & found[:, None], vecs[each, row][:, None], 0)
-        free[each[found], row[found]] = False
-        lead[each[found], row[found]] = c
-    basis = vecs[~free].reshape(len(vecs), -1)
-    lead = lead[~free].reshape(len(vecs), -1)
+    vecs, pivot = _row_reduce(vecs, max(n, int(vecs.max(initial=0)).bit_length()))
+    basis = vecs[pivot >= 0].reshape(len(vecs), -1)
+    lead = pivot[pivot >= 0].reshape(len(vecs), -1)
     j = np.arange(n)
     dual = (1 << j) | np.bitwise_or.reduce(
         ((basis[:, :, None] >> j) & 1) << lead[:, :, None], axis=1
@@ -403,12 +390,18 @@ def anti_selfdual_check(report: CensusReport | DistributionRow) -> bool:
 # self-dual counting
 # ----------------------------------------------------------------------
 
+def _check_selfdual_k(k: int) -> None:
+    """k must be in 2..12, the field degrees of distribution_table's n."""
+    if not 2 <= k <= 12:
+        raise ValueError(f"need k in 2..12, got {k}")
+
+
 def balanced_g_functions(k: int):
     """All balanced g on k variables with g(0) = 0 (support inside the
-    nonzero elements)."""
-    nonzero = range(1, 1 << k)
-    for supp in itertools.combinations(nonzero, 1 << (k - 1)):
-        yield TruthTable.from_support(k, supp)
+    nonzero elements), as an iterator; k is checked when it is called."""
+    _check_selfdual_k(k)
+    supports = itertools.combinations(range(1, 1 << k), 1 << (k - 1))
+    return (TruthTable.from_support(k, supp) for supp in supports)
 
 
 def selfdual_counts(k: int) -> tuple[int, int]:
@@ -422,8 +415,7 @@ def selfdual_counts(k: int) -> tuple[int, int]:
     every row: of every minus selection, and of the quotient form of every
     balanced g.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
+    _check_selfdual_k(k)
     if k > EXHAUSTIVE_K_MAX:
         return _selfdual_counts(k, None, None)
     ctx = GF2k(k)

@@ -1,13 +1,14 @@
-"""Truth-table Boolean functions: ANF, derivatives, and constructive families.
+"""Truth-table Boolean functions: ANF, derivatives, F_2 linear algebra on
+point masks (one eliminator, one index map), and constructive families.
 
 A function on n variables (2 <= n <= 24) is stored as its packed table:
 the 2^n values as bits, little-endian in bytes, so f(x) is bit x % 8 of
-byte x // 8 (n = 2 fills the low nibble of its one byte).  The same table
-as a Python int, bit x = f(x), is derived from it on demand (`bits`).  The
-index convention is little-endian in the variables: the point
-(x1, ..., xn) sits at index sum x_i * 2^(i-1), so x1 is the least
-significant bit.  Functions on F_{2^k} x F_{2^k} use the layout
-index = bits(x) + 2^k * bits(y).
+byte x // 8 (n = 2 fills the low nibble of its one byte).  An ANF packs
+mu_a at bit a the same way; the same bits as an int (`bits`, `coeffs`) are
+built only when read.  The index convention is little-endian in the
+variables: the point (x1, ..., xn) sits at index sum x_i * 2^(i-1), so x1
+is the least significant bit.  Functions on F_{2^k} x F_{2^k} use the
+layout index = bits(x) + 2^k * bits(y).
 
 Hex serialization writes the packed table as a lowercase hex string of
 exactly 2^n / 4 digits with index 0 in the least significant nibble,
@@ -17,6 +18,7 @@ order.  Reading or writing hex never builds the table as an int.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
@@ -58,32 +60,49 @@ def _check_n(n: int) -> None:
         raise ValueError(f"variable count must be in 2..24, got {n}")
 
 
-class TruthTable:
-    """A Boolean function on 2^n points.  It stores its packed table
-    (little-endian bytes, see the module docstring); `bits`, the same
-    table as an int, is built from them when read."""
+class _PackedBits:
+    """2^n packed bits, the one representation of TruthTable and AnfPoly."""
+
+    _name = "packed table"  # what the range check calls the bits
 
     def __init__(self, n: int, bits: int = 0):
         _check_n(n)
         if bits < 0 or bits >> (1 << n):
-            raise ValueError("packed table does not fit in 2^n bits")
+            raise ValueError(f"{self._name} does not fit in 2^n bits")
         self.n = n
         self._packed = int(bits).to_bytes(_packed_size(n), "little")
 
     @classmethod
-    def _from_packed(cls, n: int, packed: bytes) -> "TruthTable":
-        """The function whose packed table is `packed` (_packed_size(n) bytes,
+    def _from_packed(cls, n: int, packed: bytes):
+        """The object whose packed bits are `packed` (_packed_size(n) bytes,
         the bits past 2^n zero)."""
         _check_n(n)
-        table = cls.__new__(cls)
-        table.n = n
-        table._packed = packed
-        return table
+        obj = cls.__new__(cls)
+        obj.n = n
+        obj._packed = packed
+        return obj
 
-    @property
-    def bits(self) -> int:
-        """The table as an int: bit x is f(x)."""
+    def _int(self) -> int:
         return int.from_bytes(self._packed, "little")
+
+    def _values(self) -> np.ndarray:
+        """The bits as a uint8 0/1 array of length 2^n."""
+        return _unpack_values(self._packed, self.n)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and (self.n, self._packed) == (other.n, other._packed)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._packed))
+
+
+class TruthTable(_PackedBits):
+    """A Boolean function on 2^n points, stored as its packed table."""
+
+    bits = property(_PackedBits._int, doc="The table as an int: bit x is f(x).")
+    # values, from_support, from_hex and to_hex are defined in this class's
+    # own namespace: perfbench/tracer.py wraps them there by name
+    values = _PackedBits._values
 
     @property
     def size(self) -> int:
@@ -95,13 +114,17 @@ class TruthTable:
 
     @classmethod
     def from_values(cls, n: int, values: Iterable[int]) -> "TruthTable":
-        # Cast an array whole: a list of 2^24 numpy scalars takes ~2 s to build.
-        if not isinstance(values, np.ndarray):
-            values = list(values)
-        arr = np.asarray(values, dtype=np.uint8)
+        """The table of the 2^n values, each 0 or 1 (False and True too)."""
+        # Check an array whole: a list of 2^24 numpy scalars takes ~2 s to build.
+        arr = np.asarray(values if isinstance(values, np.ndarray) else list(values))
         if arr.size != 1 << n:
             raise ValueError(f"expected {1 << n} values, got {arr.size}")
-        return cls._from_packed(n, _pack_values(arr))
+        # an unsigned or bool array needs one max; others compare every value
+        if not (arr.dtype.kind in "bu" and arr.max(initial=0) <= 1):
+            ok = (arr == 0) | (arr == 1)
+            if not ok.all():
+                raise ValueError(f"table value {arr[~ok][:1].tolist()[0]!r} is not 0 or 1")
+        return cls._from_packed(n, _pack_values(arr.astype(np.uint8, copy=False)))
 
     @classmethod
     def from_support(cls, n: int, support: Iterable[int]) -> "TruthTable":
@@ -173,10 +196,6 @@ class TruthTable:
     def support(self) -> list[int]:
         return np.flatnonzero(self.values()).tolist()
 
-    def values(self) -> np.ndarray:
-        """The table as a uint8 0/1 array of length 2^n."""
-        return _unpack_values(self._packed, self.n)
-
     def complement(self) -> "TruthTable":
         return TruthTable._from_packed(self.n, _pack_values(self.values() ^ 1))
 
@@ -185,16 +204,6 @@ class TruthTable:
             raise ValueError("variable counts differ")
         a, b = (np.frombuffer(t._packed, dtype=np.uint8) for t in (self, other))
         return TruthTable._from_packed(self.n, (a ^ b).tobytes())
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TruthTable)
-            and self.n == other.n
-            and self._packed == other._packed
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._packed))
 
     def __repr__(self) -> str:
         if self.size <= 64:
@@ -214,31 +223,21 @@ class TruthTable:
         return TruthTable._from_packed(self.n, _pack_values(vals ^ shifted))
 
     def anf(self) -> "AnfPoly":
-        packed = _pack_values(_moebius(self.values()))
-        return AnfPoly(self.n, int.from_bytes(packed, "little"))
+        return AnfPoly._from_packed(self.n, _pack_values(_moebius(self.values())))
 
     def degree(self) -> int:
         return self.anf().degree()
 
 
-class AnfPoly:
+class AnfPoly(_PackedBits):
     """Algebraic normal form: coefficient mu_a packed at index a."""
 
-    def __init__(self, n: int, coeffs: int = 0):
-        _check_n(n)
-        if coeffs < 0 or coeffs >> (1 << n):
-            raise ValueError("coefficient table does not fit in 2^n bits")
-        self.n = n
-        self.coeffs = coeffs
+    _name = "coefficient table"
+    coeffs = property(_PackedBits._int, doc="The coefficients as an int: bit a is mu_a.")
 
     @property
     def is_zero(self) -> bool:
-        return self.coeffs == 0
-
-    def _values(self) -> np.ndarray:
-        """The coefficients as a uint8 0/1 array of length 2^n."""
-        packed = self.coeffs.to_bytes(_packed_size(self.n), "little")
-        return _unpack_values(packed, self.n)
+        return not self._packed.strip(b"\0")
 
     def monomials(self) -> list[int]:
         return np.flatnonzero(self._values()).tolist()
@@ -256,34 +255,49 @@ class AnfPoly:
     def to_truth_table(self) -> TruthTable:
         return TruthTable._from_packed(self.n, _pack_values(_moebius(self._values())))
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, AnfPoly)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
-
     def __repr__(self) -> str:
-        return f"AnfPoly(n={self.n}, monomials={self.coeffs.bit_count()})"
+        return f"AnfPoly(n={self.n}, monomials={np.count_nonzero(self._values())})"
 
 
 # ----------------------------------------------------------------------
-# linear algebra over F_2 on point masks
+# linear algebra over F_2 on point masks: one eliminator, one index map
 # ----------------------------------------------------------------------
 
-def reduce_basis(vectors: Iterable[int]) -> list[int]:
-    """Row-reduce a set of point masks to a basis of their span, in fully
-    reduced echelon form: each vector's leading bit is set in no other, and
-    the vectors come in descending order of that bit."""
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis = [min(b, b ^ v) for b in basis]
-            basis.append(v)
-            basis.sort(reverse=True)
-    return basis
+def _row_reduce(vecs: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """One GF(2) elimination of every row of `vecs` at once, each row a set
+    of vectors (ints as two's-complement bit strings, int64 or object), over
+    the bit columns width - 1 down to 0.
+
+    Returns the reduced rows and the bit each vector pivots on, -1 for one
+    that reduced to zero.  The pivot vectors of a row are a basis of its
+    span in fully reduced echelon form: each pivot bit is set in one of them
+    only.
+    """
+    # a zero vector in every row keeps an empty one well-formed; it never pivots
+    vecs = np.concatenate([vecs, np.zeros((len(vecs), 1), vecs.dtype)], axis=1)
+    pivot = np.full(vecs.shape, -1)
+    each = np.arange(len(vecs))
+    for c in reversed(range(width)):
+        hit = (vecs >> c) & 1 == 1
+        free = hit & (pivot < 0)  # bit c set, not yet a pivot
+        row = free.argmax(axis=1)
+        found = free[each, row]
+        # the pivot clears bit c from every other vector of its row
+        hit[each, row] = False
+        vecs ^= np.where(hit & found[:, None], vecs[each, row][:, None], 0)
+        pivot[each[found], row[found]] = c
+    return vecs, pivot
+
+
+def _independent(vectors: Sequence[int]) -> bool:
+    """True iff the ints are linearly independent over F_2, a negative one
+    read as its two's-complement bit string (its sign bit repeats upward)."""
+    vectors = [operator.index(v) for v in vectors]
+    width = max(map(abs, vectors), default=0).bit_length()
+    vecs = np.array(vectors, dtype=np.int64 if width < 63 else object).reshape(1, -1)
+    # one column past the widest vector holds the sign of a negative one
+    pivot = _row_reduce(vecs, width + (min(vectors, default=0) < 0))[1]
+    return int(np.count_nonzero(pivot >= 0)) == len(vectors)
 
 
 def _linear_index_map(images: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -304,11 +318,9 @@ def _linear_index_map(images: Sequence[int] | np.ndarray) -> np.ndarray:
 
 
 def subspace_span(basis: Sequence[int]) -> list[int]:
-    """All 2^dim points of the span of an independent basis."""
-    span = [0]
-    for b in basis:
-        span += [s ^ b for s in span]
-    return span
+    """All 2^dim points of the span of an independent basis: point i is the
+    XOR of the basis vectors at the set bits of i."""
+    return _linear_index_map(basis).tolist()
 
 
 def subspace_indicator(n: int, basis: Sequence[int]) -> TruthTable:
@@ -316,7 +328,7 @@ def subspace_indicator(n: int, basis: Sequence[int]) -> TruthTable:
     for v in basis:
         if not 0 <= v < (1 << n):
             raise ValueError(f"basis vector {v} out of range for n={n}")
-    if len(reduce_basis(basis)) != len(basis):
+    if not _independent(basis):
         raise ValueError("basis vectors are linearly dependent over F_2")
     return TruthTable.from_support(n, subspace_span(basis))
 

@@ -61,9 +61,9 @@ import numpy as np
 
 from .boolfun import (
     TruthTable,
+    _independent,
     _linear_index_map,
     _pack_values,
-    reduce_basis,
 )
 from .field import GF2k
 
@@ -475,7 +475,7 @@ def affine_transform(f: TruthTable, matrix: Sequence, shift: int = 0) -> TruthTa
     Row-vector convention: (xA)_j = sum_i x_i A[i][j].
     """
     rows = row_masks(matrix, f.n)
-    if len(reduce_basis(rows)) != f.n:
+    if not _independent(rows):
         raise SingularMatrixError("matrix is singular over F_2")
     if not 0 <= shift < f.size:
         raise ValueError(f"shift {shift} out of range")

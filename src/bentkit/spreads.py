@@ -25,9 +25,9 @@ import numpy as np
 from .boolfun import (
     TruthTable,
     _check_n,
+    _independent,
     _linear_index_map,
     _pack_values,
-    reduce_basis,
 )
 from .field import GF2k
 
@@ -275,7 +275,7 @@ def _family_points(n: int, subspace_bases: Sequence[Sequence[int]]) -> np.ndarra
         if not seen[0] and np.count_nonzero(seen) == spans[:, 1:].size:
             return spans
     for i, basis in enumerate(subspace_bases):
-        if len(reduce_basis(basis)) != len(basis):
+        if not _independent(basis):
             raise ValueError(f"subspace {i}: basis is linearly dependent")
         if len(basis) != k:
             raise ValueError(

@@ -30,6 +30,21 @@ def fwht_int64_reference(f: TruthTable) -> np.ndarray:
     return a
 
 
+def reduce_basis(vectors) -> list[int]:
+    """Row-reduce a set of point masks to a basis of their span, one vector
+    at a time, in fully reduced echelon form: each vector's leading bit is
+    set in no other, and the vectors come in descending order of that bit."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = [min(b, b ^ v) for b in basis]
+            basis.append(v)
+            basis.sort(reverse=True)
+    return basis
+
+
 def poly_mul_oracle(a: int, b: int) -> int:
     """Schoolbook carry-less product, no reduction."""
     p = 0

@@ -38,7 +38,6 @@ from bentkit.analysis import (
 from bentkit.boolfun import (
     TruthTable,
     mm_bent,
-    reduce_basis,
     subspace_span,
     symmetric_bent,
 )
@@ -72,6 +71,7 @@ from oracles import (
     field_mul_oracle,
     gram_map_oracle,
     inv_oracle,
+    reduce_basis,
     reference_spectrum,
     spread_table_reference,
     trace_oracle,
@@ -867,6 +867,18 @@ def test_selfdual_counts_desk_scale():
 
 def test_selfdual_counts_binomials_only_for_larger_k():
     assert selfdual_counts(4) == (70, 35)
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1, 13, 10**6])
+def test_selfdual_k_outside_2_to_12_fails_fast(k):
+    for fn in (selfdual_counts, balanced_g_functions):
+        with pytest.raises(ValueError, match=f"need k in 2..12, got {k}"):
+            fn(k)
+
+
+def test_selfdual_counts_at_k12_are_the_binomials():
+    assert selfdual_counts(12) == (comb(2048, 1024), comb(2047, 1024))
+    assert next(iter(balanced_g_functions(12))).support() == list(range(1, 2049))
 
 
 def test_selfdual_counts_independent_enumeration():

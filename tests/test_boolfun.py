@@ -8,17 +8,18 @@ from hypothesis import given, strategies as st
 from bentkit.boolfun import (
     AnfPoly,
     TruthTable,
+    _independent,
+    _row_reduce,
     _weights_array,
     mm_bent,
     mm_dual,
-    reduce_basis,
     subspace_indicator,
     subspace_span,
     symmetric_bent,
     symmetric_value_pattern,
 )
 from bentkit.spectral import dual, hamming_dist, is_bent
-from oracles import popcount_array
+from oracles import popcount_array, reduce_basis
 
 
 def tt_x1(n: int) -> TruthTable:
@@ -186,6 +187,37 @@ def test_from_values_of_an_array_matches_its_element_list(n, dtype):
             TruthTable.from_values(n, wrong)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1, 0, 2, 3],
+        [0.5, 0, 0, 1],
+        [0, -1, 0, 1],
+        np.array([0, -1, 0, 1]),
+        np.array([0, 256, 0, 1]),
+        np.array([0.0, np.nan, 0.0, 1.0]),
+        [0, 1, 0, 1 << 70],
+        ["0", "1", "0", "1"],
+    ],
+)
+def test_from_values_takes_only_0_and_1(values):
+    with pytest.raises(ValueError, match="is not 0 or 1"):
+        TruthTable.from_values(2, values)
+
+
+def test_from_values_agrees_with_from_function():
+    want = TruthTable.from_function(2, [1, 0, 0, 1].__getitem__)
+    assert want.to_hex() == "9"
+    for values in (
+        [True, False, False, True],
+        np.array([True, False, False, True]),
+        [1, 0, 0, 1],
+        np.array([1, 0, 0, 1], dtype=np.int64),
+        np.array([1.0, 0.0, 0.0, 1.0]),
+    ):
+        assert TruthTable.from_values(2, values) == want
+
+
 def test_xor_and_complement():
     f = tt_x1(4)
     assert (f ^ f).weight() == 0
@@ -231,6 +263,34 @@ def test_bit_readers_match_per_bit_reads():
             per_bit = [x for x in range(1 << n) if (bits >> x) & 1]
             assert f.support() == per_bit == p.monomials()
             assert repr(p) == f"AnfPoly(n={n}, monomials={len(per_bit)})"
+
+
+def test_anf_builds_no_int(monkeypatch):
+    # only `bits` and `coeffs` turn the packed bits into an int
+    f = symmetric_bent(12)
+    g = TruthTable(12, f.bits)
+
+    def no_int(self):
+        raise AssertionError("built the table as an int")
+
+    monkeypatch.setattr(TruthTable, "bits", property(no_int))
+    monkeypatch.setattr(AnfPoly, "coeffs", property(no_int))
+    p = f.anf()
+    assert p.degree() == f.degree() == 2 and not p.is_zero
+    assert len(p.monomials()) == 66 and repr(p) == "AnfPoly(n=12, monomials=66)"
+    assert [p.evaluate(x) for x in range(64)] == [f[x] for x in range(64)]
+    assert p.to_truth_table() == g
+    assert TruthTable(12).anf().is_zero
+
+
+def test_anf_poly_is_hashable_and_read_only():
+    p, q = TruthTable(4, 0x1234).anf(), AnfPoly(4, TruthTable(4, 0x1234).anf().coeffs)
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p != TruthTable(4, p.coeffs) and q != AnfPoly(4, 1)
+    with pytest.raises(AttributeError):
+        p.coeffs = 1
+    with pytest.raises(ValueError, match="coefficient table does not fit"):
+        AnfPoly(2, 1 << 4)
 
 
 def test_degree_at_n20():
@@ -347,6 +407,14 @@ def test_indicator_rejects_dependent_basis():
         subspace_indicator(4, [1, 2, 3])
 
 
+def _span_by_doubling(basis):
+    """The span as a list: point i is the XOR of the vectors at the set bits of i."""
+    span = [0]
+    for b in basis:
+        span += [s ^ b for s in span]
+    return span
+
+
 def test_subspace_span_and_reduce():
     assert sorted(subspace_span([1, 4])) == [0, 1, 4, 5]
     assert len(reduce_basis([1, 2, 3])) == 2
@@ -363,6 +431,36 @@ def test_subspace_span_and_reduce():
         for v in vs:
             span |= {s ^ v for s in span}
         assert 2 ** len(basis) == len(span)
+        assert subspace_span(vs) == _span_by_doubling(vs)
+        assert _independent(vs) == (len(basis) == len(vs))
+        vecs, pivot = _row_reduce(np.array([vs]), 6)
+        # the fully reduced echelon form of a span is unique
+        assert sorted(vecs[pivot >= 0].tolist(), reverse=True) == basis
+        assert sorted(pivot[pivot >= 0].tolist(), reverse=True) == [
+            b.bit_length() - 1 for b in basis
+        ]
+
+
+@pytest.mark.parametrize(
+    "vectors, independent",
+    [
+        ([], True),
+        ([0], False),
+        ([3, 5, 6], False),
+        ([1 << 70, 1 << 70], False),
+        ([1 << 70, 1], True),
+        ([1 << 63, 1 << 64, (1 << 63) ^ (1 << 64)], False),
+        # a negative int is its two's-complement bit string: -1 is all ones
+        ([2, -8], True),
+        ([-1, -1], False),
+        ([-1, 1], True),
+        ([-2, -3, 3], False),
+        ([-(1 << 63), 1], True),
+        ([-(1 << 70), (1 << 70) - 1, -1], False),
+    ],
+)
+def test_independent_reads_any_int(vectors, independent):
+    assert _independent(vectors) is independent
 
 
 def test_indicator_support_size_is_power_of_dim():

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from bentkit.analysis import dist_formula_general, dist_formula_ps_minus
-from bentkit.boolfun import TruthTable, reduce_basis, subspace_span
+from bentkit.boolfun import TruthTable, subspace_span
 from bentkit.field import DEFAULT_POLYS, GF2k
 from bentkit.spectral import dist_to_dual, dual, is_bent
 from bentkit.spreads import (
@@ -28,6 +28,7 @@ from bentkit.spreads import (
 from oracles import (
     field_mul_oracle,
     inv_oracle,
+    reduce_basis,
     spread_table_reference,
     trace_oracle,
 )
