@@ -32,7 +32,6 @@ from .spectral import (
     Pairing,
     _stack_distances,
     _stack_identities,
-    dist_to_dual,
     rayleigh,
 )
 from .spreads import (
@@ -664,13 +663,16 @@ def _check_transform_examples() -> SuiteCheck:
     )
     orth = [0b0111, 0b1011, 0b1101, 0b1110]
     nonorth = [0b0001, 0b0011, 0b0111, 0b1111]
+    # f, then its images under orth, nonorth and orth with the shift (0,1,1,1)
+    images = [f] + [affine_transform(f, *a) for a in ((orth,), (nonorth,), (orth, 0b1110))]
+    dists = _stack_distances(_stack_identities(np.array([g.values() for g in images]), None))
+    base, after_orth, after_nonorth, after_shift = dists.tolist()
     got = {
-        "self_dual_base": dist_to_dual(f) == 0,
+        "self_dual_base": base == 0,
         "orthogonal": is_orthogonal(orth, 4) and not is_orthogonal(nonorth, 4),
-        "dist_after_orthogonal": dist_to_dual(affine_transform(f, orth)),
-        "dist_after_nonorthogonal": dist_to_dual(affine_transform(f, nonorth)),
-        # the shift (0,1,1,1)
-        "dist_after_shift": dist_to_dual(affine_transform(f, orth, 0b1110)),
+        "dist_after_orthogonal": after_orth,
+        "dist_after_nonorthogonal": after_nonorth,
+        "dist_after_shift": after_shift,
     }
     ok = (
         got["self_dual_base"]

@@ -131,7 +131,7 @@ def _parse_point(tok: str, n: int) -> int:
 def _cmd_wht(args) -> int:
     f = _read_tt(args)[0]
     spec = wht(f, _pairing_for(args, f))
-    _emit_json(args, {"n": f.n, "spectrum": [int(v) for v in spec.values]})
+    _emit_json(args, {"n": f.n, "spectrum": spec.values.tolist()})
     return 0
 
 
@@ -274,7 +274,6 @@ def _add_tt_options(
         )
         p.add_argument("--k", type=int, default=None, help="field degree for trace pairing")
         p.add_argument("--poly", default=None, help="field polynomial as a hex mask")
-    p.add_argument("--out", default=None, help="write output to this path")
 
 
 _paired_tt_args = partial(_add_tt_options, pairing=True)
@@ -303,7 +302,6 @@ def _construct_args(p: argparse.ArgumentParser) -> None:
         help="comma-separated basis points (bit strings or ints); repeatable",
     )
     p.add_argument("--format", choices=("json", "hex"), default="json")
-    p.add_argument("--out", default=None)
 
 
 def _census_args(p: argparse.ArgumentParser) -> None:
@@ -317,18 +315,15 @@ def _census_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
 
 
 def _table_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
 
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", choices=("all",), default="all")
-    p.add_argument("--out", default=None)
 
 
 # Each subcommand's help line, argument builder and handler, in the order
@@ -351,15 +346,21 @@ _COMMANDS = {
 }
 
 
+def _command_args(p: argparse.ArgumentParser, name: str) -> None:
+    """Subcommand `name`'s own arguments, then the --out every one takes."""
+    _COMMANDS[name][1](p)
+    p.add_argument("--out", default=None, help="write output to this path")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="bentkit",
         description="bent Boolean functions from partial spreads",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_args, handler) in _COMMANDS.items():
+    for name, (help_text, _, handler) in _COMMANDS.items():
         s = sub.add_parser(name, help=help_text)
-        add_args(s)
+        _command_args(s, name)
         s.set_defaults(handler=handler)
     return p
 
@@ -371,12 +372,11 @@ def _parse_request(argv: list[str]) -> argparse.Namespace:
     argument) goes to the full parser, whose usage line and message it gets."""
     entry = _COMMANDS.get(argv[0]) if argv else None
     if entry is not None:
-        _, add_args, handler = entry
         p = argparse.ArgumentParser(prog=f"bentkit {argv[0]}")
-        add_args(p)
+        _command_args(p, argv[0])
         args, rest = p.parse_known_args(argv[1:])
         if not rest:
-            args.command, args.handler = argv[0], handler
+            args.command, args.handler = argv[0], entry[2]
             return args
     return build_parser().parse_args(argv)
 

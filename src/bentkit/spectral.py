@@ -10,22 +10,24 @@ product on the domain:
 Bentness never depends on the pairing while duals and distances do.
 
 There is one spectral path, over a (B, 2^n) uint8 stack of 0/1 tables, and
-every single-table function is its one-row case:
+every single-table function is its one-row case.  `_spectra` transforms a
+stack in chunks of <= 2^24 entries and checks every row.  A bent stack is
+tested for flatness first (every |W(u)| = 2^(n/2), read as |W| min and max
+in blocks of 2^16 entries); a flat integer spectrum satisfies Parseval
+exactly, so Parseval's int64 sum runs only on a chunk with some row not
+flat, or on a stack that need not be bent, and tells a broken transform
+(AssertionError) from a non-bent row (NotBentError names the first bad
+point of the first bad row).
 
-  * `_spectra` transforms a stack in chunks of <= 2^24 entries and checks
-    every row.  A bent stack is tested for flatness first (every |W(u)| =
-    2^(n/2), read as |W| min and max in blocks of 2^16 entries); a flat
-    integer spectrum satisfies Parseval exactly, so Parseval's int64 sum
-    runs only on a chunk with some row not flat, or on a stack that need
-    not be bent, and tells a broken transform (AssertionError) from a
-    non-bent row (NotBentError names the first bad point of the first bad
-    row).  `wht`, `is_bent`, `nonlinearity`, `dual` and
-    `rayleigh_quotient` read its one row;
-  * `_stack_identities` reads the direct distance to the sign-bit dual,
-    both metric-identity forms and the zero-sum residual of every row off
-    it, and `_stack_distances` checks each row's spectral distance against
-    the direct one.  `metric_identity_check` reads one row, and
-    `dist_to_dual`, `rayleigh` and `duality_class` check one.
+Each kind of spectrum has one reader.  `wht`, the one caller of
+`_spectra(..., bent=False)`, reads a spectrum that need not be bent, and
+`is_bent`, `nonlinearity`, `wht_restricted` and `rayleigh_quotient` read
+its values.  A bent stack is read by `dual` for its sign bits and by
+`_stack_identities`, the one caller of `_row_sums`: the direct distance to
+the sign-bit dual, both metric-identity forms and the zero-sum residual of
+every row.  `_stack_distances` checks each row's spectral distance against
+the direct one; `metric_identity_check` reads one row, and `dist_to_dual`,
+`rayleigh` and `duality_class` check one.
 
 The trace form is diag(G, G) with G the field's k x k Gram matrix.  G is
 symmetric, so W_tr(x, y) = W(Gx, Gy) is the standard spectrum of
@@ -304,22 +306,19 @@ def _exact_div(a, b: int, what: str):
     return a // b
 
 
-def _row_sums(
-    f: np.ndarray, spec: np.ndarray, neg: np.ndarray | None = None, flat: bool = False
-) -> np.ndarray:
+def _row_sums(f: np.ndarray, spec: np.ndarray, neg: np.ndarray | None = None) -> np.ndarray:
     """(sum_u W(u), sum_u f(u) W(u), #{u : f(u) != [W(u) < 0]}) of every
-    row of a chunk, as a (3, B) int64 array; the sign bits [W(u) < 0] go to
-    `neg` when it is given.  Read in blocks of _BLOCK columns, so that no
-    temporary is as large as an n = 24 table.  The sums of a block are
-    int64, or in the spectrum's own dtype for `flat` rows (every |W(u)| =
-    2^(n/2)), whose block sums are at most 2^16 2^12 = 2^28 in magnitude."""
-    acc = spec.dtype if flat else np.int64
+    row of a flat chunk (every |W(u)| = 2^(n/2)), as a (3, B) int64 array;
+    the sign bits [W(u) < 0] go to `neg` when it is given.  Read in blocks
+    of _BLOCK columns, so that no temporary is as large as an n = 24 table,
+    each summed in the spectrum's own int32: a flat block sum is at most
+    2^16 2^12 = 2^28 in magnitude."""
     sums = np.zeros((3, len(f)), dtype=np.int64)
     for c in range(0, f.shape[1], _BLOCK):
         cols = slice(c, c + _BLOCK)
         w = spec[:, cols]
-        sums[0] += w.sum(axis=1, dtype=acc)
-        sums[1] += np.einsum("ij,ij->i", f[:, cols], w, dtype=acc)
+        sums[0] += w.sum(axis=1, dtype=spec.dtype)
+        sums[1] += np.einsum("ij,ij->i", f[:, cols], w, dtype=spec.dtype)
         sign = np.less(w, 0, out=None if neg is None else neg[:, cols])
         sums[2] += np.count_nonzero(f[:, cols] != sign, axis=1)
     return sums
@@ -351,9 +350,7 @@ def _stack_identities(
     out = np.empty((len(tables), 4), dtype=np.int64)
     for start, f, spec in _spectra(tables, pairing):
         rows = slice(start, start + len(f))
-        total, supp, direct = _row_sums(
-            f, spec, None if duals is None else duals[rows], flat=True
-        )
+        total, supp, direct = _row_sums(f, spec, None if duals is None else duals[rows])
         s = total - 2 * supp
         sign0 = 1 - 2 * f[:, 0].astype(np.int64)
         out[rows, 0] = direct
@@ -382,11 +379,10 @@ def _stack_distances(identities: np.ndarray) -> np.ndarray:
 
 
 def rayleigh_quotient(f: TruthTable, pairing: Pairing = None) -> int:
-    """S = sum_x (-1)^f(x) W(x); defined for every function."""
-    values = f.values()[None]
-    spec = next(_spectra(values, pairing, bent=False))[2]
-    total, supp, _ = _row_sums(values, spec)
-    return int(total[0] - 2 * supp[0])
+    """S = sum_x (-1)^f(x) W(x) = sum_u W(u) - 2 sum_u f(u) W(u) of any f."""
+    w = wht(f, pairing).values
+    supp = np.einsum("i,i->", f.values(), w, dtype=np.int64)
+    return int(w.sum(dtype=np.int64) - 2 * supp)
 
 
 def rayleigh(f: TruthTable, pairing: Pairing = None) -> tuple[int, int]:

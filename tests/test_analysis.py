@@ -916,6 +916,11 @@ def test_kloosterman_constant_g():
         assert k_wz == k_nz + 1
 
 
+def test_kloosterman_needs_g_on_k_variables():
+    with pytest.raises(ValueError, match="^g must be on k=3 variables, got 2$"):
+        kloosterman_sum(F8, TruthTable(2, 0))
+
+
 def test_kloosterman_inversion_symmetric_g():
     g = TruthTable.from_support(2, [2, 3])
     assert kloosterman_sum(F4, g) == (3, 4)
@@ -993,6 +998,56 @@ def test_selfdual_counts_fail_on_a_planted_quotient_mismatch(monkeypatch):
     checks = {c.name: c for c in run_verification_suite()}
     assert [name for name, c in checks.items() if not c.ok] == ["selfdual-counts"]
     assert "1 formula mismatches" in checks["selfdual-counts"].detail["error"]
+
+
+def _failing_checks():
+    """The verification battery's failing checks, by name."""
+    return {c.name: c for c in run_verification_suite() if not c.ok}
+
+
+def test_symmetric_propositions_fail_on_a_planted_prediction(monkeypatch):
+    # the Rayleigh case table one off at n = 6 only: the four n = 6 records fail
+    want = [
+        {**rec.to_json_dict(), "N_predicted": rec.nf_predicted + 1, "N_prediction_ok": False}
+        for rec in symmetric_report(6)
+    ]
+    predict = bentkit.analysis._symmetric_nf_prediction
+    monkeypatch.setattr(
+        bentkit.analysis, "_symmetric_nf_prediction", lambda n, c: predict(n, c) + (n == 6)
+    )
+    failing = _failing_checks()
+    assert list(failing) == ["symmetric-propositions"]
+    assert failing["symmetric-propositions"].detail == {"failures": want}
+
+
+def test_distribution_reference_rows_fail_on_a_planted_reference(monkeypatch):
+    reference = dict(REFERENCE_DISTRIBUTION)
+    nf, dist = reference[10]
+    reference[10] = (nf, (*dist[:-1], dist[-1] + 2))
+    monkeypatch.setattr(bentkit.analysis, "REFERENCE_DISTRIBUTION", reference)
+    failing = _failing_checks()
+    assert list(failing) == ["distribution-reference-rows"]
+    assert failing["distribution-reference-rows"].detail == {"failures": [{"n": 10}]}
+
+
+def test_no_anti_self_dual_fails_on_a_planted_extreme(monkeypatch):
+    # every n = 6 report, the distribution row and the k = 3 census, is said
+    # to reach the anti-self-dual extreme
+    check = bentkit.analysis.anti_selfdual_check
+    monkeypatch.setattr(
+        bentkit.analysis, "anti_selfdual_check", lambda report: check(report) and report.n != 6
+    )
+    failing = _failing_checks()
+    assert list(failing) == ["no-anti-self-dual"]
+    assert failing["no-anti-self-dual"].detail == {"failures": [{"n": 6}, {"census_k": 3}]}
+
+
+def test_no_anti_self_dual_names_a_row_below_the_least_nonzero_distance():
+    # a nonzero distance below 2^(n/2) is its own failure record
+    row = bentkit.analysis.DistributionRow(8, [256, 240], [0, 8])
+    check = bentkit.analysis._check_no_antiselfdual([], {8: row})
+    assert not check.ok
+    assert check.detail == {"failures": [{"n": 8, "min_nonzero": 8}]}
 
 
 def test_selfdual_check_reads_both_census_records():
@@ -1240,7 +1295,7 @@ def test_census_counts_a_counting_form_flip(monkeypatch, capsys):
 def test_verification_suite_transforms_stacks(monkeypatch):
     # one transform per stack: census (k = 2, 3), quotient-form (k = 2, 3),
     # symmetric (n = 4..12), MM (n = 6, 8), plus-type (k = 2, 3) and k = 4
-    # draw stacks, and the four worked examples
+    # draw stacks, and the four worked examples as one stack
     calls = []
     fwht = bentkit.spectral._fwht
 
@@ -1250,4 +1305,4 @@ def test_verification_suite_transforms_stacks(monkeypatch):
 
     monkeypatch.setattr(bentkit.spectral, "_fwht", counting_fwht)
     assert all(c.ok for c in run_verification_suite())
-    assert len(calls) <= 18
+    assert len(calls) <= 15

@@ -225,6 +225,22 @@ def test_xor_and_complement():
     assert (f ^ f.complement()).weight() == 16
 
 
+def test_point_and_direction_checks_and_xor_of_different_n():
+    f = tt_x1(4)
+    for x in (-1, 16):
+        with pytest.raises(IndexError, match=f"^point {x} out of range for n=4$"):
+            f[x]
+        with pytest.raises(ValueError, match=f"^direction {x} out of range$"):
+            f.derivative(x)
+    with pytest.raises(ValueError, match="^variable counts differ$"):
+        f ^ tt_x1(5)
+
+
+def test_repr_shows_hex_up_to_64_points_and_weight_above():
+    assert repr(tt_x1(6)) == "TruthTable(n=6, hex='aaaaaaaaaaaaaaaa')"
+    assert repr(tt_x1(7)) == "TruthTable(n=7, weight=64)"
+
+
 # ----------------------------------------------------------------------
 # ANF
 # ----------------------------------------------------------------------
@@ -405,6 +421,12 @@ def test_indicator_matches_example_subspace():
 def test_indicator_rejects_dependent_basis():
     with pytest.raises(ValueError):
         subspace_indicator(4, [1, 2, 3])
+
+
+@pytest.mark.parametrize("v", [-1, 16])
+def test_indicator_rejects_an_out_of_range_vector(v):
+    with pytest.raises(ValueError, match=f"^basis vector {v} out of range for n=4$"):
+        subspace_indicator(4, [1, v])
 
 
 def _span_by_doubling(basis):

@@ -267,6 +267,24 @@ def test_ps_general_zero_basis_at_n2_is_dependent(capsys):
     assert err == "bentkit: error: subspace 0: basis is linearly dependent\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--n", "4"), "give at least one --subspace"),
+    (("--subspace", "1,4"), "--n is required for ps-general"),
+    (("--n", "5", "--subspace", "1,2"), "need even n, got 5"),
+])
+def test_ps_general_needs_subspaces_and_an_even_n(capsys, argv, message):
+    code, out, err = run_cli(capsys, "construct", "ps-general", *argv)
+    assert (code, out, err) == (2, "", f"bentkit: error: {message}\n")
+
+
+def test_an_unwritable_out_path_is_an_io_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "table.json"
+    code, out, err = run_cli(capsys, "table", "--n", "6", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("bentkit: i/o error: ") and str(path) in err
+    assert err.count("\n") == 1 and not path.parent.exists()
+
+
 @pytest.mark.parametrize("n", ["-2", "0", "26"])
 def test_ps_general_checks_n_first(capsys, n):
     tracemalloc.start()

@@ -79,6 +79,21 @@ CASES = {
         for pairing in ("standard", "trace")
         for n in (6, 8)
     },
+    # the README's CLI examples (all but the one writing report.json; its
+    # psap, k = 5 sample and verify examples are recorded above)
+    "readme_wht": (["wht", "6ca0"], None),
+    "readme_bent": (["bent", "6ca0"], None),
+    "readme_dual_hex": (["dual", "6ca0", "--format", "hex"], None),
+    "readme_rayleigh": (["rayleigh", "6ca0"], None),
+    "readme_dist": (["dist", "6ca0", "0000"], None),
+    "readme_construct_ps-": (["construct", "ps-", "--k", "3", "--lines", "2,3,5,inf"], None),
+    "readme_construct_ps+": (["construct", "ps+", "--k", "2", "--lines", "0,1,inf"], None),
+    "readme_construct_ps-general": (
+        ["construct", "ps-general", "--n", "4",
+         "--subspace", "0001,0100", "--subspace", "0010,1000"],
+        None,
+    ),
+    "readme_table_n14_csv": (["table", "--n", "14", "--format", "csv"], None),
     "rayleigh_trace_not_bent_n6": (["rayleigh", "--pairing", "trace"], "weight1_n6.hex"),
     "rayleigh_trace_n24": (["rayleigh", "--pairing", "trace", *_N24], MM_N24),
     "dual_hex_n24": (["dual", "--format", "hex"], MM_N24),

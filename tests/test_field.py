@@ -147,6 +147,19 @@ def test_line_dual_index_is_a_lazy_read_only_involution(k):
         index[0] = 0
 
 
+@pytest.mark.parametrize("k", range(1, 6))
+def test_pow_matches_repeated_oracle_products(k):
+    # the square-and-multiply loop, for every a and every e < 3 * 2^k (past
+    # the multiplicative order, so exponents wrap); k = 6 would take seconds,
+    # as every scalar mul runs the k-step array product
+    ctx = GF2k(k)
+    for a in range(ctx.order):
+        want = 1
+        for e in range(3 << k):
+            assert ctx.pow(a, e) == want, (a, e)
+            want = field_mul_oracle(want, a, ctx.poly)
+
+
 def test_division_convention():
     F4 = GF2k(2)
     assert F4.div0(1, 0) == 0

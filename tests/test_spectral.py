@@ -136,6 +136,7 @@ def test_sparse_tables_at_n24_match_closed_form(support):
     f = TruthTable.from_support(24, support)
     assert np.array_equal(wht(f).values, want)
     assert np.array_equal(wht(f.complement()).values, -want)
+    assert rayleigh_quotient(f) == want.sum(dtype=np.int64) - 2 * want[support].sum(dtype=np.int64)
 
 
 def test_seeded_mm_bent_at_n24_under_both_pairings():
