@@ -27,7 +27,7 @@ from .boolfun import (
     symmetric_value_pattern,
 )
 from .field import GF2k
-from .golden import REFERENCE_DISTRIBUTION
+from .golden import REFERENCE_CENSUS, REFERENCE_DISTRIBUTION
 from .spectral import (
     Pairing,
     _stack_distances,
@@ -242,6 +242,17 @@ class CensusReport:
         }
 
 
+class _CensusStack(NamedTuple):
+    """A census's rows `cols`, the `_stack_identities` of those it checked,
+    and per row the distance it is classed by and its mismatch flag."""
+
+    ctx: GF2k
+    cols: np.ndarray
+    identities: np.ndarray
+    dists: np.ndarray
+    mismatches: np.ndarray
+
+
 def census(
     ctx: GF2k,
     mode: str = "exhaustive",
@@ -260,14 +271,14 @@ def census(
     classed by the spectrum.
     """
     if mode == "exhaustive":
-        return _exhaustive_census(ctx)[0]
+        return _census_report(_exhaustive_census(ctx))
     _census_size_check(mode, ctx.k, samples)
     if not samples or samples <= 0:
         raise ValueError("sample mode needs a positive sample count")
     seed = 0 if seed is None else seed
     idx = np.arange(samples)
-    spot = idx[(idx < 5) | (idx % 25 == 0)]
-    return _census_stack(ctx, _minus_draws(ctx, samples, seed), mode, seed, spot)[0]
+    stack = _census_stack(ctx, _minus_draws(ctx, samples, seed), (idx < 5) | (idx % 25 == 0))
+    return _census_report(stack, mode=mode, seed=seed)
 
 
 def _minus_draws(ctx: GF2k, count: int, seed: int) -> np.ndarray:
@@ -280,21 +291,19 @@ def _minus_draws(ctx: GF2k, count: int, seed: int) -> np.ndarray:
     )
 
 
-def _exhaustive_census(ctx: GF2k, universe=None, width=None):
-    """`_census_stack` over every `width`-subset of the spread columns
-    `universe`, in lexicographic order of their positions.  The defaults,
-    all 2^k + 1 columns and width 2^(k-1), are the minus selections; width
+def _exhaustive_census(ctx: GF2k, width=None) -> _CensusStack:
+    """`_census_stack` over every `width`-subset of the 2^k + 1 spread
+    columns, in lexicographic order.  The default width 2^(k-1) gives the
+    minus selections, among them the quotient forms (`_psap_rows`); width
     2^(k-1) + 1 gives the plus ones."""
     _census_size_check("exhaustive", ctx.k)
-    universe = np.arange(ctx.order + 1) if universe is None else universe
-    subsets = itertools.combinations(range(len(universe)), width or ctx.order // 2)
-    return _census_stack(ctx, universe[np.array(list(subsets), dtype=np.int64)])
+    subsets = itertools.combinations(range(ctx.order + 1), width or ctx.order // 2)
+    return _census_stack(ctx, np.array(list(subsets), dtype=np.int64))
 
 
-def _census_stack(ctx: GF2k, cols, mode="exhaustive", seed=None, spot=slice(None)):
+def _census_stack(ctx: GF2k, cols, spot=slice(None)) -> _CensusStack:
     """The census core over any stack of minus- or plus-type selections, the
-    rows of spread columns `cols`: (report, cols, identities), with the
-    `_stack_identities` of the rows `spot` (all by default) it checked
+    rows of spread columns `cols`, checking the rows `spot` (all by default)
     spectrally.  A checked row is a formula mismatch when the line formula
     or the counting form disagrees with its spectral distance, and is
     classed by that distance, any other row by the line formula's (a plus
@@ -303,22 +312,34 @@ def _census_stack(ctx: GF2k, cols, mode="exhaustive", seed=None, spot=slice(None
     tables = _selection_tables(ctx, cols[spot])
     identities = _stack_identities(tables, ctx)
     spectral = _stack_distances(identities)
-    bad = (spectral != dists[spot]) | (spectral != _spread_dist_formula(tables))
+    mismatches = np.zeros(len(cols), dtype=bool)
+    mismatches[spot] = (spectral != dists[spot]) | (spectral != _spread_dist_formula(tables))
     dists[spot] = spectral
+    return _CensusStack(ctx, cols, identities, dists, mismatches)
+
+
+def _psap_rows(stack: _CensusStack) -> np.ndarray:
+    """The row mask of the quotient forms g(x/y) in a minus census."""
+    # psap_from_g selects E_{1/u} for u in supp g, u != 0: never E_0 or inf
+    return ~np.isin(stack.cols, (0, stack.ctx.order)).any(axis=1)
+
+
+def _census_report(stack: _CensusStack, rows=slice(None), mode="exhaustive", seed=None):
+    """The report of a census's rows `rows`: all, or a mask if it checked every row."""
+    dists = stack.dists[rows]
     values, counts = np.unique(dists, return_counts=True)
     class_sizes = dict(zip(values.tolist(), counts.tolist()))
-    report = CensusReport(
-        k=ctx.k,
+    return CensusReport(
+        k=stack.ctx.k,
         mode=mode,
         seed=seed,
-        total_selections=len(cols),
+        total_selections=len(dists),
         class_sizes=class_sizes,
         selfdual_count=class_sizes.get(0, 0),
         min_nonzero_dist=min((d for d in class_sizes if d), default=None),
-        formula_mismatches=int(np.count_nonzero(bad)),
-        spectral_checked=len(tables),
+        formula_mismatches=int(np.count_nonzero(stack.mismatches[rows])),
+        spectral_checked=len(stack.identities[rows]),
     )
-    return report, cols, identities
 
 
 # ----------------------------------------------------------------------
@@ -410,39 +431,27 @@ def selfdual_counts(k: int) -> tuple[int, int]:
     k >= 2 those leave out E_1 and choose 2^(k-2) of the 2^(k-1) dual pairs;
     the quotient form lacks the pair {E_0, inf}, so it chooses among
     2^(k-1) - 1.  For k <= EXHAUSTIVE_K_MAX (4) both values are verified by
-    exhaustive censuses, with the line formula and the spectral oracle on
-    every row: of every minus selection, and of the quotient form of every
-    balanced g.
+    one exhaustive census of every minus selection, with the line formula
+    and the spectral oracle on every row; the quotient form of every
+    balanced g is one of its rows (`_psap_rows`).
     """
     _check_selfdual_k(k)
-    if k > EXHAUSTIVE_K_MAX:
-        return _selfdual_counts(k, None, None)
-    ctx = GF2k(k)
-    return _selfdual_counts(k, census(ctx), _quotient_census(ctx)[0])
+    return _selfdual_counts(k, _exhaustive_census(GF2k(k)) if k <= EXHAUSTIVE_K_MAX else None)
 
 
-def _quotient_census(ctx: GF2k):
-    """The exhaustive census of the quotient forms g(x/y) (psap_from_g) of
-    every balanced g with g(0) = 0 on k variables, in balanced_g_functions
-    order: the selection of g is the columns 1/u for u in supp g, so the
-    universe is E_{1/u} for u != 0, which leaves out E_0 and infinity."""
-    return _exhaustive_census(ctx, ctx.line_dual_index[1:ctx.order])
-
-
-def _selfdual_counts(
-    k: int, report: CensusReport | None, quotient: CensusReport | None
-) -> tuple[int, int]:
+def _selfdual_counts(k: int, stack: _CensusStack | None) -> tuple[int, int]:
     """The binomials of selfdual_counts, checked by enumeration when
-    `report`, the exhaustive census of GF2k(k), and `quotient`, its
-    `_quotient_census`, are given; a formula mismatch in either fails."""
+    `stack`, the exhaustive census of GF2k(k), is given: its report and the
+    report of its `_psap_rows`; a formula mismatch in any row fails."""
     spread_form = comb(1 << (k - 1), 1 << (k - 2))
     g_form = comb((1 << (k - 1)) - 1, 1 << (k - 2))
-    if report is not None:
-        found = (report.selfdual_count, quotient.selfdual_count)
-        mismatches = report.formula_mismatches + quotient.formula_mismatches
-        if found != (spread_form, g_form) or mismatches:
+    if stack is not None:
+        report = _census_report(stack)
+        found = (report.selfdual_count, _census_report(stack, _psap_rows(stack)).selfdual_count)
+        # the quotient rows are among the report's
+        if found != (spread_form, g_form) or report.formula_mismatches:
             raise AssertionError(
-                f"enumeration found {found} with {mismatches} formula "
+                f"enumeration found {found} with {report.formula_mismatches} formula "
                 f"mismatches, binomials give ({spread_form}, {g_form})"
             )
     return spread_form, g_form
@@ -685,8 +694,6 @@ def _check_transform_examples() -> SuiteCheck:
 
 
 def _check_census(report: CensusReport) -> SuiteCheck:
-    from .golden import REFERENCE_CENSUS
-
     total, selfdual, classes = REFERENCE_CENSUS[report.k]
     ok = (
         report.total_selections == total
@@ -703,10 +710,10 @@ def _check_metric_identities(spread, symmetric) -> SuiteCheck:
     symmetric bents at each n = 4..12, and 25 seeded MM bents at n = 6, 8."""
     from .boolfun import mm_bent
 
-    ctx3, _, cols, spread_identities = spread
+    ctx3, cols = spread.ctx, spread.cols
     # (identities, the failure record of row i)
     stacks = [(
-        spread_identities,
+        spread.identities,
         lambda i: {"family": "spread-k3", "lines": list(map(str, _lines(ctx3, cols[i])))},
     )]
     for n, (_, identities) in symmetric.items():
@@ -740,17 +747,17 @@ def _check_distance_formulas(censuses) -> SuiteCheck:
     checks them, over stacks with every row checked: every minus selection
     at k = 2, 3 (the `censuses` stacks), every plus selection at k = 2, 3,
     and 200 seeded minus draws at k = 4.  A stack fails on any formula
-    mismatch its census counted, or on a distance class above 2^n - 2^k."""
+    mismatch its census counted, or on a distance above 2^n - 2^k."""
     stacks = []
-    for ctx, *minus in censuses:
-        stacks += [(ctx, *minus), (ctx, *_exhaustive_census(ctx, width=ctx.order // 2 + 1))]
+    for minus in censuses:
+        stacks += [minus, _exhaustive_census(minus.ctx, width=minus.ctx.order // 2 + 1)]
     ctx = GF2k(4)
-    stacks.append((ctx, *_census_stack(ctx, _minus_draws(ctx, 200, 404), "sample", 404)))
+    stacks.append(_census_stack(ctx, _minus_draws(ctx, 200, 404)))
     failures = []
-    for ctx, report, cols, _ in stacks:
-        bad = report.formula_mismatches
-        if bad or max(report.class_sizes) > (1 << (2 * ctx.k)) - ctx.order:
-            form = "plus" if cols.shape[1] > ctx.order // 2 else "minus"
+    for stack in stacks:
+        ctx, bad = stack.ctx, int(np.count_nonzero(stack.mismatches))
+        if bad or stack.dists.max() > (1 << (2 * ctx.k)) - ctx.order:
+            form = "plus" if stack.cols.shape[1] > ctx.order // 2 else "minus"
             failures.append({"form": form, "k": ctx.k, "formula_mismatches": bad})
     return SuiteCheck("ps-distance-formulas", not failures, {"failures": failures[:5]})
 
@@ -764,17 +771,18 @@ def _check_symmetric(symmetric) -> SuiteCheck:
     return SuiteCheck("symmetric-propositions", not bad, {"failures": bad})
 
 
-def _check_charsum(quotients) -> SuiteCheck:
+def _check_charsum(censuses) -> SuiteCheck:
     """The derived relation on every balanced g at k = 2, 3, read off the
-    `_quotient_census` stacks `quotients`: N = 2^n - 2 dist per row from
-    the checked distances, K for every g from one gather."""
+    `_psap_rows` of the exhaustive minus `censuses`: N = 2^n - 2 dist per
+    row from the spectral distances, K for every g from one gather."""
     bad = []
-    for ctx, _, cols, identities in quotients:
-        g_vals = np.zeros((len(cols), ctx.order), dtype=np.uint8)
+    for stack in censuses:
+        ctx, rows = stack.ctx, _psap_rows(stack)
+        g_vals = np.zeros((np.count_nonzero(rows), ctx.order), dtype=np.uint8)
         # the columns 1/u give back supp g through the same involution
-        np.put_along_axis(g_vals, ctx.line_dual_index[cols], 1, axis=1)
+        np.put_along_axis(g_vals, ctx.line_dual_index[stack.cols[rows]], 1, axis=1)
         k_nz = _kloosterman_nonzero(ctx, g_vals).tolist()
-        for v, kn, d in zip(g_vals, k_nz, _stack_distances(identities).tolist()):
+        for v, kn, d in zip(g_vals, k_nz, stack.dists[rows].tolist()):
             g = TruthTable._from_packed(ctx.k, _pack_values(v))
             rep = _charsum_report(g, kn, (1 << (2 * ctx.k)) - 2 * d)
             if not rep.derived_matches:
@@ -807,9 +815,9 @@ def _check_no_antiselfdual(
     return SuiteCheck("no-anti-self-dual", not bad, {"failures": bad})
 
 
-def _check_selfdual_counts(reports: list[CensusReport], quotients) -> SuiteCheck:
+def _check_selfdual_counts(censuses: list[_CensusStack]) -> SuiteCheck:
     try:
-        k2, k3 = (_selfdual_counts(r.k, r, q[1]) for r, q in zip(reports, quotients))
+        k2, k3 = (_selfdual_counts(stack.ctx.k, stack) for stack in censuses)
         ok = k2 == (2, 1) and k3 == (6, 3)
         detail = {"k2": list(k2), "k3": list(k3)}
     except AssertionError as exc:
@@ -821,24 +829,22 @@ def run_verification_suite() -> list[SuiteCheck]:
     """Every identity and proposition check the library asserts, in one list.
 
     Every function is transformed once, in a stack, one transform per
-    stack.  The exhaustive census stacks, the quotient-form stacks, the
-    symmetric stacks and the distribution rows are built once and shared by
-    the checks that read them.
+    stack.  The exhaustive census stacks, the symmetric stacks and the
+    distribution rows are built once and shared by the checks that read
+    them; the quotient forms are a row mask of the census stacks.
     """
-    fields = [GF2k(k) for k in (2, 3)]
-    censuses = [(ctx, *_exhaustive_census(ctx)) for ctx in fields]
-    reports = [report for _, report, *_ in censuses]
-    quotients = [(ctx, *_quotient_census(ctx)) for ctx in fields]
+    censuses = [_exhaustive_census(GF2k(k)) for k in (2, 3)]
+    reports = [_census_report(stack) for stack in censuses]
     realized = {4: reports[0], 6: reports[1]}
     rows = {n: _distribution_row(n, realized.get(n)) for n in range(4, 25, 2)}
     symmetric = {n: _symmetric_report(n) for n in range(4, 13, 2)}
     return [
         *(_check_census(report) for report in reports),
-        _check_selfdual_counts(reports, quotients),
+        _check_selfdual_counts(censuses),
         _check_metric_identities(censuses[1], symmetric),
         _check_distance_formulas(censuses),
         _check_symmetric(symmetric),
-        _check_charsum(quotients),
+        _check_charsum(censuses),
         _check_distribution_golden(rows),
         _check_no_antiselfdual(reports, rows),
         _check_transform_examples(),

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import json
@@ -14,10 +13,11 @@ import bentkit.cli
 from bentkit.analysis import (
     CensusReport,
     _spread_dist_formula,
+    _census_report,
     _check_charsum,
     _check_selfdual_counts,
     _exhaustive_census,
-    _quotient_census,
+    _psap_rows,
     anti_selfdual_check,
     balanced_g_functions,
     census,
@@ -66,6 +66,7 @@ from bentkit.spreads import (
     ps_plus,
     psap_from_g,
     selection,
+    selection_from_g,
 )
 from oracles import (
     field_mul_oracle,
@@ -740,8 +741,9 @@ def test_plus_census_has_the_minus_class_sizes(k):
     # the complement of a minus selection is a plus selection with the same
     # h, so the plus census, every row checked, has the minus classes
     ctx = GF2k(k)
-    rep, cols, _ = _exhaustive_census(ctx, width=(1 << (k - 1)) + 1)
-    assert (_selection_tables(ctx, cols)[:, 0] == 1).all()  # plus tables keep the origin
+    stack = _exhaustive_census(ctx, width=(1 << (k - 1)) + 1)
+    rep = _census_report(stack)
+    assert (_selection_tables(ctx, stack.cols)[:, 0] == 1).all()  # plus tables keep the origin
     assert rep.class_sizes == census(ctx).class_sizes
     assert rep.formula_mismatches == 0
     assert rep.spectral_checked == rep.total_selections == comb((1 << k) + 1, (1 << (k - 1)) + 1)
@@ -952,13 +954,21 @@ def test_charsum_report_second_example():
 
 
 def test_quotient_stack_matches_the_single_function_path():
-    # the stack the verify battery reads N from: one row per balanced g
+    # the rows the verify battery reads N from, the quotient-form rows of the
+    # minus census, are one row per balanced g: each masked row is psap_from_g
+    # of exactly one g, and every g has its row
     for ctx in (F4, F8):
-        _, cols, identities = _quotient_census(ctx)
-        gs = list(balanced_g_functions(ctx.k))
-        assert ctx.line_dual_index[cols].tolist() == [g.support() for g in gs]
+        stack = _exhaustive_census(ctx)
+        rows = _psap_rows(stack)
+        cols, dists = stack.cols[rows], stack.dists[rows]
+        assert (dists == _stack_distances(stack.identities[rows])).all()
+        gs = {tuple(g.support()): g for g in balanced_g_functions(ctx.k)}
+        # the columns 1/u give back supp g
+        supports = [tuple(sorted(c)) for c in ctx.line_dual_index[cols].tolist()]
+        assert sorted(supports) == sorted(gs)
         tables = _selection_tables(ctx, cols)
-        for g, table, d in zip(gs, tables, _stack_distances(identities).tolist()):
+        for supp, table, d in zip(supports, tables, dists.tolist()):
+            g = gs[supp]
             f = psap_from_g(ctx, g)
             assert np.array_equal(table, f.values())
             assert d == dist_to_dual(f, pairing=ctx)
@@ -966,9 +976,10 @@ def test_quotient_stack_matches_the_single_function_path():
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_quotient_census_class_sizes_match_the_closed_form(k):
+def test_psap_rows_class_sizes_match_the_closed_form(k):
     # the quotient forms are the minus selections that avoid E_0 and inf
-    rep = _quotient_census(GF2k(k))[0]
+    stack = _exhaustive_census(GF2k(k))
+    rep = _census_report(stack, _psap_rows(stack))
     assert rep.class_sizes == _closed_form_class_sizes(k, (1 << (k - 1)) - 1)
     assert rep.formula_mismatches == 0
     assert rep.spectral_checked == rep.total_selections == comb((1 << k) - 1, 1 << (k - 1))
@@ -980,23 +991,44 @@ def test_quotient_census_class_sizes_match_the_closed_form(k):
     ][k - 2]
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_selfdual_counts_transform_one_census(monkeypatch, k):
+    # both counts are read off the one minus census: one transform of its
+    # C(2^k + 1, 2^(k-1)) tables
+    calls = []
+    fwht = bentkit.spectral._fwht
+
+    def counting_fwht(a):
+        calls.append(a.shape)
+        return fwht(a)
+
+    monkeypatch.setattr(bentkit.spectral, "_fwht", counting_fwht)
+    selfdual_counts(k)
+    assert calls == [(comb((1 << k) + 1, 1 << (k - 1)), 1 << (2 * k))]
+
+
 def test_selfdual_counts_fail_on_a_planted_quotient_mismatch(monkeypatch):
-    # one flipped bit in the unmatched-line count of one quotient row: the
-    # line formula disagrees with the spectrum, the self-dual count does not
+    # one flipped bit in the unmatched-line count of one quotient row of the
+    # k = 3 minus census: the line formula disagrees with the spectrum on a
+    # row that the census, the self-dual counts and the distance check share
     counts = bentkit.analysis._unmatched_counts
 
     def planted(ctx, cols):
         h = counts(ctx, cols)
-        if not (cols == ctx.order).any():  # only the quotient stacks
-            h[1] ^= 1
+        if ctx.k == 3 and cols.shape[1] == 4:  # the k = 3 minus census only
+            h[np.flatnonzero(~np.isin(cols, (0, ctx.order)).any(axis=1))[1]] ^= 1
         return h
 
     monkeypatch.setattr(bentkit.analysis, "_unmatched_counts", planted)
-    assert _quotient_census(F8)[0].formula_mismatches == 1
+    stack = _exhaustive_census(F8)
+    assert _census_report(stack, _psap_rows(stack)).formula_mismatches == 1
+    assert _census_report(stack).formula_mismatches == 1
     with pytest.raises(AssertionError, match="1 formula mismatches"):
         selfdual_counts(3)
     checks = {c.name: c for c in run_verification_suite()}
-    assert [name for name, c in checks.items() if not c.ok] == ["selfdual-counts"]
+    assert [name for name, c in checks.items() if not c.ok] == [
+        "census-k3", "selfdual-counts", "ps-distance-formulas"
+    ]
     assert "1 formula mismatches" in checks["selfdual-counts"].detail["error"]
 
 
@@ -1051,36 +1083,46 @@ def test_no_anti_self_dual_names_a_row_below_the_least_nonzero_distance():
 
 
 def test_selfdual_check_reads_both_census_records():
-    reports = [census(F4), census(F8)]
-    quotients = [(ctx, *_quotient_census(ctx)) for ctx in (F4, F8)]
-    assert _check_selfdual_counts(reports, quotients).detail == {"k2": [2, 1], "k3": [6, 3]}
-    ctx, quotient, *stack = quotients[1]
+    # the spread-form count reads every row of the census, the quotient-form
+    # count its quotient rows; a mismatch flag on any row fails
+    censuses = [_exhaustive_census(ctx) for ctx in (F4, F8)]
+    assert _check_selfdual_counts(censuses).detail == {"k2": [2, 1], "k3": [6, 3]}
+    stack = censuses[1]
+    quotient = np.flatnonzero(_psap_rows(stack) & (stack.dists > 0))
+    spread_only = np.flatnonzero(~_psap_rows(stack) & (stack.dists > 0))
+
+    def planted(field, rows, value):
+        values = getattr(stack, field).copy()
+        values[rows] = value
+        return stack._replace(**{field: values})
+
     for wrong, found in (
-        (dataclasses.replace(quotient, selfdual_count=4), "(6, 4) with 0"),
-        (dataclasses.replace(quotient, formula_mismatches=2), "(6, 3) with 2"),
+        (planted("dists", quotient[0], 0), "(7, 4) with 0"),
+        (planted("dists", spread_only[0], 0), "(7, 3) with 0"),
+        (planted("mismatches", quotient[:2], True), "(6, 3) with 2"),
     ):
-        check = _check_selfdual_counts(reports, [quotients[0], (ctx, wrong, *stack)])
+        check = _check_selfdual_counts([censuses[0], wrong])
         assert not check.ok
         assert check.detail == {"error": f"enumeration found {found} formula "
                                          "mismatches, binomials give (6, 3)"}
-    spread = dataclasses.replace(reports[1], selfdual_count=5)
-    assert not _check_selfdual_counts([reports[0], spread], quotients).ok
 
 
 def test_charsum_check_reports_each_planted_row():
     ctx = F8
-    quotient = _quotient_census(ctx)
-    assert _check_charsum([(ctx, *quotient)]).ok
-    report, cols, identities = quotient
-    wrong = identities.copy()
-    wrong[[4, 20], 0] += 2  # the direct and the spectral distance agree
-    wrong[[4, 20], 2] += 2
-    check = _check_charsum([(ctx, report, cols, wrong)])
+    stack = _exhaustive_census(ctx)
+    assert _check_charsum([stack]).ok
     gs = list(balanced_g_functions(3))
+    planted = {gs[i].to_hex(): gs[i] for i in (4, 20)}
+    # the census row of g is its selection, the lines E_{1/u} for u in supp g
+    rows = [(stack.cols == selection_from_g(ctx, g).cols).all(axis=1) for g in planted.values()]
+    wrong = stack.dists.copy()
+    wrong[np.logical_or(*rows)] += 2
+    check = _check_charsum([stack._replace(dists=wrong)])
     assert not check.ok
-    assert [f["g"] for f in check.detail["failures"]] == [gs[4].to_hex(), gs[20].to_hex()]
-    for f, i in zip(check.detail["failures"], (4, 20)):
-        rep = rayleigh_vs_charsum(ctx, gs[i])
+    failures = check.detail["failures"]
+    assert sorted(f["g"] for f in failures) == sorted(planted)
+    for f in failures:
+        rep = rayleigh_vs_charsum(ctx, planted[f["g"]])
         assert f == {**rep.to_json_dict(), "N_actual": rep.N_f_actual - 4,
                      "derived_formula_matches": False}
 
@@ -1174,17 +1216,20 @@ def test_antiselfdual_check_detects_a_planted_row():
 def test_verification_suite_runs_each_census_once(monkeypatch):
     # every minus selection at k = 2 and at k = 3 is one stack, transformed
     # once and read by the census, self-dual, metric-identity,
-    # distance-formula and distribution checks
-    census_inputs = {}
+    # distance-formula, character-sum and distribution checks
+    census_inputs, minus_rows = {}, set()
     for ctx in (F4, F8):
         cols = np.array(list(itertools.combinations(range(ctx.order + 1), ctx.order // 2)))
         a = _transform_input(_selection_tables(ctx, cols), ctx)
         census_inputs[ctx.k] = (a.shape, a.tobytes())
-    inputs = []
+        minus_rows |= {row.tobytes() for row in a}
+    inputs, other_rows = [], set()
     fwht = bentkit.spectral._fwht
 
     def recording_fwht(a):
         inputs.append((a.shape, a.tobytes()))
+        if inputs[-1] not in census_inputs.values():
+            other_rows.update(row.tobytes() for row in a)
         return fwht(a)
 
     monkeypatch.setattr(bentkit.spectral, "_fwht", recording_fwht)
@@ -1203,12 +1248,15 @@ def test_verification_suite_runs_each_census_once(monkeypatch):
     ]
     assert all(c.ok for c in checks)
     assert {k: inputs.count(stack) for k, stack in census_inputs.items()} == {2: 1, 3: 1}
+    # no other transformed stack holds a k = 2 or k = 3 minus table: the
+    # quotient forms among them are read off the census rows
+    assert not other_rows & minus_rows
 
 
 def test_every_verify_spread_stack_is_a_census_stack(monkeypatch):
     # (k, shape, inside the census core?) of every spread stack verify
-    # builds: the minus and the quotient censuses at k = 2, 3, then every
-    # plus selection at k = 2, 3 and the 200 k = 4 draws
+    # builds: the minus censuses at k = 2, 3, then every plus selection at
+    # k = 2, 3 and the 200 k = 4 draws
     core, build = bentkit.analysis._census_stack, bentkit.analysis._selection_tables
     depth, stacks = [], []
 
@@ -1227,7 +1275,7 @@ def test_every_verify_spread_stack_is_a_census_stack(monkeypatch):
     monkeypatch.setattr(bentkit.analysis, "_selection_tables", selection_tables)
     assert all(c.ok for c in run_verification_suite())
     assert stacks == [
-        (2, (10, 2), True), (3, (126, 4), True), (2, (3, 2), True), (3, (35, 4), True),
+        (2, (10, 2), True), (3, (126, 4), True),
         (2, (10, 3), True), (3, (126, 5), True), (4, (200, 8), True),
     ]
 
@@ -1255,32 +1303,42 @@ def test_distance_check_fails_on_a_planted_line_formula_flip(monkeypatch, where,
     }
 
 
-def _plant_counting_form_flip(monkeypatch, where):
+def _plant_counting_form_flip(monkeypatch, where, row=7):
     # one row's counting form off by 2 in the census stacks `where` picks
     formula = bentkit.analysis._spread_dist_formula
 
     def planted(tables):
         dists = formula(tables)
         if where(tables):
-            dists[7] += 2
+            dists[row] += 2
         return dists
 
     monkeypatch.setattr(bentkit.analysis, "_spread_dist_formula", planted)
 
 
-@pytest.mark.parametrize("where, failing", [
+# the first quotient-form row of the k = 3 minus census: E_1, E_2, E_3, E_4
+_PSAP_ROW_K3 = list(itertools.combinations(range(9), 4)).index((1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("where, row, failing", [
     (
-        lambda t: len(t) == 126 and not t[0, 0],
+        lambda t: len(t) == 126 and not t[0, 0], 7,
         ["census-k3", "selfdual-counts", "ps-distance-formulas"],
     ),
-    (lambda t: len(t) == 126 and t[0, 0], ["ps-distance-formulas"]),
-    (lambda t: len(t) == 35, ["selfdual-counts"]),
-    (lambda t: len(t) == 200, ["ps-distance-formulas"]),
+    (lambda t: len(t) == 126 and t[0, 0], 7, ["ps-distance-formulas"]),
+    (
+        lambda t: len(t) == 126 and not t[0, 0], _PSAP_ROW_K3,
+        ["census-k3", "selfdual-counts", "ps-distance-formulas"],
+    ),
+    (lambda t: len(t) == 200, 7, ["ps-distance-formulas"]),
 ], ids=["minus-k3", "plus-k3", "quotient-k3", "k4-draw"])
-def test_a_counting_form_flip_fails_the_checks_that_read_its_stack(monkeypatch, where, failing):
+def test_a_counting_form_flip_fails_the_checks_that_read_its_stack(
+    monkeypatch, where, row, failing
+):
     # the census core checks the counting form on every row it transforms,
-    # so exactly the checks that read the planted stack's report fail
-    _plant_counting_form_flip(monkeypatch, where)
+    # so exactly the checks that read the planted stack's rows fail; a
+    # quotient-form row is a row of the minus census
+    _plant_counting_form_flip(monkeypatch, where, row)
     assert [c.name for c in run_verification_suite() if not c.ok] == failing
 
 
@@ -1293,9 +1351,9 @@ def test_census_counts_a_counting_form_flip(monkeypatch, capsys):
 
 
 def test_verification_suite_transforms_stacks(monkeypatch):
-    # one transform per stack: census (k = 2, 3), quotient-form (k = 2, 3),
-    # symmetric (n = 4..12), MM (n = 6, 8), plus-type (k = 2, 3) and k = 4
-    # draw stacks, and the four worked examples as one stack
+    # one transform per stack: census (k = 2, 3), symmetric (n = 4..12),
+    # MM (n = 6, 8), plus-type (k = 2, 3) and k = 4 draw stacks, and the
+    # four worked examples as one stack
     calls = []
     fwht = bentkit.spectral._fwht
 
@@ -1305,4 +1363,4 @@ def test_verification_suite_transforms_stacks(monkeypatch):
 
     monkeypatch.setattr(bentkit.spectral, "_fwht", counting_fwht)
     assert all(c.ok for c in run_verification_suite())
-    assert len(calls) <= 15
+    assert len(calls) <= 13

@@ -2,10 +2,12 @@
 
 Each record in tests/golden/cli/<name>.json holds one command's argv, the
 stdin it reads (a file next to the records, or the seeded n = 24
-Maiorana-McFarland table built below), its exit code, stdout and stderr.
-The test replays every record through `cli.main`.  An output over 64 KiB
-is stored as its SHA-256 and byte length, and every stdin is pinned by
-its SHA-256 too, so a record can only pass on the input it was made from.
+Maiorana-McFarland table built below), its exit code, stdout and stderr,
+and for a command with `--out` the SHA-256 and byte length of the file it
+writes.  The test replays every record through `cli.main` in a temporary
+working directory.  An output over 64 KiB is stored as its SHA-256 and
+byte length, and every stdin is pinned by its SHA-256 too, so a record can
+only pass on the input it was made from.
 
 After an intended output change, rewrite the records with
 
@@ -18,8 +20,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -79,8 +83,8 @@ CASES = {
         for pairing in ("standard", "trace")
         for n in (6, 8)
     },
-    # the README's CLI examples (all but the one writing report.json; its
-    # psap, k = 5 sample and verify examples are recorded above)
+    # the README's CLI examples (its psap, k = 5 sample and verify examples
+    # are recorded above)
     "readme_wht": (["wht", "6ca0"], None),
     "readme_bent": (["bent", "6ca0"], None),
     "readme_dual_hex": (["dual", "6ca0", "--format", "hex"], None),
@@ -94,6 +98,22 @@ CASES = {
         None,
     ),
     "readme_table_n14_csv": (["table", "--n", "14", "--format", "csv"], None),
+    "readme_census_k3_out": (
+        ["census", "--k", "3", "--mode", "exhaustive", "--out", "report.json"], None
+    ),
+    # usage errors: exit 2 with one error line
+    "error_table_n5": (["table", "--n", "5"], None),
+    "error_census_k9_exhaustive": (["census", "--k", "9", "--mode", "exhaustive"], None),
+    "error_construct_psap_no_g": (["construct", "psap", "--k", "2"], None),
+    "error_construct_ps-_no_lines": (["construct", "ps-", "--k", "2"], None),
+    "error_construct_psap_g3": (["construct", "psap", "--k", "2", "--g", "3"], None),
+    "error_bad_hex": (["wht", "zz"], None),
+    "error_dist_different_n": (["dist", "6ca0", "00"], None),
+    "error_trace_k0": (["wht", "6ca0", "--pairing", "trace", "--k", "0"], None),
+    "error_negative_poly": (
+        ["census", "--k", "4", "--poly", "-13", "--mode", "sample", "--samples", "1"],
+        None,
+    ),
     "rayleigh_trace_not_bent_n6": (["rayleigh", "--pairing", "trace"], "weight1_n6.hex"),
     "rayleigh_trace_n24": (["rayleigh", "--pairing", "trace", *_N24], MM_N24),
     "dual_hex_n24": (["dual", "--format", "hex"], MM_N24),
@@ -126,22 +146,40 @@ def _frozen(text: str):
     return {"sha256": _sha256(text), "bytes": len(text.encode())}
 
 
-def _run(argv: list[str], stdin: str, capsys, monkeypatch) -> dict:
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-    code = main(list(argv))
-    out, err = capsys.readouterr()
-    return {"exit": code, "stdout": _frozen(out), "stderr": _frozen(err)}
+def _outcome(argv: list[str], code: int, out: str, err: str, workdir: Path) -> dict:
+    """What a record freezes of one run in `workdir`: the exit code, stdout,
+    stderr and, when argv has `--out`, the digest and byte length of the
+    file it names (None if it was not written)."""
+    got = {"exit": code, "stdout": _frozen(out), "stderr": _frozen(err)}
+    if "--out" in argv:
+        path = workdir / argv[argv.index("--out") + 1]
+        got["out"] = None
+        if path.exists():
+            data = path.read_bytes()
+            got["out"] = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+    return got
+
+
+def _frozen_outcome(record: dict) -> dict:
+    """A record without the input it names: what `_outcome` returns."""
+    return {
+        key: value for key, value in record.items()
+        if key not in ("argv", "stdin", "stdin_sha256")
+    }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_transcript_is_unchanged(name, capsys, monkeypatch):
+def test_cli_transcript_is_unchanged(name, capsys, monkeypatch, tmp_path):
     record = json.loads((CLI / f"{name}.json").read_text())
     argv, stdin_name = CASES[name]
     assert (record["argv"], record["stdin"]) == (argv, stdin_name)
     stdin = _stdin_text(stdin_name)
     assert _sha256(stdin) == record["stdin_sha256"]
-    got = _run(argv, stdin, capsys, monkeypatch)
-    assert got == {key: record[key] for key in ("exit", "stdout", "stderr")}
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code = main(list(argv))
+    got = _outcome(argv, code, *capsys.readouterr(), tmp_path)
+    assert got == _frozen_outcome(record)
 
 
 def test_every_record_is_a_case():
@@ -150,19 +188,24 @@ def test_every_record_is_a_case():
 
 def _record_all() -> None:
     """Rewrite every record from the bentkit on the import path."""
+    home = os.getcwd()
     for name, (argv, stdin_name) in sorted(CASES.items()):
         stdin = _stdin_text(stdin_name)
         out, err = io.StringIO(), io.StringIO()
         sys.stdin = io.StringIO(stdin)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
+        with tempfile.TemporaryDirectory() as workdir:
+            os.chdir(workdir)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(list(argv))
+            finally:
+                os.chdir(home)
+            outcome = _outcome(argv, code, out.getvalue(), err.getvalue(), Path(workdir))
         record = {
             "argv": argv,
             "stdin": stdin_name,
             "stdin_sha256": _sha256(stdin),
-            "exit": code,
-            "stdout": _frozen(out.getvalue()),
-            "stderr": _frozen(err.getvalue()),
+            **outcome,
         }
         (CLI / f"{name}.json").write_text(json.dumps(record, indent=1) + "\n")
     sys.stdin = sys.__stdin__
