@@ -193,7 +193,7 @@ def _cmd_construct(args) -> int:
             [_parse_point(tok, args.n) for tok in spec.split(",")]
             for spec in args.subspace
         ]
-        payload = _metadata(ps_general(args.n, bases), None)
+        f, ctx, extra = ps_general(args.n, bases), None, {}
     else:
         if args.family == "psap" and (args.k is None or args.g is None):
             raise UsageError("construct psap needs --k and --g")
@@ -207,11 +207,12 @@ def _cmd_construct(args) -> int:
         else:
             raise UsageError("--lines is required for spread constructions")
         f = ps_plus(sel) if args.family == "ps+" else ps_minus(sel)
-        payload = {**_metadata(f, ctx), "lines": [str(L) for L in sel.lines]}
+        extra = {"lines": [str(L) for L in sel.lines]}
+    # hex prints the table alone, so it computes no spectrum
     if args.format == "hex":
-        _emit(args, payload["tt"] + "\n")
+        _emit(args, f.to_hex() + "\n")
     else:
-        _emit_json(args, payload)
+        _emit_json(args, {**_metadata(f, ctx), **extra})
     return 0
 
 

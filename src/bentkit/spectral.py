@@ -21,13 +21,13 @@ point of the first bad row).
 
 Each kind of spectrum has one reader.  `wht`, the one caller of
 `_spectra(..., bent=False)`, reads a spectrum that need not be bent, and
-`is_bent`, `nonlinearity`, `wht_restricted` and `rayleigh_quotient` read
-its values.  A bent stack is read by `dual` for its sign bits and by
-`_stack_identities`, the one caller of `_row_sums`: the direct distance to
-the sign-bit dual, both metric-identity forms and the zero-sum residual of
-every row.  `_stack_distances` checks each row's spectral distance against
-the direct one; `metric_identity_check` reads one row, and `dist_to_dual`,
-`rayleigh` and `duality_class` check one.
+`is_bent`, `nonlinearity` and `rayleigh_quotient` read its values.  A bent
+stack is read by `dual` for its sign bits and by `_stack_identities`, the
+one caller of `_row_sums`: the direct distance to the sign-bit dual, both
+metric-identity forms and the zero-sum residual of every row.
+`_stack_distances` checks each row's spectral distance against the direct
+one; `metric_identity_check` reads one row, and `dist_to_dual`, `rayleigh`
+and `duality_class` check one.
 
 The trace form is diag(G, G) with G the field's k x k Gram matrix.  G is
 symmetric, so W_tr(x, y) = W(Gx, Gy) is the standard spectrum of
@@ -171,10 +171,6 @@ class WalshSpectrum:
     def max_abs(self) -> int:
         return max(int(self.values.max()), -int(self.values.min()))
 
-    def parseval_ok(self) -> bool:
-        squares = np.einsum("i,i->", self.values, self.values, dtype=np.int64)
-        return int(squares) == 1 << (2 * self.n)
-
 
 def _transform_input(tables: np.ndarray, pairing: Pairing) -> np.ndarray:
     """The float32 tables (last axis) whose standard transforms are the
@@ -254,21 +250,6 @@ def wht(f: TruthTable, pairing: Pairing = None) -> WalshSpectrum:
     """Walsh-Hadamard transform W(u) = sum_x (-1)^(f(x) + <u, x>)."""
     spec = next(_spectra(f.values()[None], pairing, bent=False))[2]
     return WalshSpectrum(f.n, spec[0], pairing)
-
-
-def wht_restricted(f: TruthTable, u: int, subset: str = "even") -> int:
-    """Walsh sum at u restricted to even-weight or odd-weight inputs.
-
-    Standard dot product only; `subset` is "even" or "odd".  (-1)^wt(x)
-    is the character of 1...1, so the sum is (W(u) +- W(u ^ 1...1)) / 2.
-    """
-    if subset not in ("even", "odd"):
-        raise ValueError(f"subset must be 'even' or 'odd', got {subset!r}")
-    if not 0 <= u < f.size:
-        raise ValueError(f"point {u} out of range for n={f.n}")
-    spec = wht(f)
-    other = spec[u ^ (f.size - 1)]
-    return (spec[u] + (other if subset == "even" else -other)) // 2
 
 
 def _nonlinearity(spec: WalshSpectrum) -> int:

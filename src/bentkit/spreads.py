@@ -135,11 +135,6 @@ def line_dual(ctx: GF2k, line: SpreadLine) -> SpreadLine:
     return _lines(ctx, ctx.line_dual_index[_columns(ctx, [line])])[0]
 
 
-def dual_selection(sel: SpreadSelection) -> SpreadSelection:
-    """The selection of the dual lines: one gather, no scalar inversion."""
-    return SpreadSelection(sel.ctx, tuple(_lines(sel.ctx, sel.ctx.line_dual_index[sel.cols])))
-
-
 def _scatter(n: int, rows: int, index: np.ndarray, origin) -> np.ndarray:
     """(rows, 2^n) uint8 stack that is 1 at the flat positions `index` (of
     any shape), with column 0, the origin of every row, set to `origin`."""
@@ -242,14 +237,6 @@ def is_selfdual_selection(sel: SpreadSelection) -> bool:
 # ----------------------------------------------------------------------
 # general (possibly non-spread) disjoint subspace families
 # ----------------------------------------------------------------------
-
-def validate_subspace_family(
-    n: int, subspace_bases: Sequence[Sequence[int]]
-) -> list[list[int]]:
-    """Check that each basis spans a k = n/2 dimensional subspace and that
-    the spans pairwise meet only at the origin; returns the point lists."""
-    return _family_points(n, subspace_bases).tolist()
-
 
 def _family_points(n: int, subspace_bases: Sequence[Sequence[int]]) -> np.ndarray:
     """The validated family's spans as an (m, 2^k) array, row i holding the

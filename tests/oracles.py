@@ -142,13 +142,3 @@ def spread_table_reference(ctx, cols, plus: bool) -> np.ndarray:
     vals[0] = plus
     return vals
 
-
-def restricted_sum_reference(f: TruthTable, u: int, subset: str) -> int:
-    """sum of (-1)^(f(x) + u.x) over the inputs x of even (or odd) weight,
-    point by point."""
-    odd = subset == "odd"
-    return sum(
-        1 - 2 * (f[x] ^ ((x & u).bit_count() & 1))
-        for x in range(f.size)
-        if (x.bit_count() & 1) == odd
-    )

@@ -242,7 +242,8 @@ def test_criterion_11_foundations():
             rng.shuffle(pi)
             bents.append((mm_bent(pi, TruthTable(3, rng.getrandbits(8))), None))
         for f, pairing in bents:
-            assert wht(f, pairing).parseval_ok()
+            values = wht(f, pairing).values.astype(np.int64)
+            assert int(np.square(values).sum()) == 1 << (2 * f.n)
             d = dual(f, pairing)
             assert is_bent(d)
             assert dual(d, pairing) == f  # involution

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bentkit.analysis import (
     _check_charsum,
     _check_selfdual_counts,
     _exhaustive_census,
+    _kloosterman_nonzero,
     _psap_rows,
     anti_selfdual_check,
     balanced_g_functions,
@@ -72,6 +74,7 @@ from oracles import (
     field_mul_oracle,
     gram_map_oracle,
     inv_oracle,
+    popcount_array,
     reduce_basis,
     reference_spectrum,
     spread_table_reference,
@@ -1133,6 +1136,54 @@ def test_charsum_derived_relation_exhaustive():
             rep = rayleigh_vs_charsum(ctx, g)
             assert rep.derived_matches
             assert rep.K_withzero == rep.K_nonzero + 1
+
+
+@pytest.mark.parametrize("k, count", [(2, 3), (3, 35), (4, 6435)])
+def test_k_withzero_is_2k_minus_4h_on_every_psap_row(k, count):
+    # the minus census's columns, without its transform; `_psap_rows` reads
+    # only the field and the columns
+    ctx = GF2k(k)
+    cols = np.array(list(itertools.combinations(range(ctx.order + 1), ctx.order // 2)))
+    cols = cols[_psap_rows(SimpleNamespace(ctx=ctx, cols=cols))]
+    assert len(cols) == count
+    # the columns 1/u give back supp g, as in `_check_charsum`
+    g_vals = np.zeros((len(cols), ctx.order), dtype=np.uint8)
+    np.put_along_axis(g_vals, ctx.line_dual_index[cols], 1, axis=1)
+    k_withzero = _kloosterman_nonzero(ctx, g_vals) + 1
+    assert np.array_equal(k_withzero, ctx.order - 4 * _unmatched_counts(ctx, cols))
+
+
+@pytest.mark.parametrize("k", [6, 8, 10, 12])
+def test_k_withzero_is_2k_minus_4h_on_seeded_g(k):
+    ctx, rng = GF2k(k), random.Random(k)
+    for _ in range(50):
+        g = TruthTable.from_support(k, rng.sample(range(1, ctx.order), ctx.order // 2))
+        # N = 2^n - 4h(2^k - 1)
+        h = _exact_div(ctx.order ** 2 - nf_formula(selection_from_g(ctx, g)),
+                       4 * (ctx.order - 1), "h")
+        assert kloosterman_sum(ctx, g)[1] == ctx.order - 4 * h
+
+
+@pytest.mark.parametrize("k", range(3, 11))
+def test_dillon_functions_fill_the_kloosterman_band(k):
+    # Tr(lambda x) is the trace pairing of lambda and x: the parity of
+    # gram_index[lambda] & x, with no field product
+    ctx = GF2k(k)
+    x = np.arange(ctx.order)
+    tables = (popcount_array(ctx.gram_index[1:, None] & x) & 1).astype(np.uint8)
+    if k <= 5:
+        assert tables.tolist() == [
+            [trace_oracle(field_mul_oracle(lam, v, ctx.poly), ctx.poly) for v in range(ctx.order)]
+            for lam in range(1, ctx.order)
+        ]
+    assert (tables[:, 0] == 0).all()
+    assert (tables.sum(axis=1) == ctx.order // 2).all()
+    k_nonzero = _kloosterman_nonzero(ctx, tables)
+    assert (k_nonzero % 4 == 3).all()
+    assert (k_nonzero ** 2 <= 1 << (k + 2)).all()  # Weil
+    # Lachaud-Wolfmann: every such value is a Kloosterman sum
+    band = {v for v in range(-(1 << k), 1 << k) if v % 4 == 3 and v * v <= 1 << (k + 2)}
+    assert set(k_nonzero.tolist()) == band
 
 
 # ----------------------------------------------------------------------

@@ -492,6 +492,20 @@ def test_one_transform_per_request(capsys, monkeypatch, argv, expected):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("argv, table", [
+    (["construct", "ps-", "--k", "3", "--lines", "2,3,5,inf"], "718d8b2d53936500"),
+    (["construct", "ps-general", "--n", "4",
+      "--subspace", "0001,0100", "--subspace", "0010,1000"], "0536"),
+], ids=["ps-", "ps-general"])
+def test_construct_hex_makes_no_transform(capsys, monkeypatch, argv, table):
+    calls = []
+    fwht = bentkit.spectral._fwht
+    monkeypatch.setattr(bentkit.spectral, "_fwht", lambda a: calls.append(a.size) or fwht(a))
+    assert main([*argv, "--format", "hex"]) == 0
+    assert capsys.readouterr().out == table + "\n"
+    assert calls == []
+
+
 @pytest.mark.parametrize("name, pairing", [
     pytest.param(name, pairing, id=f"{name}-{'trace' if pairing else 'standard'}")
     for name, paired in [

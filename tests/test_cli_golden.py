@@ -97,7 +97,16 @@ CASES = {
          "--subspace", "0001,0100", "--subspace", "0010,1000"],
         None,
     ),
-    "readme_table_n14_csv": (["table", "--n", "14", "--format", "csv"], None),
+    # --format hex prints the table alone
+    "construct_ps-_k3_hex": (
+        ["construct", "ps-", "--k", "3", "--lines", "2,3,5,inf", "--format", "hex"], None
+    ),
+    "construct_ps-general_hex": (
+        ["construct", "ps-general", "--n", "4",
+         "--subspace", "0001,0100", "--subspace", "0010,1000", "--format", "hex"],
+        None,
+    ),
+    "readme_table_n14_csv":(["table", "--n", "14", "--format", "csv"], None),
     "readme_census_k3_out": (
         ["census", "--k", "3", "--mode", "exhaustive", "--out", "report.json"], None
     ),

@@ -33,14 +33,12 @@ from bentkit.spectral import (
     rayleigh,
     rayleigh_quotient,
     wht,
-    wht_restricted,
 )
 from oracles import (
     fwht_int64_reference,
     gram_map_oracle,
     popcount_array,
     reference_spectrum,
-    restricted_sum_reference,
 )
 
 X1X3_X2X4 = TruthTable.from_function(
@@ -102,7 +100,7 @@ def test_constant_function_at_n24_stays_exact():
     assert spec[0] == 1 << 24
     assert spec.max_abs() == 1 << 24
     assert np.count_nonzero(spec.values) == 1
-    assert spec.parseval_ok()
+    assert int(np.square(spec.values.astype(np.int64)).sum()) == 1 << 48
     assert rayleigh_quotient(f) == 1 << 24
 
 
@@ -161,8 +159,8 @@ def test_seeded_mm_bent_at_n24_under_both_pairings():
 def test_parseval_on_random_functions():
     rng = random.Random(2)
     for _ in range(100):
-        f = random_tt(10, rng)
-        assert wht(f).parseval_ok()
+        values = wht(random_tt(10, rng)).values.astype(np.int64)
+        assert int(np.square(values).sum()) == 1 << 20
 
 
 @given(st.data())
@@ -172,7 +170,6 @@ def test_parseval_property_on_random_tables(data):
     pairings = [None] + ([GF2k(n // 2)] if n % 2 == 0 else [])
     for pairing in pairings:
         spec = wht(f, pairing)
-        assert spec.parseval_ok()
         assert int(np.square(spec.values.astype(np.int64)).sum()) == 1 << (2 * n)
 
 
@@ -411,7 +408,6 @@ def test_no_module_level_array_caches():
     f = random_tt(8, random.Random(6))
     for pairing in (None, GF2k(4), GF2k(4, 0b11001)):
         wht(f, pairing)
-    wht_restricted(f, 5)
     for name, mod in list(sys.modules.items()):
         if name == "bentkit" or name.startswith("bentkit."):
             for value in vars(mod).values():
@@ -433,39 +429,24 @@ def test_trace_pairing_arity_mismatch():
 
 
 # ----------------------------------------------------------------------
-# restricted sums
+# sums restricted by input weight
 # ----------------------------------------------------------------------
-
-def test_restricted_partition_identity():
-    rng = random.Random(6)
-    f = random_tt(6, rng)
-    spec = wht(f)
-    for u in range(64):
-        even = wht_restricted(f, u, "even")
-        odd = wht_restricted(f, u, "odd")
-        assert even + odd == spec[u]
-
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_restricted_sums_match_the_pointwise_sum(n):
+    # (-1)^wt(x) is the character of 1...1, so the Walsh sum at u over the
+    # even-weight (odd-weight) inputs is (W(u) + W(u ^ 1...1)) / 2 (minus)
     rng = random.Random(40 + n)
+    x = np.arange(1 << n)
+    odd = (popcount_array(x) & 1).astype(bool)
     for _ in range(3):
         f = random_tt(n, rng)
+        spec = wht(f)
         for u in {0, (1 << n) - 1, *(rng.randrange(1 << n) for _ in range(4))}:
-            for subset in ("even", "odd"):
-                assert wht_restricted(f, u, subset) == restricted_sum_reference(f, u, subset)
-
-
-def test_restricted_specific_values():
-    assert wht_restricted(TruthTable(4), 0, "even") == 8
-    f = TruthTable.from_function(2, lambda x: x & 1)
-    assert wht_restricted(f, 0, "odd") == 0
-    with pytest.raises(ValueError):
-        wht_restricted(f, 0, "both")
-    g = random_tt(6, random.Random(7))
-    for u in (-1, 1 << 6, (1 << 6) | 1):
-        with pytest.raises(ValueError):
-            wht_restricted(g, u)
+            terms = 1 - 2 * (f.values() ^ (popcount_array(x & u) & 1)).astype(np.int64)
+            other = spec[u ^ ((1 << n) - 1)]
+            assert (spec[u] + other) // 2 == terms[~odd].sum()
+            assert (spec[u] - other) // 2 == terms[odd].sum()
 
 
 # ----------------------------------------------------------------------

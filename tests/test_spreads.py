@@ -13,7 +13,6 @@ from bentkit.spreads import (
     SpreadLine,
     SpreadSelection,
     desarguesian,
-    dual_selection,
     is_selfdual_selection,
     line_dual,
     line_points,
@@ -23,7 +22,7 @@ from bentkit.spreads import (
     psap_from_g,
     selection,
     selection_from_g,
-    validate_subspace_family,
+    _family_points,
 )
 from oracles import (
     field_mul_oracle,
@@ -131,7 +130,8 @@ def test_line_dual_and_dual_selection_match_scalar_inversion(k):
     rng = random.Random(k)
     for _ in range(5):
         sel = selection(ctx, rng.sample(lines, rng.randint(0, len(lines))))
-        assert dual_selection(sel) == selection(ctx, map(want.get, sel.lines))
+        duals = selection(ctx, [line_dual(ctx, L) for L in sel.lines])
+        assert duals == selection(ctx, map(want.get, sel.lines))
     with pytest.raises(ValueError, match="outside"):
         line_dual(ctx, SpreadLine(ctx.order))
 
@@ -194,10 +194,10 @@ def test_ps_plus_shape_and_bentness_exhaustive():
 
 def test_ps_dual_is_ps_of_dual_selection():
     for ctx in (F4, F8):
-        for sel in all_selections(ctx, 1 << (ctx.k - 1)):
-            assert dual(ps_minus(sel), pairing=ctx) == ps_minus(dual_selection(sel))
-        for sel in all_selections(ctx, (1 << (ctx.k - 1)) + 1):
-            assert dual(ps_plus(sel), pairing=ctx) == ps_plus(dual_selection(sel))
+        for size, ps in ((1 << (ctx.k - 1), ps_minus), ((1 << (ctx.k - 1)) + 1, ps_plus)):
+            for sel in all_selections(ctx, size):
+                duals = selection(ctx, [line_dual(ctx, L) for L in sel.lines])
+                assert dual(ps(sel), pairing=ctx) == ps(duals)
 
 
 def transpose(f: TruthTable, k: int) -> TruthTable:
@@ -367,8 +367,10 @@ def test_selfdual_selection_agrees_with_spectral_distance():
 # ----------------------------------------------------------------------
 
 def test_example_family_duality_structure():
-    spans = validate_subspace_family(4, [E1, E2, E3, E4, E5])
-    assert len(set().union(*map(set, spans))) == 16  # a full spread
+    # five 2-dimensional spans cover all 16 points only if they meet at
+    # the origin alone: a full spread
+    spans = [subspace_span(b) for b in (E1, E2, E3, E4, E5)]
+    assert len(set().union(*spans)) == 16
 
 
 def test_ps_general_examples():
@@ -422,10 +424,9 @@ def test_ps_general_validation_errors():
     ],
 )
 def test_family_errors_keep_the_per_subspace_order(bases, message):
-    for check in (validate_subspace_family, ps_general):
-        with pytest.raises(ValueError) as exc:
-            check(4, bases)
-        assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        ps_general(4, bases)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("bases", [[[0]], [[0], [1]], [[1], [0]]])
@@ -433,7 +434,7 @@ def test_a_zero_basis_at_n2_is_dependent(bases):
     # at k = 1 the span of [0] is [0, 0]: no nonzero point repeats, and only
     # the origin at a nonzero index shows the dependence
     i = bases.index([0])
-    for check in (validate_subspace_family, ps_general, dist_formula_general):
+    for check in (ps_general, dist_formula_general):
         with pytest.raises(ValueError) as exc:
             check(2, bases)
         assert str(exc.value) == f"subspace {i}: basis is linearly dependent"
@@ -473,10 +474,10 @@ def test_family_disjointness_matches_the_pairwise_loop():
         want = _pairwise_first_share(bases)
         outcomes.add(want is None)
         if want is None:
-            assert validate_subspace_family(n, bases) == [subspace_span(b) for b in bases]
+            assert _family_points(n, bases).tolist() == [subspace_span(b) for b in bases]
         else:
             with pytest.raises(ValueError) as exc:
-                validate_subspace_family(n, bases)
+                _family_points(n, bases)
             assert str(exc.value) == want
     assert outcomes == {True, False}
 
