@@ -70,16 +70,7 @@ from bentkit.spreads import (
     selection,
     selection_from_g,
 )
-from oracles import (
-    field_mul_oracle,
-    gram_map_oracle,
-    inv_oracle,
-    popcount_array,
-    reduce_basis,
-    reference_spectrum,
-    spread_table_reference,
-    trace_oracle,
-)
+from oracles import reduce_basis, reference as ref
 
 F4 = GF2k(2)
 F8 = GF2k(3)
@@ -148,22 +139,25 @@ def _derivative_sums(f, pairing):
     paired point Pu, over the whole domain and over its anisotropic half
     {x : <x, x> = 1}.  Returns (total, anisotropic sum, anisotropic mask).
 
-    The paired point comes pointwise from `gram_map_oracle` and parities from
-    int.bit_count, independent of the spectral layer's grid re-index."""
+    The paired point comes from the reference `pairing_perm` and parities
+    from int.bit_count, independent of the spectral layer's grid re-index."""
     fv = f.values()
     xs = np.arange(f.size, dtype=np.int64)
     par = np.array([x.bit_count() & 1 for x in range(f.size)], dtype=np.uint8)
     if pairing is None:
         aniso = par.astype(bool)  # odd-weight points
+        perm = xs
     else:
-        tr = np.array([trace_oracle(a, pairing.poly) for a in range(pairing.order)], dtype=np.uint8)
-        aniso = (tr[xs & pairing.mask] ^ tr[xs >> pairing.k]).astype(bool)
+        k, poly = pairing.k, pairing.poly
+        tr = np.array([ref.gf_trace(a, k, poly) for a in range(pairing.order)], dtype=np.uint8)
+        aniso = (tr[xs & pairing.mask] ^ tr[xs >> k]).astype(bool)
+        perm = ref.pairing_perm(k, poly)
 
     deriv_total = 0
     deriv_aniso = 0
     for u in range(f.size):
         dv = fv ^ fv[xs ^ u]
-        pu = u if pairing is None else gram_map_oracle(pairing, u)
+        pu = perm[u]
         chi = par[xs & pu]
         s = 1 - 2 * (dv ^ chi).astype(np.int64)
         deriv_total += int(s.sum())
@@ -171,11 +165,11 @@ def _derivative_sums(f, pairing):
     return deriv_total, deriv_aniso, aniso
 
 
-def _form2_by_derivatives(f, pairing, sums=None):
-    """(form2, corollary residual) of f by the derivative route."""
+def _form2_by_derivatives(f, pairing, spec, sums=None):
+    """(form2, corollary residual) of f by the derivative route, `spec`
+    its reference spectrum under `pairing`."""
     n, k = f.n, f.n // 2
     deriv_total, deriv_aniso, _ = sums or _derivative_sums(f, pairing)
-    spec = reference_spectrum(f, pairing)
     supp_sum = int(spec[f.values().astype(bool)].sum())
     sign0 = -1 if f[0] else 1
     form2 = (
@@ -212,8 +206,11 @@ def test_form2_and_residual_match_the_derivative_oracle():
     for f, pairing in _derivative_oracle_corpus():
         res = metric_identity_check(f, pairing)
         sums = _derivative_sums(f, pairing)
+        spec = ref.fwht(f.values())
+        if pairing is not None:  # W_tr(u) = W(Gu)
+            spec = spec[ref.pairing_perm(pairing.k, pairing.poly)]
         assert (res.form2, res.corollary_residual) == _form2_by_derivatives(
-            f, pairing, sums
+            f, pairing, spec, sums
         )
         assert res.consistent
         plus_type += f[0]
@@ -226,14 +223,14 @@ def test_form2_and_residual_match_the_derivative_oracle():
             q = np.array([x.bit_count() & 1 for x in range(f.size)], dtype=bool)
         else:
             # <x, x> = Tr(x0 x0) + Tr(x1 x1) for x = (x0, x1)
-            sq = [trace_oracle(field_mul_oracle(a, a, pairing.poly), pairing.poly)
-                  for a in range(pairing.order)]
+            k, poly = pairing.k, pairing.poly
+            sq = [ref.gf_trace(ref.gf_mul(a, a, k, poly), k, poly) for a in range(pairing.order)]
             q = np.array(
                 [sq[x & pairing.mask] ^ sq[x >> pairing.k] for x in range(f.size)],
                 dtype=bool,
             )
         assert np.array_equal(q, aniso)
-        signed = (1 - 2 * f.values().astype(np.int64)) * reference_spectrum(f, pairing)
+        signed = (1 - 2 * f.values().astype(np.int64)) * spec
         assert deriv_total == int(np.where(q, -signed, signed).sum())
         assert deriv_aniso == -int(signed[q].sum())
     assert plus_type  # the residual's (-1)^f(0) term is exercised
@@ -273,12 +270,15 @@ def test_stack_identities_match_the_int64_reference_row_by_row():
         tables = np.array([f.values() for f in fs])
         duals = np.empty(tables.shape, dtype=bool)
         stacked = _stack_identities(tables, pairing, duals)
+        # W_tr(u) = W(Gu): the trace spectrum reads the standard one through G
+        perm = slice(None) if pairing is None else ref.pairing_perm(pairing.k, pairing.poly)
         for f, t, row, d in zip(fs, tables, stacked.tolist(), duals):
-            ref_dual = reference_spectrum(f, pairing) < 0
+            spec = ref.fwht(t)[perm]
+            ref_dual = spec < 0
             dist = int(np.count_nonzero(t != ref_dual))
             assert row == [dist, dist, dist, 0]
             assert np.array_equal(d, ref_dual)
-            assert (row[2], row[3]) == _form2_by_derivatives(f, pairing)
+            assert (row[2], row[3]) == _form2_by_derivatives(f, pairing, spec)
             rows_checked += 1
     assert rows_checked == 126 + 126 + 20 + 100
 
@@ -444,7 +444,7 @@ def test_dist_formula_general_on_example_family():
 def _field_spread_bases(ctx):
     """Bases of the 2^k + 1 Desarguesian lines, infinity last."""
     k = ctx.k
-    return [[(1 << i) | (field_mul_oracle(1 << i, a, ctx.poly) << k) for i in range(k)]
+    return [[(1 << i) | (ref.gf_mul(1 << i, a, k, ctx.poly) << k) for i in range(k)]
             for a in ctx.elements()] + [[1 << (k + i) for i in range(k)]]
 
 
@@ -626,11 +626,11 @@ def test_counting_formula_matches_spectra_at_k7_to_9():
 @functools.cache
 def trace_dual_by_annihilator(k: int) -> dict:
     """Each spread line of GF2k(k) mapped to the spread line whose points are
-    the trace annihilator of its points; the pairing comes from the field
-    oracles."""
+    the trace annihilator of its points; the pairing comes from the
+    reference field product and trace."""
     ctx = GF2k(k)
     tr = np.array(
-        [[trace_oracle(field_mul_oracle(a, b, ctx.poly), ctx.poly) for b in ctx.elements()]
+        [[ref.gf_trace(ref.gf_mul(a, b, k, ctx.poly), k, ctx.poly) for b in ctx.elements()]
          for a in ctx.elements()],
         dtype=np.uint8,
     )
@@ -776,8 +776,9 @@ def test_batched_rows_match_the_single_function_path(data):
         sel = selection(ctx, [SpreadLine(None if c == ctx.order else c) for c in row])
         f = build(sel)
         assert np.array_equal(f.values(), table)
-        ref = spread_table_reference(ctx, row, plus)
-        assert np.array_equal(table, ref) and np.array_equal(f.values(), ref)
+        want = ref.spread_minus_table(k, ctx.poly, [None if c == ctx.order else c for c in row])
+        want[0] = plus
+        assert np.array_equal(table, want) and np.array_equal(f.values(), want)
         assert d == d_formula == dist_to_dual(f, pairing=ctx) == counting(sel)
     # a plus selection has the h of its complement, a minus selection
     h = _unmatched_counts(ctx, cols)
@@ -932,9 +933,10 @@ def test_kloosterman_inversion_symmetric_g():
 
 
 def test_kloosterman_trace_matches_direct_sum():
-    tr = [trace_oracle(u, F8.poly) for u in range(8)]
+    tr = [ref.gf_trace(u, 3, F8.poly) for u in range(8)]
+    inv = ref.gf_inv_table(ref.gf_mul_table(3, F8.poly))
     g = TruthTable.from_values(3, tr)
-    direct = sum((-1) ** (tr[u] ^ tr[inv_oracle(u, F8.poly)]) for u in range(1, 8))
+    direct = sum((-1) ** (tr[u] ^ tr[inv[u]]) for u in range(1, 8))
     k_nz, _ = kloosterman_sum(F8, g)
     assert k_nz == direct
 
@@ -1164,16 +1166,16 @@ def test_k_withzero_is_2k_minus_4h_on_seeded_g(k):
         assert kloosterman_sum(ctx, g)[1] == ctx.order - 4 * h
 
 
-@pytest.mark.parametrize("k", range(3, 11))
+@pytest.mark.parametrize("k", range(3, 13))
 def test_dillon_functions_fill_the_kloosterman_band(k):
     # Tr(lambda x) is the trace pairing of lambda and x: the parity of
     # gram_index[lambda] & x, with no field product
     ctx = GF2k(k)
     x = np.arange(ctx.order)
-    tables = (popcount_array(ctx.gram_index[1:, None] & x) & 1).astype(np.uint8)
+    tables = ref.parity(ctx.gram_index[1:, None] & x)
     if k <= 5:
         assert tables.tolist() == [
-            [trace_oracle(field_mul_oracle(lam, v, ctx.poly), ctx.poly) for v in range(ctx.order)]
+            [ref.gf_trace(ref.gf_mul(lam, v, k, ctx.poly), k, ctx.poly) for v in range(ctx.order)]
             for lam in range(1, ctx.order)
         ]
     assert (tables[:, 0] == 0).all()

@@ -19,7 +19,7 @@ from bentkit.boolfun import (
     symmetric_value_pattern,
 )
 from bentkit.spectral import dual, hamming_dist, is_bent
-from oracles import popcount_array, reduce_basis
+from oracles import popcount_array, reduce_basis, reference as ref
 
 
 def tt_x1(n: int) -> TruthTable:
@@ -581,18 +581,14 @@ def test_mm_dual_matches_spectral_dual():
 
 
 def test_mm_dual_is_the_pointwise_dual_at_k9():
-    # a random pi and g on a 512 x 512 grid, against the pointwise formula
+    # a random pi and g on a 512 x 512 grid, against the reference's closed
+    # form f~(x, y) = y . pi^-1(x) + g(pi^-1(x)) at index x + 2^k y
     rng = random.Random(31)
     k = 9
     pi = list(range(1 << k))
     rng.shuffle(pi)
     g = TruthTable(k, rng.getrandbits(1 << k))
-    pinv = np.argsort(pi)
-    x = np.arange(1 << k)[None, :]
-    y = np.arange(1 << k)[:, None]
-    # f~(x, y) = y . pi^-1(x) + g(pi^-1(x)) at index x + 2^k y
-    want = (popcount_array(y & pinv[x]) & 1) ^ g.values()[pinv[x]]
-    assert np.array_equal(mm_dual(pi, g).values(), want.reshape(-1))
+    assert np.array_equal(mm_dual(pi, g).values(), ref.mm_tables(k, pi, g.values())[1])
 
 
 def test_mm_rejects_non_bijection():

@@ -14,10 +14,9 @@ import pytest
 import bentkit
 import bentkit.cli
 import bentkit.spectral
-from bentkit.boolfun import TruthTable, mm_bent, mm_dual
+from bentkit.boolfun import TruthTable, mm_bent
 from bentkit.cli import main
 from bentkit.field import GF2k
-from bentkit.spectral import rayleigh
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -426,28 +425,6 @@ def test_trace_pairing_has_a_default_field_at_n18(capsys):
         assert default == run_cli(
             capsys, cmd, tt, "--pairing", "trace", "--poly", "0x211"
         )
-
-
-def test_the_n24_benchmark_jobs_through_stdin(capsys, monkeypatch):
-    # the two spectra-n24 jobs on a seeded Maiorana-McFarland table: the
-    # dual against the closed form, N against the library call
-    rng = random.Random(2424)
-    pi = list(range(1 << 12))
-    rng.shuffle(pi)
-    g = TruthTable(12, rng.getrandbits(1 << 12))
-    f = mm_bent(pi, g)
-    text = f.to_hex() + "\n"
-    code, out, err = run_cli(
-        capsys, "dual", "--format", "hex", stdin=text, monkeypatch=monkeypatch
-    )
-    assert (code, err) == (0, "")
-    assert out == mm_dual(pi, g).to_hex() + "\n"
-    payload = run_json(
-        capsys, "rayleigh", "--pairing", "trace", "--k", "12", "--poly", "0x1053",
-        stdin=text, monkeypatch=monkeypatch,
-    )
-    s, n_f = rayleigh(f, GF2k(12, 0x1053))
-    assert payload == {"schema": 1, "n": 24, "S": s, "N": n_f, "dist": ((1 << 24) - n_f) // 2}
 
 
 def test_unknown_subcommand_exits_2(capsys):

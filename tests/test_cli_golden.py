@@ -30,6 +30,7 @@ import pytest
 
 from bentkit.boolfun import TruthTable, mm_bent
 from bentkit.cli import main
+from oracles import reference as ref
 
 CLI = Path(__file__).parent / "golden" / "cli"
 DIGEST_OVER = 64 * 1024
@@ -129,13 +130,18 @@ CASES = {
 }
 
 
-def _mm_n24_text() -> str:
-    """A seeded n = 24 Maiorana-McFarland table: random pi and g at k = 12."""
+def _mm_n24_pi_g() -> tuple[list[int], list[int]]:
+    """Random pi and g (as 0/1 values) at k = 12, seeded."""
     rng = random.Random(24)
     pi = list(range(1 << 12))
     rng.shuffle(pi)
-    g = TruthTable.from_values(12, [rng.getrandbits(1) for _ in range(1 << 12)])
-    return mm_bent(pi, g).to_hex() + "\n"
+    return pi, [rng.getrandbits(1) for _ in range(1 << 12)]
+
+
+def _mm_n24_text() -> str:
+    """The seeded n = 24 Maiorana-McFarland table of `_mm_n24_pi_g`."""
+    pi, g = _mm_n24_pi_g()
+    return mm_bent(pi, TruthTable.from_values(12, g)).to_hex() + "\n"
 
 
 def _stdin_text(name: str | None) -> str:
@@ -193,6 +199,23 @@ def test_cli_transcript_is_unchanged(name, capsys, monkeypatch, tmp_path):
 
 def test_every_record_is_a_case():
     assert sorted(p.stem for p in CLI.glob("*.json")) == sorted(CASES)
+
+
+def test_the_n24_records_match_the_reference():
+    # the spectra-n24 benchmark jobs' input, dual and trace N, each from
+    # the bentkit-free reference: the table of _mm_n24_text's pi and g, the
+    # closed-form dual, and N = sum (-1)^(f(x) + f~(Gx))
+    f, d = ref.mm_tables(12, *_mm_n24_pi_g())
+    stdin = ref.to_hex(f) + "\n"
+    dual_hex = json.loads((CLI / "dual_hex_n24.json").read_text())
+    assert _sha256(stdin) == dual_hex["stdin_sha256"]
+    assert dual_hex["stdout"] == _frozen(ref.to_hex(d) + "\n")
+    rayleigh = json.loads((CLI / "rayleigh_trace_n24.json").read_text())
+    assert rayleigh["stdin_sha256"] == dual_hex["stdin_sha256"]
+    n_f = ref.trace_rayleigh_n(f, d, ref.pairing_perm(12, 0x1053))
+    assert json.loads(rayleigh["stdout"]) == {
+        "schema": 1, "n": 24, "N": n_f, "S": n_f << 12, "dist": ((1 << 24) - n_f) // 2,
+    }
 
 
 def _record_all() -> None:

@@ -4,14 +4,12 @@ parser alone, and what it accepts, prints and exits with is what the full
 
 import importlib
 import io
-from pathlib import Path
 
 import pytest
 
 import bentkit.cli
 from bentkit.cli import build_parser, main
-
-PERFBENCH = Path(__file__).parent.parent / "perfbench"
+from oracles import PERFBENCH
 
 # valid argv for every subcommand, options in several spellings
 VALID = [

@@ -34,12 +34,7 @@ from bentkit.spectral import (
     rayleigh_quotient,
     wht,
 )
-from oracles import (
-    fwht_int64_reference,
-    gram_map_oracle,
-    popcount_array,
-    reference_spectrum,
-)
+from oracles import reference as ref
 
 X1X3_X2X4 = TruthTable.from_function(
     4, lambda x: (x & (x >> 2) & 1) ^ ((x >> 1) & (x >> 3) & 1)
@@ -89,7 +84,7 @@ def test_wht_matches_int64_reference_butterfly():
     rng = random.Random(3)
     for n in range(2, 17):
         f = random_tt(n, rng)
-        assert wht(f).values.tolist() == fwht_int64_reference(f).tolist()
+        assert wht(f).values.tolist() == ref.fwht(f.values()).tolist()
 
 
 def test_constant_function_at_n24_stays_exact():
@@ -127,7 +122,7 @@ def test_sparse_tables_at_n24_match_closed_form(support):
     want = np.zeros((1 << 12, 1 << 12), dtype=np.int32)
     want[0, 0] = 1 << 24
     for p in support:
-        hi, lo = (1 - 2 * (popcount_array(half & q) & 1).astype(np.int32)
+        hi, lo = (1 - 2 * ref.parity(half & q).astype(np.int32)
                   for q in (p >> 12, p & 0xFFF))
         want -= 2 * np.multiply.outer(hi, lo)
     want = want.reshape(-1)
@@ -182,10 +177,10 @@ def _other_poly(k: int) -> int:
 
 
 def test_trace_spectrum_is_gram_permutation_of_standard():
-    # wht re-indexes the input through G^-1; the oracles re-index the
+    # wht re-indexes the input through G^-1; the test re-indexes the
     # standard spectrum, a 2^k x 2^k grid (row y, column x), at (Gx, Gy) and
-    # spot-check it against the pointwise gram_map_oracle.  Every k = 1..12 under the default
-    # polynomial, and under one other from k = 4 on.
+    # spot-checks it against the reference map u -> diag(G, G) u.  Every
+    # k = 1..12 under the default polynomial, and under one other from k = 4 on.
     for k in sorted(DEFAULT_POLYS):
         rng = random.Random(k)
         f = random_tt(2 * k, rng)
@@ -199,8 +194,9 @@ def test_trace_spectrum_is_gram_permutation_of_standard():
                 points = range(f.size)
             else:
                 points = [0, f.size - 1] + [rng.randrange(f.size) for _ in range(300)]
+            perm = ref.pairing_perm(k, ctx.poly)
             for u in points:
-                assert tr[u] == std[gram_map_oracle(ctx, u)]
+                assert tr[u] == std[perm[u]]
 
 
 def _sparse_spectrum(n: int, support: list[int]) -> np.ndarray:
@@ -209,7 +205,7 @@ def _sparse_spectrum(n: int, support: list[int]) -> np.ndarray:
     want = np.zeros(1 << n, dtype=np.int64)
     want[0] = 1 << n
     for p in support:
-        want -= 2 * (1 - 2 * (popcount_array(us & p) & 1).astype(np.int64))
+        want -= 2 * (1 - 2 * ref.parity(us & p).astype(np.int64))
     return want
 
 
@@ -240,21 +236,21 @@ def test_batched_fwht_rows_equal_single_transforms(n):
     for row, spec in zip(stack, got):
         assert np.array_equal(spec, _fwht(row.astype(np.float32)))
     # and the B = 1 transform is the int64 reference
-    f = TruthTable.from_values(n, stack[0].tolist())
     assert np.array_equal(got[0] + (np.arange(1 << n) == 0) * (1 << n),
-                          fwht_int64_reference(f))
+                          ref.fwht(stack[0]))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_batched_trace_reindex_equals_per_row(k):
-    # t(x) = f(diag(G, G)^-1 x), per row of the stack and by the pointwise oracle
+    # t(x) = f(diag(G, G)^-1 x), per row of the stack and through the
+    # inverse of the reference permutation
     ctx = GF2k(k)
     stack = np.random.default_rng(k).integers(0, 2, (5, 1 << (2 * k)), dtype=np.uint8)
     got = _transform_input(stack.copy(), ctx)
+    inverse = np.argsort(ref.pairing_perm(k, ctx.poly))
     for row, t in zip(stack, got):
         assert np.array_equal(t, _transform_input(row.copy(), ctx))
-        want = [row[gram_map_oracle(ctx, x, inverse=True)] for x in range(row.size)]
-        assert t.tolist() == want
+        assert t.tolist() == row[inverse].tolist()
 
 
 def test_stack_distances_match_the_int64_reference_under_both_pairings():
@@ -269,8 +265,9 @@ def test_stack_distances_match_the_int64_reference_under_both_pairings():
             rng.shuffle(pi)
             fs.append(mm_bent(pi, random_tt(k, rng)))
         stack = np.array([f.values() for f in fs])
-        for pairing in (None, ctx):
-            ref_duals = np.array([reference_spectrum(f, pairing) < 0 for f in fs])
+        # W_tr(u) = W(Gu): the trace spectrum reads the standard one through G
+        for pairing, perm in ((None, slice(None)), (ctx, ref.pairing_perm(k, ctx.poly))):
+            ref_duals = np.array([ref.fwht(t)[perm] < 0 for t in stack])
             duals = np.empty(stack.shape, dtype=bool)
             got = _stack_distances(_stack_identities(stack, pairing, duals))
             assert got.tolist() == np.count_nonzero(stack != ref_duals, axis=1).tolist()
@@ -438,12 +435,12 @@ def test_restricted_sums_match_the_pointwise_sum(n):
     # even-weight (odd-weight) inputs is (W(u) + W(u ^ 1...1)) / 2 (minus)
     rng = random.Random(40 + n)
     x = np.arange(1 << n)
-    odd = (popcount_array(x) & 1).astype(bool)
+    odd = ref.parity(x).astype(bool)
     for _ in range(3):
         f = random_tt(n, rng)
         spec = wht(f)
         for u in {0, (1 << n) - 1, *(rng.randrange(1 << n) for _ in range(4))}:
-            terms = 1 - 2 * (f.values() ^ (popcount_array(x & u) & 1)).astype(np.int64)
+            terms = 1 - 2 * (f.values() ^ ref.parity(x & u)).astype(np.int64)
             other = spec[u ^ ((1 << n) - 1)]
             assert (spec[u] + other) // 2 == terms[~odd].sum()
             assert (spec[u] - other) // 2 == terms[odd].sum()

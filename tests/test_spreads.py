@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from bentkit.analysis import dist_formula_general, dist_formula_ps_minus
@@ -24,13 +25,7 @@ from bentkit.spreads import (
     selection_from_g,
     _family_points,
 )
-from oracles import (
-    field_mul_oracle,
-    inv_oracle,
-    reduce_basis,
-    spread_table_reference,
-    trace_oracle,
-)
+from oracles import reduce_basis, reference as ref
 
 F4 = GF2k(2)
 F8 = GF2k(3)
@@ -88,7 +83,7 @@ def test_line_points_match_field_products():
             if line.is_infinity:
                 want = {y << k for y in ctx.elements()}
             else:
-                want = {x | field_mul_oracle(x, line.a, ctx.poly) << k for x in ctx.elements()}
+                want = {x | ref.gf_mul(x, line.a, k, ctx.poly) << k for x in ctx.elements()}
             assert line_points(ctx, line) == want
 
 
@@ -116,17 +111,17 @@ def test_line_dual_involution():
 
 @pytest.mark.parametrize("k", sorted(DEFAULT_POLYS))
 def test_line_dual_and_dual_selection_match_scalar_inversion(k):
-    # E_a -> E_{1/a} by the extended Euclidean inverse, E_0 <-> inf
+    # E_a -> E_{1/a}, 1/a the one element whose reference product with a
+    # is 1 (the reference's whole multiplication table is 128 MB at
+    # k = 12), and E_0 <-> inf
     ctx = GF2k(k)
-
-    def scalar_dual(line):
-        if line.is_infinity:
-            return SpreadLine(0)
-        return LINE_INFINITY if line.a == 0 else SpreadLine(inv_oracle(line.a, ctx.poly))
-
     lines = desarguesian(ctx)
-    want = {L: scalar_dual(L) for L in lines}
-    assert [line_dual(ctx, L) for L in lines] == list(want.values())
+    want = {L: line_dual(ctx, L) for L in lines}
+    for L, D in want.items():
+        if L.is_infinity or L.a == 0:
+            assert D == (SpreadLine(0) if L.is_infinity else LINE_INFINITY)
+        else:
+            assert D.a in range(ctx.order) and ref.gf_mul(L.a, D.a, k, ctx.poly) == 1
     rng = random.Random(k)
     for _ in range(5):
         sel = selection(ctx, rng.sample(lines, rng.randint(0, len(lines))))
@@ -138,12 +133,12 @@ def test_line_dual_and_dual_selection_match_scalar_inversion(k):
 
 def annihilator(ctx, points):
     """The points q with Tr(q0 p0) + Tr(q1 p1) = 0 for every p in `points`,
-    from the field oracles."""
+    from the reference field product and trace."""
     k = ctx.k
 
     def pairing(q, p):
         return sum(
-            trace_oracle(field_mul_oracle(q >> s & ctx.mask, p >> s & ctx.mask, ctx.poly), ctx.poly)
+            ref.gf_trace(ref.gf_mul(q >> s & ctx.mask, p >> s & ctx.mask, k, ctx.poly), k, ctx.poly)
             for s in (0, k)
         ) & 1
 
@@ -162,9 +157,10 @@ def test_line_dual_matches_trace_annihilator():
 # ----------------------------------------------------------------------
 
 def matches_reference(f, sel, plus):
-    """f against the pointwise scalar spread-table reference of sel."""
-    cols = [sel.ctx.order if L.is_infinity else L.a for L in sel.lines]
-    return (f.values() == spread_table_reference(sel.ctx, cols, plus)).all()
+    """f against the reference spread table of sel, the origin set for plus."""
+    want = ref.spread_minus_table(sel.ctx.k, sel.ctx.poly, [L.a for L in sel.lines])
+    want[0] = plus
+    return (f.values() == want).all()
 
 
 def test_ps_minus_shape_and_bentness_exhaustive():
@@ -286,11 +282,8 @@ def test_psap_specific_selection():
 
 
 def assert_quotient_form(ctx, g, f):
-    """f(x, y) = g(x/y) at every point, x/0 = 0, from the field oracles."""
-    for x in ctx.elements():
-        for y in ctx.elements():
-            quotient = field_mul_oracle(x, inv_oracle(y, ctx.poly), ctx.poly) if y else 0
-            assert f[x | y << ctx.k] == g[quotient]
+    """f(x, y) = g(x/y) at every point, x/0 = 0, from the reference table."""
+    assert np.array_equal(f.values(), ref.quotient_table(ctx.k, ctx.poly, g.values()))
 
 
 def test_psap_equals_ps_minus_of_selection():
@@ -321,10 +314,9 @@ def test_psap_selection_never_contains_e0_or_infinity():
 
 def test_psap_selfdual_iff_g_inversion_symmetric():
     for ctx in (F4, F8):
+        inv = ref.gf_inv_table(ref.gf_mul_table(ctx.k, ctx.poly))
         for g in balanced_gs(ctx.k):
-            symmetric = g[1] == 0 and all(
-                g[u] == g[inv_oracle(u, ctx.poly)] for u in ctx.nonzero()
-            )
+            symmetric = g[1] == 0 and all(g[u] == g[inv[u]] for u in ctx.nonzero())
             selfdual = dist_to_dual(psap_from_g(ctx, g), pairing=ctx) == 0
             assert symmetric == selfdual
 
@@ -460,7 +452,7 @@ def test_family_disjointness_matches_the_pairwise_loop():
     for _ in range(300):
         k = rng.choice((2, 3, 4))
         n, ctx = 2 * k, GF2k(k)
-        bases = [[(1 << i) | (field_mul_oracle(1 << i, a, ctx.poly) << k) for i in range(k)]
+        bases = [[(1 << i) | (ref.gf_mul(1 << i, a, k, ctx.poly) << k) for i in range(k)]
                  for a in ctx.elements()] + [[1 << (k + i) for i in range(k)]]
         rng.shuffle(bases)
         bases = bases[:rng.randint(2, len(bases))]
@@ -484,7 +476,7 @@ def test_family_disjointness_matches_the_pairwise_loop():
 
 def test_ps_general_runs_a_half_field_spread_at_k10():
     ctx = GF2k(10)
-    bases = [[(1 << i) | (field_mul_oracle(1 << i, a, ctx.poly) << 10) for i in range(10)]
+    bases = [[(1 << i) | (ref.gf_mul(1 << i, a, 10, ctx.poly) << 10) for i in range(10)]
              for a in range(512)]
     f = ps_general(20, bases)
     assert f.weight() == 512 * 1023 and f[0] == 0

@@ -1,12 +1,10 @@
 """The benchmark tracer patches bentkit by name; every name must still exist."""
 
 import importlib
-from pathlib import Path
 
 import bentkit
 import bentkit.cli
-
-PERFBENCH = Path(__file__).parent.parent / "perfbench"
+from oracles import PERFBENCH
 
 
 def test_tracer_finds_every_patched_name(monkeypatch):
