@@ -16,7 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
+from contextlib import nullcontext
 from functools import partial
+from itertools import chain
 
 from .analysis import (
     EXHAUSTIVE_K_MAX,
@@ -49,23 +52,26 @@ from .spreads import (
 )
 
 SCHEMA = 1
+# Spectrum values per piece of `wht`'s output
+_PIECE = 1 << 16
 
 
 class UsageError(ValueError):
     pass
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(args: argparse.Namespace, pieces: Iterable[str]) -> None:
+    """Write the text `pieces`, in order, to the --out file or stdout."""
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+        fh.writelines(pieces)
+
+
+def _json_line(payload: dict) -> str:
+    return json.dumps({"schema": SCHEMA, **payload}, sort_keys=True) + "\n"
 
 
 def _emit_json(args: argparse.Namespace, payload: dict) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    _emit(args, json.dumps(payload, sort_keys=True) + "\n")
+    _emit(args, [_json_line(payload)])
 
 
 def _int_token(tok: str, base: int, what: str) -> int:
@@ -130,8 +136,16 @@ def _parse_point(tok: str, n: int) -> int:
 
 def _cmd_wht(args) -> int:
     f = _read_tt(args)[0]
-    spec = wht(f, _pairing_for(args, f))
-    _emit_json(args, {"n": f.n, "spectrum": spec.values.tolist()})
+    values = wht(f, _pairing_for(args, f)).values
+    # The JSON line of the whole list, written _PIECE values at a time
+    # around a one-element placeholder, so an n = 24 spectrum never becomes
+    # 16.7M Python ints at once.
+    head, _, tail = _json_line({"n": f.n, "spectrum": [0]}).partition("[0]")
+    body = (
+        (", " if c else "") + json.dumps(values[c:c + _PIECE].tolist())[1:-1]
+        for c in range(0, values.size, _PIECE)
+    )
+    _emit(args, chain([head + "["], body, ["]" + tail]))
     return 0
 
 
@@ -149,7 +163,7 @@ def _cmd_dual(args) -> int:
     f = _read_tt(args)[0]
     d = dual(f, _pairing_for(args, f))
     if args.format == "hex":
-        _emit(args, d.to_hex() + "\n")
+        _emit(args, [d.to_hex() + "\n"])
     else:
         _emit_json(args, {"n": f.n, "tt": d.to_hex()})
     return 0
@@ -210,7 +224,7 @@ def _cmd_construct(args) -> int:
         extra = {"lines": [str(L) for L in sel.lines]}
     # hex prints the table alone, so it computes no spectrum
     if args.format == "hex":
-        _emit(args, f.to_hex() + "\n")
+        _emit(args, [f.to_hex() + "\n"])
     else:
         _emit_json(args, {**_metadata(f, ctx), **extra})
     return 0
@@ -234,7 +248,7 @@ def _cmd_table(args) -> int:
     if args.format == "csv":
         lines = ["n,N_f,dist"]
         lines += [f"{args.n},{nf},{d}" for nf, d in row.pairs()]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, ["\n".join(lines) + "\n"])
     else:
         _emit_json(args, row.to_json_dict())
     return 0

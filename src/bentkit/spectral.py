@@ -12,12 +12,12 @@ Bentness never depends on the pairing while duals and distances do.
 There is one spectral path, over a (B, 2^n) uint8 stack of 0/1 tables, and
 every single-table function is its one-row case.  `_spectra` transforms a
 stack in chunks of <= 2^24 entries and checks every row.  A bent stack is
-tested for flatness first (every |W(u)| = 2^(n/2), read as |W| min and max
-in blocks of 2^16 entries); a flat integer spectrum satisfies Parseval
-exactly, so Parseval's int64 sum runs only on a chunk with some row not
-flat, or on a stack that need not be bent, and tells a broken transform
-(AssertionError) from a non-bent row (NotBentError names the first bad
-point of the first bad row).
+tested for flatness first by `_first_off`, the one flatness reader: one
+walk in blocks of 2^16 entries to the first |W(u)| != 2^(n/2).  A flat
+integer spectrum satisfies Parseval exactly, so Parseval's int64 sum runs
+only on a chunk with some row not flat, or on a stack that need not be
+bent, and tells a broken transform (AssertionError) from a non-bent row
+(NotBentError names that first entry off, in the first bad row).
 
 Each kind of spectrum has one reader.  `wht`, the one caller of
 `_spectra(..., bent=False)`, reads a spectrum that need not be bent, and
@@ -96,7 +96,8 @@ _H16 = np.array(
 _FACTORS = (_H16, -2 * _H16)
 
 # Entries per block of the low-bit stage and of its one scratch buffer (256 KiB),
-# per row block of the trace gather and per column block of the row sums.
+# per row block of the trace gather, per column block of the row sums and
+# per block of the flatness walk.
 _BLOCK = 1 << 16
 # Entries per float32 stack of tables transformed at once: 64 MB, an n = 24 table.
 _STACK = 1 << 24
@@ -163,7 +164,6 @@ class WalshSpectrum:
 
     n: int
     values: np.ndarray
-    pairing: Pairing = None
 
     def __getitem__(self, u: int) -> int:
         return int(self.values[u])
@@ -198,19 +198,18 @@ def _transform_input(tables: np.ndarray, pairing: Pairing) -> np.ndarray:
     return out.reshape(tables.shape)
 
 
-def _flat(spec: np.ndarray, target: int) -> bool:
-    """True iff every |W(u)| of the int32 chunk `spec` is `target`, read as
-    |W| min and max in blocks of <= _BLOCK entries through one scratch."""
-    rows = max(1, _BLOCK // spec.shape[1])
-    cols = min(spec.shape[1], _BLOCK)
-    scratch = np.empty(min(rows, len(spec)) * cols, dtype=np.int32)
-    for r in range(0, len(spec), rows):
-        for c in range(0, spec.shape[1], cols):
-            w = spec[r:r + rows, c:c + cols]
-            a = np.abs(w, out=scratch[:w.size].reshape(w.shape))
-            if a.min() != target or a.max() != target:
-                return False
-    return True
+def _first_off(spec: np.ndarray, target: int) -> int:
+    """Flat index of the first entry of the contiguous int32 chunk `spec`
+    with |W| != `target`, or -1: one walk in blocks of <= _BLOCK entries
+    through one scratch."""
+    spec = spec.reshape(-1)
+    scratch = np.empty(min(spec.size, _BLOCK), dtype=np.int32)
+    for c in range(0, spec.size, _BLOCK):
+        w = spec[c:c + _BLOCK]
+        a = np.abs(w, out=scratch[:w.size])
+        if a.min() != target or a.max() != target:
+            return c + int(np.flatnonzero(a != target)[0])
+    return -1
 
 
 def _spectra(tables: np.ndarray, pairing: Pairing, bent: bool = True):
@@ -233,23 +232,21 @@ def _spectra(tables: np.ndarray, pairing: Pairing, bent: bool = True):
         spec[:, 0] += 1 << n
         # No spectrum is flat at odd n: there |W| = 2^(n//2) everywhere
         # breaks Parseval, which is then asserted.
-        if not (bent and n % 2 == 0 and _flat(spec, target)):
+        if not (bent and n % 2 == 0 and _first_off(spec, target) < 0):
             if np.any(np.einsum("ij,ij->i", spec, spec, dtype=np.int64) != 1 << (2 * n)):
                 raise AssertionError("Parseval identity violated; transform is broken")
-            # Under Parseval, max |W| = 2^(n/2) is flatness, and impossible for
-            # odd n: a non-flat row has a point with |W(u)| != 2^(n//2).
+            # Under Parseval a `bent` chunk here has an entry off 2^(n//2); the
+            # first in flat order is the first bad point of the first bad row.
             if bent:
-                bad = np.flatnonzero(np.maximum(spec.max(axis=1), -spec.min(axis=1)) != target)
-                row = spec[bad[0]]
-                u = int(np.flatnonzero(np.abs(row) != target)[0])
-                raise NotBentError(n, u, int(row[u]))
+                row, u = divmod(_first_off(spec, target), spec.shape[1])
+                raise NotBentError(n, u, int(spec[row, u]))
         yield start, f, spec
 
 
 def wht(f: TruthTable, pairing: Pairing = None) -> WalshSpectrum:
     """Walsh-Hadamard transform W(u) = sum_x (-1)^(f(x) + <u, x>)."""
     spec = next(_spectra(f.values()[None], pairing, bent=False))[2]
-    return WalshSpectrum(f.n, spec[0], pairing)
+    return WalshSpectrum(f.n, spec[0])
 
 
 def _nonlinearity(spec: WalshSpectrum) -> int:
@@ -257,9 +254,9 @@ def _nonlinearity(spec: WalshSpectrum) -> int:
 
 
 def _is_flat(spec: WalshSpectrum) -> bool:
-    # Parseval (asserted by wht) makes max|W| = 2^(n/2) equivalent to every
-    # |W(u)| = 2^(n/2), and impossible for odd n.
-    return spec.max_abs() == 1 << (spec.n // 2)
+    # Every |W(u)| = 2^(n//2) is impossible for odd n under Parseval
+    # (asserted by wht).
+    return _first_off(spec.values, 1 << (spec.n // 2)) < 0
 
 
 def nonlinearity(f: TruthTable) -> int:

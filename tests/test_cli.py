@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -17,6 +18,7 @@ import bentkit.spectral
 from bentkit.boolfun import TruthTable, mm_bent
 from bentkit.cli import main
 from bentkit.field import GF2k
+from test_cli_golden import _mm_n24_text
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -330,6 +332,62 @@ def test_wht_spectrum_payload(capsys):
 def test_wht_reads_stdin(capsys, monkeypatch):
     payload = run_json(capsys, "wht", stdin="8\n", monkeypatch=monkeypatch)
     assert payload["spectrum"] == [2, 2, 2, -2]
+
+
+@pytest.mark.parametrize("pairing", ["standard", "trace"])
+def test_wht_pieces_are_one_json_dumps(capsys, tmp_path, pairing):
+    # n = 18 is four 2^16-value pieces: stdout and the --out file are the
+    # bytes json.dumps gives the whole spectrum list at once
+    f = TruthTable(18, random.Random(18).getrandbits(1 << 18))
+    spectrum = bentkit.spectral.wht(f, GF2k(9) if pairing == "trace" else None).values.tolist()
+    want = json.dumps({"schema": 1, "n": 18, "spectrum": spectrum}, sort_keys=True) + "\n"
+    argv = ["wht", f.to_hex(), "--pairing", pairing]
+    assert run_cli(capsys, *argv) == (0, want, "")
+    out = tmp_path / "w.json"
+    assert run_cli(capsys, *argv, "--out", str(out)) == (0, "", "")
+    assert out.read_text() == want
+
+
+# SHA-256 of `wht --pairing trace --k 12 --poly 0x1053` on the seeded n = 24
+# MM table, as the one-shot json.dumps of the whole list wrote it
+WHT_TRACE_N24_SHA256 = "382e1ec073757469ef0ca648dd44a1c080944a79c20b39ae7506d62e6128d2b9"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_wht_at_n24_streams_its_json(tmp_path):
+    # a fresh process, so VmHWM is this request's own peak: the answer is
+    # 103 MB of text, and its 16.7M values as one list of Python ints
+    # held ~950 MB
+    child = (
+        "import re, sys\n"
+        "from bentkit.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.stdout.flush()\n"
+        "status = open('/proc/self/status').read()\n"
+        "sys.stderr.write(re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])\n"
+        "sys.exit(code)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "wht.json"
+    with open(out, "wb") as fh:
+        run = subprocess.run(
+            [sys.executable, "-c", child, "wht", "--pairing", "trace", "--k", "12",
+             "--poly", "0x1053"],
+            input=_mm_n24_text(),
+            stdout=fh,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+    assert run.returncode == 0, run.stderr
+    digest = hashlib.sha256()
+    with open(out, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    out.unlink()
+    assert digest.hexdigest() == WHT_TRACE_N24_SHA256
+    assert int(run.stderr) < 400 * 1024
 
 
 def test_bent_subcommand(capsys):

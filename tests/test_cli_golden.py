@@ -124,6 +124,9 @@ CASES = {
         ["census", "--k", "4", "--poly", "-13", "--mode", "sample", "--samples", "1"],
         None,
     ),
+    "error_bad_poly": (["rayleigh", "--pairing", "trace", "--poly", "0xzz", "6ca0"], None),
+    "error_construct_ps-_bad_line": (["construct", "ps-", "--k", "2", "--lines", "1x"], None),
+    "error_construct_ps-_no_k": (["construct", "ps-", "--lines", "1,2"], None),
     "rayleigh_trace_not_bent_n6": (["rayleigh", "--pairing", "trace"], "weight1_n6.hex"),
     "rayleigh_trace_n24": (["rayleigh", "--pairing", "trace", *_N24], MM_N24),
     "dual_hex_n24": (["dual", "--format", "hex"], MM_N24),

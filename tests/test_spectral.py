@@ -341,6 +341,21 @@ def test_flat_rows_are_yielded_unchanged(monkeypatch):
     assert start == 0 and np.array_equal(f, tables) and spec.tolist() == rows
 
 
+@pytest.mark.parametrize(
+    "rows, width", [(9000, 16), (3, 1 << 17)], ids=["rows-in-a-block", "blocks-in-a-row"]
+)
+def test_first_off_is_the_first_entry_off_in_flat_order(rows, width):
+    # blocks of 2^16 entries span rows (width 16) or split them (width 2^17)
+    rng = np.random.default_rng(width)
+    spec = np.where(rng.integers(0, 2, (rows, width)) == 1, 4, -4).astype(np.int32)
+    assert bentkit.spectral._first_off(spec, 4) == -1
+    picks = {*rng.choice(spec.size, 6, replace=False).tolist(), 1 << 16, (1 << 16) - 1}
+    for i in sorted(picks, reverse=True):
+        spec.reshape(-1)[i] = 0 if i % 2 else -12
+        assert bentkit.spectral._first_off(spec, 4) == i
+    assert bentkit.spectral._first_off(spec, 8) == 0
+
+
 def test_a_non_flat_row_with_parseval_intact_is_the_not_bent_witness(monkeypatch):
     # the first bad point of the first bad row, as Parseval-then-max found it
     _plant_spectra(monkeypatch, [FLAT, X1_SPECTRUM, FLAT])
