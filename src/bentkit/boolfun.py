@@ -1,14 +1,13 @@
-"""Truth-table Boolean functions: ANF, derivatives, F_2 linear algebra on
-point masks (one eliminator, one index map), and constructive families.
+"""Truth-table Boolean functions: derivatives, F_2 linear algebra on point
+masks (one eliminator, one index map), and constructive families.
 
 A function on n variables (2 <= n <= 24) is stored as its packed table:
 the 2^n values as bits, little-endian in bytes, so f(x) is bit x % 8 of
-byte x // 8 (n = 2 fills the low nibble of its one byte).  An ANF packs
-mu_a at bit a the same way; the same bits as an int (`bits`, `coeffs`) are
-built only when read.  The index convention is little-endian in the
-variables: the point (x1, ..., xn) sits at index sum x_i * 2^(i-1), so x1
-is the least significant bit.  Functions on F_{2^k} x F_{2^k} use the
-layout index = bits(x) + 2^k * bits(y).
+byte x // 8 (n = 2 fills the low nibble of its one byte); the same bits
+as an int (`bits`) are built only when read.  The index convention is
+little-endian in the variables: the point (x1, ..., xn) sits at index
+sum x_i * 2^(i-1), so x1 is the least significant bit.  Functions on
+F_{2^k} x F_{2^k} use the layout index = bits(x) + 2^k * bits(y).
 
 Hex serialization writes the packed table as a lowercase hex string of
 exactly 2^n / 4 digits with index 0 in the least significant nibble,
@@ -24,18 +23,6 @@ from collections.abc import Callable, Iterable, Sequence
 import numpy as np
 
 _HEX_DIGITS = "0123456789abcdefABCDEF"
-
-
-def _moebius(vals: np.ndarray) -> np.ndarray:
-    """Binary Moebius transform (in-place butterfly over subsets); an involution."""
-    a = vals.copy()
-    h = 1
-    while h < a.size:
-        a = a.reshape(-1, 2, h)
-        a[:, 1, :] ^= a[:, 0, :]
-        a = a.reshape(-1)
-        h *= 2
-    return a
 
 
 def _pack_values(values: np.ndarray) -> bytes:
@@ -60,21 +47,19 @@ def _check_n(n: int) -> None:
         raise ValueError(f"variable count must be in 2..24, got {n}")
 
 
-class _PackedBits:
-    """2^n packed bits, the one representation of TruthTable and AnfPoly."""
-
-    _name = "packed table"  # what the range check calls the bits
+class TruthTable:
+    """A Boolean function on 2^n points, stored as its packed table."""
 
     def __init__(self, n: int, bits: int = 0):
         _check_n(n)
         if bits < 0 or bits >> (1 << n):
-            raise ValueError(f"{self._name} does not fit in 2^n bits")
+            raise ValueError("packed table does not fit in 2^n bits")
         self.n = n
         self._packed = int(bits).to_bytes(_packed_size(n), "little")
 
     @classmethod
-    def _from_packed(cls, n: int, packed: bytes):
-        """The object whose packed bits are `packed` (_packed_size(n) bytes,
+    def _from_packed(cls, n: int, packed: bytes) -> "TruthTable":
+        """The table whose packed bits are `packed` (_packed_size(n) bytes,
         the bits past 2^n zero)."""
         _check_n(n)
         obj = cls.__new__(cls)
@@ -82,11 +67,15 @@ class _PackedBits:
         obj._packed = packed
         return obj
 
-    def _int(self) -> int:
+    @property
+    def bits(self) -> int:
+        """The table as an int: bit x is f(x)."""
         return int.from_bytes(self._packed, "little")
 
-    def _values(self) -> np.ndarray:
-        """The bits as a uint8 0/1 array of length 2^n."""
+    # values, from_support, from_hex and to_hex are defined in this class's
+    # own namespace: perfbench/tracer.py wraps them there by name
+    def values(self) -> np.ndarray:
+        """The table as a uint8 0/1 array of length 2^n."""
         return _unpack_values(self._packed, self.n)
 
     def __eq__(self, other: object) -> bool:
@@ -94,15 +83,6 @@ class _PackedBits:
 
     def __hash__(self) -> int:
         return hash((self.n, self._packed))
-
-
-class TruthTable(_PackedBits):
-    """A Boolean function on 2^n points, stored as its packed table."""
-
-    bits = property(_PackedBits._int, doc="The table as an int: bit x is f(x).")
-    # values, from_support, from_hex and to_hex are defined in this class's
-    # own namespace: perfbench/tracer.py wraps them there by name
-    values = _PackedBits._values
 
     @property
     def size(self) -> int:
@@ -211,7 +191,7 @@ class TruthTable(_PackedBits):
         return f"TruthTable(n={self.n}, weight={self.weight()})"
 
     # ------------------------------------------------------------------
-    # derivatives and ANF
+    # derivatives
     # ------------------------------------------------------------------
 
     def derivative(self, u: int) -> "TruthTable":
@@ -221,42 +201,6 @@ class TruthTable(_PackedBits):
         vals = self.values()
         shifted = vals[np.arange(self.size) ^ u]
         return TruthTable._from_packed(self.n, _pack_values(vals ^ shifted))
-
-    def anf(self) -> "AnfPoly":
-        return AnfPoly._from_packed(self.n, _pack_values(_moebius(self.values())))
-
-    def degree(self) -> int:
-        return self.anf().degree()
-
-
-class AnfPoly(_PackedBits):
-    """Algebraic normal form: coefficient mu_a packed at index a."""
-
-    _name = "coefficient table"
-    coeffs = property(_PackedBits._int, doc="The coefficients as an int: bit a is mu_a.")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._packed.strip(b"\0")
-
-    def monomials(self) -> list[int]:
-        return np.flatnonzero(self._values()).tolist()
-
-    def degree(self) -> int:
-        """Max weight of a monomial index; the zero polynomial reports 0."""
-        mons = np.flatnonzero(self._values())
-        return int(_weights_array(self.n)[mons].max(initial=0))
-
-    def evaluate(self, x: int) -> int:
-        """Direct monomial-sum evaluation, independent of the transform."""
-        mons = np.flatnonzero(self._values())
-        return int(np.count_nonzero((mons & x) == mons) & 1)
-
-    def to_truth_table(self) -> TruthTable:
-        return TruthTable._from_packed(self.n, _pack_values(_moebius(self._values())))
-
-    def __repr__(self) -> str:
-        return f"AnfPoly(n={self.n}, monomials={np.count_nonzero(self._values())})"
 
 
 # ----------------------------------------------------------------------

@@ -105,6 +105,8 @@ def _read_tt(args: argparse.Namespace, count: int = 1) -> list[TruthTable]:
 
 def _pairing_for(args: argparse.Namespace, f: TruthTable):
     if args.pairing != "trace":
+        if args.k is not None or args.poly is not None:
+            raise UsageError("--k and --poly need --pairing trace")
         return None
     k = f.n // 2 if args.k is None else args.k
     if f.n != 2 * k:

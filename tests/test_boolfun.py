@@ -1,12 +1,12 @@
 import itertools
 import random
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from bentkit.boolfun import (
-    AnfPoly,
     TruthTable,
     _independent,
     _row_reduce,
@@ -143,8 +143,19 @@ def test_constructor_validation():
         TruthTable(1)
     with pytest.raises(ValueError):
         TruthTable(25)
-    with pytest.raises(ValueError):
-        TruthTable(2, 1 << 16)
+    for bits in (1 << 16, 1 << 4, -1):
+        with pytest.raises(ValueError, match="^packed table does not fit in 2\\^n bits$"):
+            TruthTable(2, bits)
+    # the int constructor and the packed one give equal, equally hashed tables
+    for n, bits in ((2, 0b1001), (4, 0x1234), (9, (1 << 512) - 3)):
+        packed = bits.to_bytes(((1 << n) + 7) // 8, "little")
+        t, u = TruthTable(n, bits), TruthTable._from_packed(n, packed)
+        assert t == u and hash(t) == hash(u) and len({t, u}) == 1
+    with pytest.raises(AttributeError):
+        t.bits = 1
+    # equality needs a TruthTable: the same n and packed bits elsewhere differ
+    assert t != types.SimpleNamespace(n=t.n, _packed=t._packed)
+    assert t != t.bits and t != t._packed
     with pytest.raises(ValueError):
         TruthTable.from_support(2, [4])
     with pytest.raises(ValueError, match="support point -1"):
@@ -241,113 +252,13 @@ def test_repr_shows_hex_up_to_64_points_and_weight_above():
     assert repr(tt_x1(7)) == "TruthTable(n=7, weight=64)"
 
 
-# ----------------------------------------------------------------------
-# ANF
-# ----------------------------------------------------------------------
-
-def test_anf_constant_and_product():
-    one = TruthTable.from_function(2, lambda x: 1)
-    p = one.anf()
-    assert p.monomials() == [0] and p.degree() == 0 and not p.is_zero
-    prod = TruthTable.from_support(2, [3])  # x1x2
-    q = prod.anf()
-    assert q.monomials() == [3] and q.degree() == 2
-
-
-def test_anf_zero_function_flagged():
-    p = TruthTable(4).anf()
-    assert p.is_zero and p.degree() == 0
-
-
-def test_degree_matches_naive_max_over_monomials():
-    rng = random.Random(41)
-    for _ in range(20):
-        f = TruthTable(6, rng.getrandbits(64))
-        p = f.anf()
-        naive = max(
-            (a.bit_count() for a in range(64) if (p.coeffs >> a) & 1), default=0
-        )
-        assert p.degree() == naive == f.degree()
-
-
 def test_bit_readers_match_per_bit_reads():
     rng = random.Random(43)
     for n in range(2, 13):
         for bits in (0, (1 << (1 << n)) - 1, rng.getrandbits(1 << n)):
             f = TruthTable(n, bits)
-            p = AnfPoly(n, bits)
             per_bit = [x for x in range(1 << n) if (bits >> x) & 1]
-            assert f.support() == per_bit == p.monomials()
-            assert repr(p) == f"AnfPoly(n={n}, monomials={len(per_bit)})"
-
-
-def test_anf_builds_no_int(monkeypatch):
-    # only `bits` and `coeffs` turn the packed bits into an int
-    f = symmetric_bent(12)
-    g = TruthTable(12, f.bits)
-
-    def no_int(self):
-        raise AssertionError("built the table as an int")
-
-    monkeypatch.setattr(TruthTable, "bits", property(no_int))
-    monkeypatch.setattr(AnfPoly, "coeffs", property(no_int))
-    p = f.anf()
-    assert p.degree() == f.degree() == 2 and not p.is_zero
-    assert len(p.monomials()) == 66 and repr(p) == "AnfPoly(n=12, monomials=66)"
-    assert [p.evaluate(x) for x in range(64)] == [f[x] for x in range(64)]
-    assert p.to_truth_table() == g
-    assert TruthTable(12).anf().is_zero
-
-
-def test_anf_poly_is_hashable_and_read_only():
-    p, q = TruthTable(4, 0x1234).anf(), AnfPoly(4, TruthTable(4, 0x1234).anf().coeffs)
-    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
-    assert p != TruthTable(4, p.coeffs) and q != AnfPoly(4, 1)
-    with pytest.raises(AttributeError):
-        p.coeffs = 1
-    with pytest.raises(ValueError, match="coefficient table does not fit"):
-        AnfPoly(2, 1 << 4)
-
-
-def test_degree_at_n20():
-    p = symmetric_bent(20).anf()
-    assert p.degree() == symmetric_bent(20).degree() == 2
-    pairs = itertools.combinations(range(20), 2)
-    assert p.monomials() == sorted((1 << i) | (1 << j) for i, j in pairs)
-
-
-def test_moebius_involution_exhaustive_n4():
-    # batch all 2^16 tables through the butterfly twice
-    tables = np.arange(1 << 16, dtype=np.uint32)
-    vals = ((tables[:, None] >> np.arange(16)[None, :]) & 1).astype(np.uint8)
-    a = vals.copy()
-    for _ in range(2):
-        h = 1
-        while h < 16:
-            a = a.reshape(-1, 2, h)
-            a[:, 1, :] ^= a[:, 0, :]
-            a = a.reshape(len(tables), 16)
-            h *= 2
-    assert np.array_equal(a, vals)
-
-
-@given(st.data())
-def test_moebius_involution_property(data):
-    n = data.draw(st.integers(2, 12), label="n")
-    f = TruthTable(n, data.draw(st.integers(0, (1 << (1 << n)) - 1), label="bits"))
-    assert f.anf().to_truth_table() == f
-    assert TruthTable(n, f.anf().coeffs).anf().coeffs == f.bits
-
-
-def test_anf_evaluation_reproduces_function():
-    rng = random.Random(11)
-    for n, trials in ((4, 60), (8, 10)):
-        for _ in range(trials):
-            f = TruthTable(n, rng.getrandbits(1 << n))
-            p = f.anf()
-            assert p.to_truth_table() == f
-            for x in range(1 << n):
-                assert p.evaluate(x) == f[x]
+            assert f.support() == per_bit
 
 
 def affine_tables(n: int) -> set[int]:

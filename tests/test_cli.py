@@ -466,6 +466,17 @@ def test_bent_and_dist_take_no_pairing_options(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["wht", "dual", "rayleigh"])
+@pytest.mark.parametrize(
+    "options", [("--k", "2"), ("--poly", "7"), ("--pairing", "standard", "--poly", "7")]
+)
+def test_k_and_poly_need_trace_pairing(capsys, cmd, options):
+    # they choose the trace pairing's field; the standard pairing has none
+    code, out, err = run_cli(capsys, cmd, "6ca0", *options)
+    assert (code, out, err) == (2, "", "bentkit: error: --k and --poly need --pairing trace\n")
+    assert run_cli(capsys, cmd, "6ca0", "--pairing", "trace", *options[-2:])[0] == 0
+
+
 def test_trace_pairing_with_k_zero_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "wht", "6ca0", "--pairing", "trace", "--k", "0")
     assert code == 2 and out == ""

@@ -127,6 +127,11 @@ CASES = {
     "error_bad_poly": (["rayleigh", "--pairing", "trace", "--poly", "0xzz", "6ca0"], None),
     "error_construct_ps-_bad_line": (["construct", "ps-", "--k", "2", "--lines", "1x"], None),
     "error_construct_ps-_no_k": (["construct", "ps-", "--lines", "1,2"], None),
+    # --k and --poly pick the trace pairing's field, so they need --pairing trace
+    "error_dual_poly_standard": (["dual", "--poly", "0x7", "6ca0"], None),
+    "error_rayleigh_k_standard": (
+        ["rayleigh", "--pairing", "standard", "--k", "2", "6ca0"], None
+    ),
     "rayleigh_trace_not_bent_n6": (["rayleigh", "--pairing", "trace"], "weight1_n6.hex"),
     "rayleigh_trace_n24": (["rayleigh", "--pairing", "trace", *_N24], MM_N24),
     "dual_hex_n24": (["dual", "--format", "hex"], MM_N24),
