@@ -19,7 +19,6 @@ import numpy as np
 
 from .boolfun import (
     TruthTable,
-    _linear_index_map,
     _pack_values,
     _row_reduce,
     _weights_array,
@@ -32,6 +31,7 @@ from .spectral import (
     Pairing,
     _stack_distances,
     _stack_identities,
+    hamming_dist,
     rayleigh,
 )
 from .spreads import (
@@ -86,35 +86,24 @@ def metric_identity_check(f: TruthTable, pairing: Pairing = None) -> MetricIdent
 # closed-form distances for partial-spread functions
 # ----------------------------------------------------------------------
 
-def _dist_from_hits(n: int, hits, plus):
-    """The counting form from the support hits on the dual subspaces, their
-    origins left out; the plus type (a set origin) adds 2^(k+1) - 2.  Works
-    on ints and on arrays of rows alike."""
-    k = n // 2
-    return (1 << n) - (1 << k) - 2 * hits + plus * ((1 << (k + 1)) - 2)
-
-
 def _spread_dist_formula(tables: np.ndarray) -> np.ndarray:
     """The counting form of every Desarguesian partial-spread table in a
-    (B, 2^n) stack.  E_a^perp = E_{1/a} is E_a with x and y swapped (E_0 and
-    inf swap too), so the support hits on the dual lines are the points
-    where a table and its x <-> y transpose are both 1, the origin left out."""
-    n = tables.shape[1].bit_length() - 1
-    grid = tables.reshape(len(tables), 1 << (n // 2), -1)
-    origin = tables[:, 0].astype(np.int64)
-    hits = np.count_nonzero(grid & grid.transpose(0, 2, 1), axis=(1, 2)) - origin
-    return _dist_from_hits(n, hits, origin)
+    (B, 2^n) stack: the points where a table differs from its dual family's
+    table.  E_a^perp = E_{1/a} is E_a with x and y swapped (E_0 and inf swap
+    too), and the dual keeps the type, so that table is the x <-> y
+    transpose."""
+    grid = tables.reshape(len(tables), 1 << (tables.shape[1].bit_length() // 2), -1)
+    return np.count_nonzero(grid != grid.transpose(0, 2, 1), axis=(1, 2))
 
 
 def dist_formula_ps_minus(sel: SpreadSelection) -> int:
-    """Distance to the dual of ps_minus(sel) by counting support hits on the
-    dual lines of its one-row table stack; never runs a transform."""
+    """Distance to the dual of ps_minus(sel): the points where its one-row
+    table stack differs from its transpose; never runs a transform."""
     return int(_spread_dist_formula(_selection_table(sel, False))[0])
 
 
 def dist_formula_ps_plus(sel: SpreadSelection) -> int:
-    """Same counting form for ps_plus(sel), with the origin excluded from
-    each dual line."""
+    """The same counting form for ps_plus(sel)."""
     return int(_spread_dist_formula(_selection_table(sel, True))[0])
 
 
@@ -126,7 +115,7 @@ def _annihilator_bases(n: int, point_sets: Sequence[Sequence[int]]) -> np.ndarra
     plus the pivots of the vectors with bit j set, for every non-pivot bit j
     in ascending order, is orthogonal to all of them."""
     vecs = np.array(point_sets, dtype=np.int64).reshape(len(point_sets), -1)
-    vecs, pivot = _row_reduce(vecs, max(n, int(vecs.max(initial=0)).bit_length()))
+    vecs, pivot = _row_reduce(vecs, n)
     basis = vecs[pivot >= 0].reshape(len(vecs), -1)
     lead = pivot[pivot >= 0].reshape(len(vecs), -1)
     j = np.arange(n)
@@ -136,21 +125,13 @@ def _annihilator_bases(n: int, point_sets: Sequence[Sequence[int]]) -> np.ndarra
     return dual[~(lead[:, :, None] == j).any(axis=1)].reshape(len(vecs), -1)
 
 
-def dual_subspace_points(n: int, points: Sequence[int]) -> list[int]:
-    """Annihilator of a point set under the standard dot product, origin
-    first, in `subspace_span` order of its `_annihilator_bases` basis."""
-    return _linear_index_map(_annihilator_bases(n, [list(points)])[0]).tolist()
-
-
 def dist_formula_general(n: int, subspace_bases: Sequence[Sequence[int]]) -> int:
-    """The counting form over explicit disjoint subspaces (standard pairing);
-    minus or plus type by the family size.  The annihilator of a span is the
-    annihilator of its basis, and every annihilator (dimension k) is one
-    column of a batched index map."""
-    vals = ps_general(n, subspace_bases).values()
-    duals = _linear_index_map(_annihilator_bases(n, subspace_bases).T)
-    # origin first in every annihilator: row 0 is left out
-    return _dist_from_hits(n, int(vals[duals[1:]].sum(dtype=np.int64)), int(vals[0]))
+    """The counting form over explicit disjoint subspaces (standard pairing):
+    the Hamming distance to the partial-spread function of the annihilators,
+    of the same type, which is the dual (Dillon).  The annihilator of a span
+    is the annihilator of its basis; the family is validated first."""
+    f = ps_general(n, subspace_bases)
+    return hamming_dist(f, ps_general(n, _annihilator_bases(n, subspace_bases).tolist()))
 
 
 # ----------------------------------------------------------------------

@@ -103,15 +103,18 @@ def _read_tt(args: argparse.Namespace, count: int = 1) -> list[TruthTable]:
     return [TruthTable.from_hex(t, args.n) for t in texts[:count]]
 
 
-def _pairing_for(args: argparse.Namespace, f: TruthTable):
+def _paired_table(args: argparse.Namespace) -> tuple[TruthTable, GF2k | None]:
+    """The one table of wht, dual and rayleigh with its pairing; --k or
+    --poly without --pairing trace is refused before the table is read."""
     if args.pairing != "trace":
         if args.k is not None or args.poly is not None:
             raise UsageError("--k and --poly need --pairing trace")
-        return None
+        return _read_tt(args)[0], None
+    f = _read_tt(args)[0]
     k = f.n // 2 if args.k is None else args.k
     if f.n != 2 * k:
         raise UsageError(f"trace pairing needs n = 2k, got n={f.n}, k={k}")
-    return _field_for(args, k)
+    return f, _field_for(args, k)
 
 
 def _parse_lines(text: str) -> list[SpreadLine]:
@@ -137,8 +140,8 @@ def _parse_point(tok: str, n: int) -> int:
 # ----------------------------------------------------------------------
 
 def _cmd_wht(args) -> int:
-    f = _read_tt(args)[0]
-    values = wht(f, _pairing_for(args, f)).values
+    f, pairing = _paired_table(args)
+    values = wht(f, pairing).values
     # The JSON line of the whole list, written _PIECE values at a time
     # around a one-element placeholder, so an n = 24 spectrum never becomes
     # 16.7M Python ints at once.
@@ -162,8 +165,8 @@ def _cmd_bent(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    f = _read_tt(args)[0]
-    d = dual(f, _pairing_for(args, f))
+    f, pairing = _paired_table(args)
+    d = dual(f, pairing)
     if args.format == "hex":
         _emit(args, [d.to_hex() + "\n"])
     else:
@@ -178,8 +181,8 @@ def _rayleigh_fields(f: TruthTable, pairing) -> dict:
 
 
 def _cmd_rayleigh(args) -> int:
-    f = _read_tt(args)[0]
-    _emit_json(args, {"n": f.n, **_rayleigh_fields(f, _pairing_for(args, f))})
+    f, pairing = _paired_table(args)
+    _emit_json(args, {"n": f.n, **_rayleigh_fields(f, pairing)})
     return 0
 
 

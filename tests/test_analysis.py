@@ -13,6 +13,7 @@ import bentkit.analysis
 import bentkit.cli
 from bentkit.analysis import (
     CensusReport,
+    _annihilator_bases,
     _spread_dist_formula,
     _census_report,
     _check_charsum,
@@ -27,7 +28,6 @@ from bentkit.analysis import (
     dist_formula_ps_minus,
     dist_formula_ps_plus,
     distribution_table,
-    dual_subspace_points,
     intersection_index,
     kloosterman_sum,
     metric_identity_check,
@@ -39,6 +39,7 @@ from bentkit.analysis import (
 )
 from bentkit.boolfun import (
     TruthTable,
+    _linear_index_map,
     mm_bent,
     subspace_span,
     symmetric_bent,
@@ -52,6 +53,7 @@ from bentkit.spectral import (
     _stack_identities,
     _transform_input,
     dist_to_dual,
+    dual,
     rayleigh,
     wht,
 )
@@ -478,8 +480,12 @@ def test_dist_formula_general_matches_the_spectral_distance():
     cases.append((20, _field_spread_bases(GF2k(10))[:512]))
     dists = set()
     for n, bases in cases:
+        f = ps_general(n, bases)
+        # Dillon's rule, as table equality: the dual is the same-type
+        # function of the annihilators
+        assert dual(f) == ps_general(n, _annihilator_bases(n, bases).tolist())
         d = dist_formula_general(n, bases)
-        assert d == dist_to_dual(ps_general(n, bases))
+        assert d == dist_to_dual(f)
         dists.add(d)
     assert len(dists) > 10
 
@@ -493,7 +499,13 @@ def annihilator_scan(n, points):
     ]
 
 
-def test_dual_subspace_points_matches_brute_force_scan():
+def annihilator_points(n, points):
+    """Annihilator of a point set under the standard dot product, origin
+    first, in `subspace_span` order of its `_annihilator_bases` basis."""
+    return _linear_index_map(_annihilator_bases(n, [points])[0]).tolist()
+
+
+def test_annihilator_points_matches_brute_force_scan():
     rng = random.Random(679)
     for n in range(4, 11):
         cases = [[], [0], list(range(1 << n))]
@@ -502,7 +514,7 @@ def test_dual_subspace_points_matches_brute_force_scan():
             basis = reduce_basis(rng.randrange(1, 1 << n) for _ in range(dim))
             cases += [basis, subspace_span(basis)]
         for points in cases:
-            got = dual_subspace_points(n, points)
+            got = annihilator_points(n, points)
             assert sorted(got) == annihilator_scan(n, points)
             assert got[0] == 0
 
@@ -540,29 +552,29 @@ def test_batched_annihilators_match_the_per_basis_route(n):
                 ]
             rng.shuffle(points)
             family.append(points)
-        got = bentkit.analysis._annihilator_bases(n, family)
+        got = _annihilator_bases(n, family)
         assert got.shape == (len(family), n - dim)
         for points, row in zip(family, got.tolist()):
             assert row == _annihilator_per_basis(n, points)
-        # the one-set case behind dual_subspace_points (its span has 2^(n - dim) points)
+        # the one-set case behind annihilator_points (its span has 2^(n - dim) points)
         if n - dim <= 16:
-            want = bentkit.boolfun._linear_index_map(_annihilator_per_basis(n, family[0]))
-            assert dual_subspace_points(n, family[0]) == want.tolist()
+            want = _linear_index_map(_annihilator_per_basis(n, family[0]))
+            assert annihilator_points(n, family[0]) == want.tolist()
 
 
-def test_dual_subspace_points_matches_known_duality():
-    span3 = sorted(dual_subspace_points(4, [0b0011, 0b1101]))
+def test_annihilator_points_matches_known_duality():
+    span3 = sorted(annihilator_points(4, [0b0011, 0b1101]))
     from bentkit.boolfun import subspace_span
 
     assert span3 == sorted(subspace_span(E5))  # E3 and E5 are dual
-    assert sorted(dual_subspace_points(4, E4)) == sorted(subspace_span(E4))
+    assert sorted(annihilator_points(4, E4)) == sorted(subspace_span(E4))
     # the annihilator of a span is the annihilator of any basis of it
     rng = random.Random(678)
     for n in (6, 7, 8):
         for _ in range(10):
             dim = rng.randint(1, n)
             basis = reduce_basis(rng.randrange(1, 1 << n) for _ in range(dim))
-            assert dual_subspace_points(n, basis) == dual_subspace_points(
+            assert annihilator_points(n, basis) == annihilator_points(
                 n, subspace_span(basis)
             )
 

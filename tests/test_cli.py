@@ -477,6 +477,14 @@ def test_k_and_poly_need_trace_pairing(capsys, cmd, options):
     assert run_cli(capsys, cmd, "6ca0", "--pairing", "trace", *options[-2:])[0] == 0
 
 
+@pytest.mark.parametrize("cmd", ["wht", "dual", "rayleigh"])
+@pytest.mark.parametrize("stdin", ["", "6ca0\n"])
+def test_k_and_poly_conflict_is_reported_before_stdin_is_read(capsys, monkeypatch, cmd, stdin):
+    code, out, err = run_cli(capsys, cmd, "--poly", "0x7", stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "bentkit: error: --k and --poly need --pairing trace\n")
+    assert bentkit.cli.sys.stdin.tell() == 0
+
+
 def test_trace_pairing_with_k_zero_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "wht", "6ca0", "--pairing", "trace", "--k", "0")
     assert code == 2 and out == ""

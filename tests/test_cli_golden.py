@@ -129,6 +129,8 @@ CASES = {
     "error_construct_ps-_no_k": (["construct", "ps-", "--lines", "1,2"], None),
     # --k and --poly pick the trace pairing's field, so they need --pairing trace
     "error_dual_poly_standard": (["dual", "--poly", "0x7", "6ca0"], None),
+    # ... and the conflict is reported before stdin is read
+    "error_dual_poly_empty_stdin": (["dual", "--poly", "0x7"], None),
     "error_rayleigh_k_standard": (
         ["rayleigh", "--pairing", "standard", "--k", "2", "6ca0"], None
     ),

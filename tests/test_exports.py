@@ -1,6 +1,10 @@
+import ast
 import types
+from pathlib import Path
 
 import bentkit
+
+SRC = Path(__file__).parent.parent / "src" / "bentkit"
 
 # The public API, sorted.  A change here is a change to the API: record it
 # in CHANGES.md.
@@ -82,3 +86,21 @@ def test_all_is_every_public_name_the_package_binds():
 
 def test_all_is_the_pinned_export_list():
     assert sorted(bentkit.__all__) == EXPORTS == sorted(EXPORTS)
+
+
+def test_every_public_definition_is_exported_or_used():
+    # a public top-level def or class that is neither in __all__ nor named
+    # by other src code serves no caller: export it, use it, or delete it
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined[stmt.name] = path.name
+                names.discard(stmt.name)
+            used |= names
+    orphans = {
+        name: module for name, module in defined.items()
+        if not name.startswith("_") and name not in bentkit.__all__ and name not in used
+    }
+    assert orphans == {}
