@@ -1,5 +1,5 @@
-"""Truth-table Boolean functions: derivatives, F_2 linear algebra on point
-masks (one eliminator, one index map), and constructive families.
+"""Truth-table Boolean functions, F_2 linear algebra on point masks (one
+eliminator, one index map), and constructive families.
 
 A function on n variables (2 <= n <= 24) is stored as its packed table:
 the 2^n values as bits, little-endian in bytes, so f(x) is bit x % 8 of
@@ -173,12 +173,6 @@ class TruthTable:
     def is_balanced(self) -> bool:
         return self.weight() == 1 << (self.n - 1)
 
-    def support(self) -> list[int]:
-        return np.flatnonzero(self.values()).tolist()
-
-    def complement(self) -> "TruthTable":
-        return TruthTable._from_packed(self.n, _pack_values(self.values() ^ 1))
-
     def __xor__(self, other: "TruthTable") -> "TruthTable":
         if self.n != other.n:
             raise ValueError("variable counts differ")
@@ -189,18 +183,6 @@ class TruthTable:
         if self.size <= 64:
             return f"TruthTable(n={self.n}, hex={self.to_hex()!r})"
         return f"TruthTable(n={self.n}, weight={self.weight()})"
-
-    # ------------------------------------------------------------------
-    # derivatives
-    # ------------------------------------------------------------------
-
-    def derivative(self, u: int) -> "TruthTable":
-        """Directional derivative x -> f(x) xor f(x xor u)."""
-        if not 0 <= u < self.size:
-            raise ValueError(f"direction {u} out of range")
-        vals = self.values()
-        shifted = vals[np.arange(self.size) ^ u]
-        return TruthTable._from_packed(self.n, _pack_values(vals ^ shifted))
 
 
 # ----------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .spectral import (
     wht,
 )
 from .spreads import (
-    LINE_INFINITY,
     SpreadLine,
     ps_general,
     ps_minus,
@@ -95,12 +94,14 @@ def _field_for(args: argparse.Namespace, k: int) -> GF2k:
 def _read_tt(args: argparse.Namespace, count: int = 1) -> list[TruthTable]:
     """Positional hex tables, or that many lines from stdin."""
     texts = list(args.tt)
+    if len(texts) > count:
+        raise UsageError(f"expected {count} hex truth table(s), got {len(texts)}")
     while len(texts) < count:
         line = sys.stdin.readline()  # from_hex strips it
         if not line or line.isspace():
             raise UsageError(f"expected {count} hex truth table(s)")
         texts.append(line)
-    return [TruthTable.from_hex(t, args.n) for t in texts[:count]]
+    return [TruthTable.from_hex(t, args.n) for t in texts]
 
 
 def _paired_table(args: argparse.Namespace) -> tuple[TruthTable, GF2k | None]:
@@ -122,7 +123,7 @@ def _parse_lines(text: str) -> list[SpreadLine]:
     for tok in text.split(","):
         tok = tok.strip().lower()
         if tok in ("inf", "infinity"):
-            out.append(LINE_INFINITY)
+            out.append(SpreadLine.infinity())
         else:
             out.append(SpreadLine(_int_token(tok, 0, "line token")))
     return out

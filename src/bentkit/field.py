@@ -220,10 +220,6 @@ class GF2k:
         self._check(self.order, a)
         return int(self._trace_table[a])
 
-    def trace_pairing(self, p: tuple[int, int], q: tuple[int, int]) -> int:
-        """Tr(xx') + Tr(yy') for p = (x, y), q = (x', y')."""
-        return self.trace(self.mul(p[0], q[0])) ^ self.trace(self.mul(p[1], q[1]))
-
     # ------------------------------------------------------------------
     # packed pairs and the Gram index map
     # ------------------------------------------------------------------
@@ -240,22 +236,15 @@ class GF2k:
     def gram_map(self, u: int) -> int:
         """Apply diag(G, G) to a packed 2k-bit index.
 
-        The defining property: trace_pairing(p, q) equals the standard dot
-        product of the packed index of p with gram_map of the packed index
-        of q, for all pairs p, q.
+        The defining property: Tr(xx') + Tr(yy') equals the standard dot
+        product of the packed index of p = (x, y) with gram_map of the
+        packed index of q = (x', y'), for all pairs p, q.
         """
         x, y = self.unpack(u)
         return self.pack(int(self.gram_index[x]), int(self.gram_index[y]))
 
-    def gram_map_inv(self, u: int) -> int:
-        x, y = self.unpack(u)
-        return self.pack(int(self.gram_inv_index[x]), int(self.gram_inv_index[y]))
-
     def elements(self) -> range:
         return range(self.order)
-
-    def nonzero(self) -> range:
-        return range(1, self.order)
 
     def __repr__(self) -> str:
         return f"GF2k(k={self.k}, poly={poly_str(self.poly)})"

@@ -37,7 +37,7 @@ class SpreadLine:
     """One line of the spread: E_a for a field element a, or a = None for
     the line at infinity {(0, y)}."""
 
-    a: int | None = None
+    a: int | None
 
     @property
     def is_infinity(self) -> bool:
@@ -49,9 +49,6 @@ class SpreadLine:
 
     def __str__(self) -> str:
         return "inf" if self.a is None else str(self.a)
-
-
-LINE_INFINITY = SpreadLine(None)
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,7 @@ def selection(ctx: GF2k, lines: Iterable[SpreadLine]) -> SpreadSelection:
 
 def desarguesian(ctx: GF2k) -> list[SpreadLine]:
     """All 2^k + 1 lines of the Desarguesian spread."""
-    return [SpreadLine(a) for a in ctx.elements()] + [LINE_INFINITY]
+    return [SpreadLine(a) for a in ctx.elements()] + [SpreadLine.infinity()]
 
 
 def _columns(ctx: GF2k, lines: Iterable[SpreadLine]) -> np.ndarray:

@@ -58,7 +58,6 @@ from bentkit.spectral import (
     wht,
 )
 from bentkit.spreads import (
-    LINE_INFINITY,
     SpreadLine,
     _selection_tables,
     _unmatched_counts,
@@ -593,7 +592,7 @@ def test_intersection_index_examples():
 
 
 def test_every_selection_reader_gives_the_one_size_message():
-    sel = selection(F8, [SpreadLine(0), SpreadLine(1), LINE_INFINITY])
+    sel = selection(F8, [SpreadLine(0), SpreadLine(1), SpreadLine.infinity()])
     for read in (ps_minus, dist_formula_ps_minus, nf_formula, intersection_index,
                  is_selfdual_selection):
         with pytest.raises(ValueError, match=r"^ps_minus needs 4 lines, got 3$"):
@@ -896,7 +895,8 @@ def test_selfdual_k_outside_2_to_12_fails_fast(k):
 
 def test_selfdual_counts_at_k12_are_the_binomials():
     assert selfdual_counts(12) == (comb(2048, 1024), comb(2047, 1024))
-    assert next(iter(balanced_g_functions(12))).support() == list(range(1, 2049))
+    g = next(iter(balanced_g_functions(12)))
+    assert np.flatnonzero(g.values()).tolist() == list(range(1, 2049))
 
 
 def test_selfdual_counts_independent_enumeration():
@@ -907,7 +907,7 @@ def test_selfdual_counts_independent_enumeration():
         if dist_to_dual(ps_minus(sel), pairing=F4) == 0
     ]
     assert len(found) == 2
-    assert (SpreadLine(0), LINE_INFINITY) in found
+    assert (SpreadLine(0), SpreadLine.infinity()) in found
     assert (SpreadLine(2), SpreadLine(3)) in found
     # quotient form at k=2: only supp {w, w^2}
     gs = [
@@ -915,7 +915,7 @@ def test_selfdual_counts_independent_enumeration():
         for g in balanced_g_functions(2)
         if dist_to_dual(psap_from_g(F4, g), pairing=F4) == 0
     ]
-    assert len(gs) == 1 and gs[0].support() == [2, 3]
+    assert len(gs) == 1 and np.flatnonzero(gs[0].values()).tolist() == [2, 3]
 
 
 def test_balanced_g_counts():
@@ -979,7 +979,7 @@ def test_quotient_stack_matches_the_single_function_path():
         rows = _psap_rows(stack)
         cols, dists = stack.cols[rows], stack.dists[rows]
         assert (dists == _stack_distances(stack.identities[rows])).all()
-        gs = {tuple(g.support()): g for g in balanced_g_functions(ctx.k)}
+        gs = {tuple(np.flatnonzero(g.values()).tolist()): g for g in balanced_g_functions(ctx.k)}
         # the columns 1/u give back supp g
         supports = [tuple(sorted(c)) for c in ctx.line_dual_index[cols].tolist()]
         assert sorted(supports) == sorted(gs)

@@ -424,6 +424,19 @@ def test_dist_of_different_n_is_usage_error(capsys, monkeypatch):
     assert "variable counts differ" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [(cmd, "6ca0", "6ca0") for cmd in ("wht", "bent", "dual", "rayleigh")]
+    + [("dist", "6ca0", "0000", "ffff")],
+)
+def test_extra_positional_tables_are_usage_errors(capsys, monkeypatch, argv):
+    count = len(argv) - 2
+    code, out, err = run_cli(capsys, *argv, stdin="6ca0\n", monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == f"bentkit: error: expected {count} hex truth table(s), got {count + 1}\n"
+    assert bentkit.cli.sys.stdin.tell() == 0
+
+
 def test_bad_hex_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "wht", "zz")
     assert code == 2

@@ -119,6 +119,7 @@ CASES = {
     "error_construct_psap_g3": (["construct", "psap", "--k", "2", "--g", "3"], None),
     "error_bad_hex": (["wht", "zz"], None),
     "error_dist_different_n": (["dist", "6ca0", "00"], None),
+    "error_dist_three_tables": (["dist", "6ca0", "0000", "ffff"], None),
     "error_trace_k0": (["wht", "6ca0", "--pairing", "trace", "--k", "0"], None),
     "error_negative_poly": (
         ["census", "--k", "4", "--poly", "-13", "--mode", "sample", "--samples", "1"],

@@ -1,10 +1,12 @@
 import ast
+import re
 import types
 from pathlib import Path
 
 import bentkit
 
-SRC = Path(__file__).parent.parent / "src" / "bentkit"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "bentkit"
 
 # The public API, sorted.  A change here is a change to the API: record it
 # in CHANGES.md.
@@ -16,7 +18,6 @@ EXPORTS = [
     "Duality",
     "DualityClass",
     "GF2k",
-    "LINE_INFINITY",
     "MetricIdentity",
     "NotBentError",
     "ReduciblePolynomialError",
@@ -104,3 +105,28 @@ def test_every_public_definition_is_exported_or_used():
         if not name.startswith("_") and name not in bentkit.__all__ and name not in used
     }
     assert orphans == {}
+
+
+def test_every_public_method_has_a_caller():
+    # a public attribute of an exported class that no library or bench code
+    # reads or names (perfbench/tracer.py patches by strings such as
+    # "GF2k.gram_map"), and that no README example shows, only restates
+    # another call: use it or delete it
+    named = set()
+    for path in [*sorted(SRC.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", node.value):
+                    named.update(node.value.split("."))
+    for block in re.findall(r"```[^\n]*\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
+        named.update(re.findall(r"\w+", block))
+    exported = [getattr(bentkit, name) for name in bentkit.__all__]
+    uncalled = [
+        f"{cls.__name__}.{attr}"
+        for cls in exported if isinstance(cls, type)
+        for attr in vars(cls)
+        if not attr.startswith("_") and attr not in named
+    ]
+    assert uncalled == []

@@ -98,7 +98,7 @@ def test_mul_identity_and_specific_products():
 def test_inverse_exhaustive_k_up_to_8():
     for k in range(1, 9):
         ctx = GF2k(k)
-        for a in ctx.nonzero():
+        for a in range(1, ctx.order):
             assert ctx.mul(a, ctx.inv(a)) == 1
 
 
@@ -161,7 +161,7 @@ def test_pow_matches_repeated_oracle_products(k):
 def test_division_convention():
     F4 = GF2k(2)
     assert F4.div0(1, 0) == 0
-    for a in F4.nonzero():
+    for a in range(1, F4.order):
         assert F4.div0(a, a) == 1
     assert F4.div0(1, 0b10) == 0b11
 
@@ -202,24 +202,30 @@ def test_trace_frobenius_invariance_and_balance():
         assert zeros == 1 << (k - 1)
 
 
+def trace_form(ctx, p, q):
+    """Tr(xx') + Tr(yy') for p = (x, y), q = (x', y'), from the field's mul
+    and trace."""
+    return ctx.trace(ctx.mul(p[0], q[0])) ^ ctx.trace(ctx.mul(p[1], q[1]))
+
+
 def test_trace_pairing_symmetric_bilinear_nondegenerate():
     for k in (2, 3):
         ctx = GF2k(k)
         pts = [(x, y) for x in ctx.elements() for y in ctx.elements()]
-        assert all(ctx.trace_pairing((0, 0), q) == 0 for q in pts)
+        assert all(trace_form(ctx, (0, 0), q) == 0 for q in pts)
         for p in pts:
             for q in pts:
-                assert ctx.trace_pairing(p, q) == ctx.trace_pairing(q, p)
+                assert trace_form(ctx, p, q) == trace_form(ctx, q, p)
         # nondegenerate: every nonzero point pairs to 1 with someone
         for p in pts:
             if p == (0, 0):
                 continue
-            assert any(ctx.trace_pairing(p, q) == 1 for q in pts)
+            assert any(trace_form(ctx, p, q) == 1 for q in pts)
 
 
 def test_trace_pairing_example():
     F4 = GF2k(2)
-    assert F4.trace_pairing((1, 0b10), (0b10, 1)) == 0  # Tr(w) + Tr(w) = 0
+    assert trace_form(F4, (1, 0b10), (0b10, 1)) == 0  # Tr(w) + Tr(w) = 0
 
 
 # ----------------------------------------------------------------------
@@ -232,14 +238,25 @@ def test_gram_k2():
     assert gram == [[0, 1], [1, 1]]
 
 
+def gram_map_inv(ctx, u):
+    """The inverse of gram_map, read off gram_inv_index on both halves."""
+    x, y = ctx.unpack(u)
+    return ctx.pack(int(ctx.gram_inv_index[x]), int(ctx.gram_inv_index[y]))
+
+
 def test_gram_map_realizes_trace_pairing():
+    # against the reference trace form, which bentkit does not compute
     for k in (2, 3):
         ctx = GF2k(k)
         n = 2 * k
         for p in range(1 << n):
             for q in range(1 << n):
                 dot = (p & ctx.gram_map(q)).bit_count() & 1
-                assert dot == ctx.trace_pairing(ctx.unpack(p), ctx.unpack(q))
+                (x, y), (x2, y2) = ctx.unpack(p), ctx.unpack(q)
+                assert dot == (
+                    ref.gf_trace(ref.gf_mul(x, x2, k, ctx.poly), k, ctx.poly)
+                    ^ ref.gf_trace(ref.gf_mul(y, y2, k, ctx.poly), k, ctx.poly)
+                )
 
 
 def test_gram_map_linear_and_invertible():
@@ -250,7 +267,7 @@ def test_gram_map_linear_and_invertible():
         seen = set()
         for u in range(1 << n):
             v = ctx.gram_map(u)
-            assert ctx.gram_map_inv(v) == u
+            assert gram_map_inv(ctx, v) == u
             seen.add(v)
         assert len(seen) == 1 << n
 
@@ -273,7 +290,7 @@ def test_gram_map_and_its_inverse_match_the_pointwise_oracle(k):
     inverse = np.argsort(perm)
     for u in range(1 << (2 * k)):
         assert ctx.gram_map(u) == perm[u]
-        assert ctx.gram_map_inv(u) == inverse[u]
+        assert gram_map_inv(ctx, u) == inverse[u]
 
 
 # ----------------------------------------------------------------------
@@ -289,11 +306,9 @@ BAD_CALLS = [
     ("div0", (1, -2)), ("div0", (-1, 1)), ("div0", (8, 1)), ("div0", (8, 0)),
     ("div0", (1, 8)),
     ("trace", (-1,)), ("trace", (8,)),
-    ("trace_pairing", ((1, 2), (3, -1))), ("trace_pairing", ((8, 0), (1, 1))),
     ("pack", (-1, 0)), ("pack", (0, 8)),
     ("unpack", (-1,)), ("unpack", (64,)),
     ("gram_map", (-1,)), ("gram_map", (64,)),
-    ("gram_map_inv", (-1,)), ("gram_map_inv", (64,)),
 ]
 
 
@@ -309,7 +324,7 @@ def test_largest_in_range_arguments_are_accepted():
     assert F8.pow(7, 0) == 1 and F8.inv(7) == inv8[7]
     assert F8.div0(7, 0) == 0 and F8.trace(7) == ref.gf_trace(7, 3, F8.poly)
     assert F8.unpack(63) == (7, 7) and F8.pack(7, 7) == 63
-    assert F8.gram_map_inv(F8.gram_map(63)) == 63
+    assert gram_map_inv(F8, F8.gram_map(63)) == 63
 
 
 def test_context_equality_and_repr():

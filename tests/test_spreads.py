@@ -5,12 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import bentkit.spreads
 from bentkit.analysis import dist_formula_general, dist_formula_ps_minus
 from bentkit.boolfun import TruthTable, subspace_span
 from bentkit.field import DEFAULT_POLYS, GF2k
 from bentkit.spectral import dist_to_dual, dual, is_bent
 from bentkit.spreads import (
-    LINE_INFINITY,
     SpreadLine,
     SpreadSelection,
     desarguesian,
@@ -89,7 +89,14 @@ def test_line_points_match_field_products():
 
 def test_line_points_examples():
     assert line_points(F4, SpreadLine(0)) == {0, 1, 2, 3}
-    assert line_points(F4, LINE_INFINITY) == {0, 4, 8, 12}
+    assert line_points(F4, SpreadLine.infinity()) == {0, 4, 8, 12}
+
+
+def test_the_line_at_infinity_has_one_spelling():
+    assert SpreadLine.infinity().is_infinity and str(SpreadLine.infinity()) == "inf"
+    with pytest.raises(TypeError):
+        SpreadLine()
+    assert not hasattr(bentkit.spreads, "LINE_INFINITY")
 
 
 # ----------------------------------------------------------------------
@@ -98,8 +105,8 @@ def test_line_points_examples():
 
 def test_line_dual_fixed_points_and_swap():
     assert line_dual(F4, SpreadLine(1)) == SpreadLine(1)
-    assert line_dual(F4, SpreadLine(0)) == LINE_INFINITY
-    assert line_dual(F4, LINE_INFINITY) == SpreadLine(0)
+    assert line_dual(F4, SpreadLine(0)) == SpreadLine.infinity()
+    assert line_dual(F4, SpreadLine.infinity()) == SpreadLine(0)
     assert line_dual(F4, SpreadLine(2)) == SpreadLine(3)  # w -> w^2
 
 
@@ -119,7 +126,7 @@ def test_line_dual_and_dual_selection_match_scalar_inversion(k):
     want = {L: line_dual(ctx, L) for L in lines}
     for L, D in want.items():
         if L.is_infinity or L.a == 0:
-            assert D == (SpreadLine(0) if L.is_infinity else LINE_INFINITY)
+            assert D == (SpreadLine(0) if L.is_infinity else SpreadLine.infinity())
         else:
             assert D.a in range(ctx.order) and ref.gf_mul(L.a, D.a, k, ctx.poly) == 1
     rng = random.Random(k)
@@ -254,7 +261,7 @@ def test_hand_built_selections_are_checked_and_canonical():
     # a repeated line would give a table that is not bent
     with pytest.raises(ValueError, match="^selection contains duplicate lines$"):
         SpreadSelection(F8, (SpreadLine(1), SpreadLine(1), SpreadLine(2), SpreadLine(3)))
-    lines = (LINE_INFINITY, SpreadLine(5), SpreadLine(2), SpreadLine(3))
+    lines = (SpreadLine.infinity(), SpreadLine(5), SpreadLine(2), SpreadLine(3))
     sel = SpreadSelection(F8, lines)
     assert sel == selection(F8, lines) == selection(F8, reversed(lines))
     assert [str(L) for L in sel.lines] == ["2", "3", "5", "inf"]
@@ -265,7 +272,7 @@ def test_hand_built_selections_are_checked_and_canonical():
 
 
 def test_selection_canonical_order():
-    sel = selection(F4, [LINE_INFINITY, SpreadLine(3), SpreadLine(0)])
+    sel = selection(F4, [SpreadLine.infinity(), SpreadLine(3), SpreadLine(0)])
     assert [str(L) for L in sel.lines] == ["0", "3", "inf"]
 
 
@@ -308,7 +315,7 @@ def test_psap_selection_never_contains_e0_or_infinity():
         for g in balanced_gs(ctx.k):
             lines = set(selection_from_g(ctx, g).lines)
             assert SpreadLine(0) not in lines
-            assert LINE_INFINITY not in lines
+            assert SpreadLine.infinity() not in lines
             assert len(lines) == 1 << (ctx.k - 1)
 
 
@@ -316,7 +323,7 @@ def test_psap_selfdual_iff_g_inversion_symmetric():
     for ctx in (F4, F8):
         inv = ref.gf_inv_table(ref.gf_mul_table(ctx.k, ctx.poly))
         for g in balanced_gs(ctx.k):
-            symmetric = g[1] == 0 and all(g[u] == g[inv[u]] for u in ctx.nonzero())
+            symmetric = g[1] == 0 and all(g[u] == g[inv[u]] for u in range(1, ctx.order))
             selfdual = dist_to_dual(psap_from_g(ctx, g), pairing=ctx) == 0
             assert symmetric == selfdual
 
@@ -335,7 +342,7 @@ def test_psap_input_validation():
 # ----------------------------------------------------------------------
 
 def test_selfdual_selection_examples():
-    assert is_selfdual_selection(selection(F4, [SpreadLine(0), LINE_INFINITY]))
+    assert is_selfdual_selection(selection(F4, [SpreadLine(0), SpreadLine.infinity()]))
     assert is_selfdual_selection(selection(F4, [SpreadLine(2), SpreadLine(3)]))
     assert not is_selfdual_selection(selection(F4, [SpreadLine(1), SpreadLine(0)]))
 
