@@ -243,15 +243,17 @@ def census(
     """Enumerate minus-type selections and aggregate distance classes.
 
     Every selection gets the line formula's distance, with h for all rows
-    from one gather.  Exhaustive mode (k <= 4) checks every selection
-    spectrally, in one batched transform over the stack of tables; sample
-    mode (k <= 7) draws `samples` (at most 100,000) from a seeded PRNG and
-    checks the first five draws and every 25th.  `formula_mismatches`
-    counts the checked rows where either closed form, the line formula or
-    the counting form, disagrees with the spectrum; a checked row is
-    classed by the spectrum.
+    from one gather.  Exhaustive mode (k <= 4; it takes no `samples` or
+    `seed`) checks every selection spectrally, in one batched transform
+    over the stack of tables; sample mode (k <= 7) draws `samples` (at most
+    100,000) from a seeded PRNG and checks the first five draws and every
+    25th.  `formula_mismatches` counts the checked rows where either closed
+    form, the line formula or the counting form, disagrees with the
+    spectrum; a checked row is classed by the spectrum.
     """
     if mode == "exhaustive":
+        if samples is not None or seed is not None:
+            raise ValueError("exhaustive mode takes no sample count or seed")
         return _census_report(_exhaustive_census(ctx))
     _census_size_check(mode, ctx.k, samples)
     if not samples or samples <= 0:

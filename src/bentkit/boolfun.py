@@ -17,7 +17,6 @@ order.  Reading or writing hex never builds the table as an int.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
@@ -191,8 +190,8 @@ class TruthTable:
 
 def _row_reduce(vecs: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """One GF(2) elimination of every row of `vecs` at once, each row a set
-    of vectors (ints as two's-complement bit strings, int64 or object), over
-    the bit columns width - 1 down to 0.
+    of vectors of F_2^width (int64, each in 0..2^width - 1), over the bit
+    columns width - 1 down to 0.
 
     Returns the reduced rows and the bit each vector pivots on, -1 for one
     that reduced to zero.  The pivot vectors of a row are a basis of its
@@ -215,14 +214,10 @@ def _row_reduce(vecs: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     return vecs, pivot
 
 
-def _independent(vectors: Sequence[int]) -> bool:
-    """True iff the ints are linearly independent over F_2, a negative one
-    read as its two's-complement bit string (its sign bit repeats upward)."""
-    vectors = [operator.index(v) for v in vectors]
-    width = max(map(abs, vectors), default=0).bit_length()
-    vecs = np.array(vectors, dtype=np.int64 if width < 63 else object).reshape(1, -1)
-    # one column past the widest vector holds the sign of a negative one
-    pivot = _row_reduce(vecs, width + (min(vectors, default=0) < 0))[1]
+def _independent(vectors: Sequence[int], width: int) -> bool:
+    """True iff the vectors of F_2^width (ints in 0..2^width - 1, checked by
+    the caller) are linearly independent over F_2."""
+    pivot = _row_reduce(np.array(vectors, dtype=np.int64).reshape(1, -1), width)[1]
     return int(np.count_nonzero(pivot >= 0)) == len(vectors)
 
 
@@ -251,10 +246,11 @@ def subspace_span(basis: Sequence[int]) -> list[int]:
 
 def subspace_indicator(n: int, basis: Sequence[int]) -> TruthTable:
     """Indicator function of the span of `basis`; basis must be independent."""
+    _check_n(n)
     for v in basis:
         if not 0 <= v < (1 << n):
             raise ValueError(f"basis vector {v} out of range for n={n}")
-    if not _independent(basis):
+    if not _independent(basis, n):
         raise ValueError("basis vectors are linearly dependent over F_2")
     return TruthTable.from_support(n, subspace_span(basis))
 

@@ -203,7 +203,21 @@ def _metadata(f: TruthTable, pairing) -> dict:
     return {**meta, "bent": True, **fields, "duality": duality}
 
 
+# The family options of `construct`, in the parser's order, and the ones
+# each family reads; a family refuses any other that is given
+_CONSTRUCT_OPTIONS = ("k", "n", "poly", "g", "lines", "subspace")
+_CONSTRUCT_READS = {
+    "ps-general": ("n", "subspace"),
+    "psap": ("k", "poly", "g"),
+    "ps-": ("k", "poly", "lines"),
+    "ps+": ("k", "poly", "lines"),
+}
+
+
 def _cmd_construct(args) -> int:
+    for opt in _CONSTRUCT_OPTIONS:
+        if getattr(args, opt) is not None and opt not in _CONSTRUCT_READS[args.family]:
+            raise UsageError(f"construct {args.family} does not read --{opt}")
     if args.family == "ps-general":
         if not args.subspace:
             raise UsageError("give at least one --subspace")

@@ -449,7 +449,7 @@ def affine_transform(f: TruthTable, matrix: Sequence, shift: int = 0) -> TruthTa
     Row-vector convention: (xA)_j = sum_i x_i A[i][j].
     """
     rows = row_masks(matrix, f.n)
-    if not _independent(rows):
+    if not _independent(rows, f.n):
         raise SingularMatrixError("matrix is singular over F_2")
     if not 0 <= shift < f.size:
         raise ValueError(f"shift {shift} out of range")

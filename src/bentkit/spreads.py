@@ -244,7 +244,7 @@ def _family_points(n: int, subspace_bases: Sequence[Sequence[int]]) -> np.ndarra
     distinct and all nonzero iff no basis is dependent (a dependent basis
     has a nontrivial combination equal to the origin) and no two spans
     share a nonzero point.  Only a family that fails is searched for its
-    first error, in the order dependent, dimension, range, then the first
+    first error, in the order range, dependent, dimension, then the first
     sharing pair.
     """
     _check_n(n)
@@ -259,15 +259,15 @@ def _family_points(n: int, subspace_bases: Sequence[Sequence[int]]) -> np.ndarra
         if not seen[0] and np.count_nonzero(seen) == spans[:, 1:].size:
             return spans
     for i, basis in enumerate(subspace_bases):
-        if not _independent(basis):
+        for v in basis:
+            if not 0 <= v < (1 << n):
+                raise ValueError(f"subspace {i}: vector {v} out of range")
+        if not _independent(basis, n):
             raise ValueError(f"subspace {i}: basis is linearly dependent")
         if len(basis) != k:
             raise ValueError(
                 f"subspace {i}: dimension {len(basis)} != k = {k}"
             )
-        for v in basis:
-            if not 0 <= v < (1 << n):
-                raise ValueError(f"subspace {i}: vector {v} out of range")
     # every basis passed the shape check, so the spans were built
     raise ValueError(_first_shared_point(spans[:, 1:]))
 

@@ -828,8 +828,10 @@ def test_sample_count_cap_is_checked_before_any_allocation():
         with pytest.raises(ValueError, match="sample census is capped at 100000 samples"):
             census(GF2k(k), mode="sample", samples=samples)
     bentkit.analysis._census_size_check("sample", 7, bentkit.analysis._SAMPLE_COUNT_MAX)
-    # exhaustive mode reads no sample count
-    assert census(F4, mode="exhaustive", samples=10**11).total_selections == 10
+    # exhaustive mode reads no sample count or seed, so it refuses them
+    for kw in ({"samples": 10**11}, {"seed": 5}):
+        with pytest.raises(ValueError, match="exhaustive mode takes no sample count or seed"):
+            census(F4, mode="exhaustive", **kw)
 
 
 # ----------------------------------------------------------------------

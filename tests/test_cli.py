@@ -262,6 +262,22 @@ def test_ps_general_vector_beyond_int64_is_a_range_error(capsys):
     assert err == f"bentkit: error: subspace 0: vector {1 << 63} out of range\n"
 
 
+def test_a_4300_digit_subspace_vector_is_refused_before_any_rank(capsys, monkeypatch):
+    # the largest int the CLI parses: the range check refuses it, and the
+    # eliminator never runs
+    def no_rank(*args):
+        raise AssertionError("_row_reduce ran")
+
+    monkeypatch.setattr("bentkit.boolfun._row_reduce", no_rank)
+    huge = 10 ** 4299
+    code, out, err = run_cli(
+        capsys, "construct", "ps-general", "--n", "4",
+        "--subspace", f"{huge},1", "--subspace", "4,8",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"bentkit: error: subspace 0: vector {huge} out of range\n"
+
+
 def test_ps_general_zero_basis_at_n2_is_dependent(capsys):
     code, out, err = run_cli(capsys, "construct", "ps-general", "--n", "2", "--subspace", "0")
     assert (code, out) == (2, "")

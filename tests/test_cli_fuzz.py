@@ -113,7 +113,7 @@ _FAMILY = ["construct", "ps-general", "--n=4"]
 
 
 @settings(max_examples=200, deadline=None)
-# every run: points beyond int64 reach the rank check; a negative one stops at parsing
+# every run: points beyond int64 reach the range check; a negative one stops at parsing
 @example(argv=[*_FAMILY, f"--subspace={HUGE},{HUGE}", "--subspace=2"], stdin="")
 @example(argv=[*_FAMILY, f"--subspace={1 << 63},1", "--subspace=4,8"], stdin="")
 @example(argv=[*_FAMILY, "--subspace=1,2", "--subspace=2,-8"], stdin="")

@@ -51,7 +51,7 @@ CASES = {
         None,
     ),
     "table_n24_csv": (["table", "--n", "24", "--format", "csv"], None),
-    # one valid family, then each error the rank check decides
+    # one valid family, then each error the per-subspace search names
     **{
         f"construct_ps-general_{name}": (
             ["construct", "ps-general", "--n", "4",
@@ -128,6 +128,23 @@ CASES = {
     "error_bad_poly": (["rayleigh", "--pairing", "trace", "--poly", "0xzz", "6ca0"], None),
     "error_construct_ps-_bad_line": (["construct", "ps-", "--k", "2", "--lines", "1x"], None),
     "error_construct_ps-_no_k": (["construct", "ps-", "--lines", "1,2"], None),
+    # an option the request does not read is refused before anything is built
+    "error_construct_ps-_unread_n": (
+        ["construct", "ps-", "--k", "2", "--lines", "0,1", "--n", "6"], None
+    ),
+    "error_construct_ps+_unread_g": (
+        ["construct", "ps+", "--k", "2", "--lines", "0,1,inf", "--g", "6"], None
+    ),
+    "error_construct_psap_unread_lines": (
+        ["construct", "psap", "--k", "2", "--g", "6", "--lines", "0,1"], None
+    ),
+    "error_construct_ps-general_unread_k": (
+        ["construct", "ps-general", "--n", "4",
+         "--subspace", "1,2", "--subspace", "4,8", "--k", "2"],
+        None,
+    ),
+    "error_census_k2_exhaustive_samples": (["census", "--k", "2", "--samples", "5"], None),
+    "error_census_k3_exhaustive_seed": (["census", "--k", "3", "--seed", "5"], None),
     # --k and --poly pick the trace pairing's field, so they need --pairing trace
     "error_dual_poly_standard": (["dual", "--poly", "0x7", "6ca0"], None),
     # ... and the conflict is reported before stdin is read
