@@ -17,6 +17,7 @@ order.  Reading or writing hex never builds the table as an int.
 
 from __future__ import annotations
 
+import reprlib
 from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
@@ -44,6 +45,30 @@ def _packed_size(n: int) -> int:
 def _check_n(n: int) -> None:
     if not 2 <= n <= 24:
         raise ValueError(f"variable count must be in 2..24, got {n}")
+
+
+def _vectors(values: Iterable, width: int | None, what: str) -> np.ndarray:
+    """The one check of what a vector is: the values (ints or bools, numpy's
+    too, each in 0..2^width - 1, or any >= 0 for an exponent's width None)
+    as an int64 array, or an object array of Python ints beyond int64.
+    An integer array is checked by its min and max, other values one by one.
+    ValueError names the first bad value as `what`, by its bit length if it
+    has over 128 bits."""
+    top = float("inf") if width is None else 1 << width
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iub":
+        if values.min(initial=0) >= 0 and values.max(initial=0) < top:
+            return values.astype(np.int64, copy=False)
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    for v in values:
+        if not isinstance(v, (int, np.integer, np.bool_)):
+            raise ValueError(f"{what} {reprlib.repr(v)} is not an integer")
+        if not 0 <= v < top:
+            bits = int(v).bit_length()
+            shown = v if bits <= 128 else f"of {bits} bits"
+            fault = "is negative" if v < 0 else f"out of range 0..{top - 1}"
+            raise ValueError(f"{what} {shown} {fault}")
+    arr = np.array(values)
+    return arr if arr.dtype == object else arr.astype(np.int64, copy=False)
 
 
 class TruthTable:
@@ -107,16 +132,9 @@ class TruthTable:
 
     @classmethod
     def from_support(cls, n: int, support: Iterable[int]) -> "TruthTable":
-        points = support if isinstance(support, np.ndarray) else list(support)
-        try:
-            idx = np.asarray(points, dtype=np.int64)
-        except OverflowError:  # a Python int beyond int64
-            idx = None
-        if idx is None or ((idx < 0) | (idx >= 1 << n)).any():
-            bad = next(x for x in points if not 0 <= x < (1 << n))
-            raise ValueError(f"support point {bad} out of range for n={n}")
+        _check_n(n)
         vals = np.zeros(1 << n, dtype=np.uint8)
-        vals[idx] = 1
+        vals[_vectors(support, n, "support point")] = 1
         return cls._from_packed(n, _pack_values(vals))
 
     @classmethod
@@ -247,12 +265,10 @@ def subspace_span(basis: Sequence[int]) -> list[int]:
 def subspace_indicator(n: int, basis: Sequence[int]) -> TruthTable:
     """Indicator function of the span of `basis`; basis must be independent."""
     _check_n(n)
-    for v in basis:
-        if not 0 <= v < (1 << n):
-            raise ValueError(f"basis vector {v} out of range for n={n}")
-    if not _independent(basis, n):
+    vecs = _vectors(basis, n, "basis vector")
+    if not _independent(vecs, n):
         raise ValueError("basis vectors are linearly dependent over F_2")
-    return TruthTable.from_support(n, subspace_span(basis))
+    return TruthTable.from_support(n, _linear_index_map(vecs))
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boolfun import _linear_index_map, _weights_array
+from .boolfun import _linear_index_map, _vectors, _weights_array
 
 # Low-weight irreducible defaults for every k a spread table reaches
 # (n = 2k <= 24).  k = 13..16 must supply a polynomial.
@@ -84,9 +84,9 @@ def reducible_factor(poly: int) -> int | None:
 class GF2k:
     """Arithmetic context for GF(2^k).
 
-    Every scalar method reads the field's arrays after one range check,
-    `_check`: ValueError for an element outside 0..2^k - 1, a packed pair
-    outside 0..4^k - 1 or a negative exponent.
+    Every scalar method reads the field's arrays after the one input
+    boundary, `boolfun._vectors`, takes its arguments: a field element has
+    width k, a packed pair width 2k, and an exponent is any integer >= 0.
 
     Instances are immutable after construction and safe to share between
     threads.  A GF2k doubles as the trace-form pairing marker for the
@@ -147,25 +147,17 @@ class GF2k:
         self.gram_index.flags.writeable = False
         self.gram_inv_index.flags.writeable = False
 
-    def _check(self, bound: int | None, *values: int) -> None:
-        """ValueError unless each value is in 0..bound - 1 (>= 0 if no bound)."""
-        for v in values:
-            if v < 0 or (bound is not None and v >= bound):
-                need = "an exponent >= 0" if bound is None else f"in 0..{bound - 1}"
-                raise ValueError(f"{v} is not {need} for {self!r}")
-
     # ------------------------------------------------------------------
     # element arithmetic
     # ------------------------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
         """Product of a and b in the field."""
-        self._check(self.order, a, b)
-        return int(self._mul_array(a, b))
+        return int(self._mul_array(*_vectors((a, b), self.k, "field element")))
 
     def pow(self, a: int, e: int) -> int:
-        self._check(self.order, a)
-        self._check(None, e)
+        _vectors((a,), self.k, "field element")
+        _vectors((e,), None, "exponent")
         r = 1
         while e:
             if e & 1:
@@ -176,7 +168,7 @@ class GF2k:
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; zero has none."""
-        self._check(self.order, a)
+        (a,) = _vectors((a,), self.k, "field element")
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(2^k)")
         return int(self.line_dual_index[a])
@@ -217,8 +209,7 @@ class GF2k:
 
     def trace(self, a: int) -> int:
         """Absolute trace: sum of the Frobenius conjugates, in {0, 1}."""
-        self._check(self.order, a)
-        return int(self._trace_table[a])
+        return int(self._trace_table[_vectors((a,), self.k, "field element")[0]])
 
     # ------------------------------------------------------------------
     # packed pairs and the Gram index map
@@ -226,11 +217,11 @@ class GF2k:
 
     def pack(self, x: int, y: int) -> int:
         """Domain index of the pair (x, y): bits(x) + 2^k * bits(y)."""
-        self._check(self.order, x, y)
+        x, y = _vectors((x, y), self.k, "field element").tolist()
         return x | (y << self.k)
 
     def unpack(self, p: int) -> tuple[int, int]:
-        self._check(self.order << self.k, p)
+        (p,) = _vectors((p,), 2 * self.k, "packed pair").tolist()
         return p & self.mask, p >> self.k
 
     def gram_map(self, u: int) -> int:

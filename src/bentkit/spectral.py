@@ -55,9 +55,9 @@ block sum is at most 2^16 * 2^12 = 2^28 in magnitude.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from .boolfun import (
     _independent,
     _linear_index_map,
     _pack_values,
+    _vectors,
 )
 from .field import GF2k
 
@@ -418,19 +419,13 @@ def row_masks(matrix: Sequence, n: int) -> list[int]:
     rows = list(matrix)
     if len(rows) != n:
         raise ValueError(f"need {n} rows, got {len(rows)}")
-    out = []
-    for r in rows:
-        if isinstance(r, (int, np.integer)):
-            mask = int(r)
-            if mask >> n:
-                raise ValueError(f"row mask {mask} wider than {n} bits")
-        else:
-            entries = list(r)
+    for i, r in enumerate(rows):
+        if isinstance(r, Iterable):  # a row of n entries, each 0 or 1
+            entries = _vectors(r, 1, "matrix entry")
             if len(entries) != n:
                 raise ValueError(f"need {n} entries per row, got {len(entries)}")
-            mask = sum((e & 1) << j for j, e in enumerate(entries))
-        out.append(mask)
-    return out
+            rows[i] = sum(int(e) << j for j, e in enumerate(entries))
+    return _vectors(rows, n, "row mask").tolist()
 
 
 def is_orthogonal(matrix: Sequence, n: int) -> bool:
@@ -449,9 +444,8 @@ def affine_transform(f: TruthTable, matrix: Sequence, shift: int = 0) -> TruthTa
     Row-vector convention: (xA)_j = sum_i x_i A[i][j].
     """
     rows = row_masks(matrix, f.n)
+    shift = _vectors([shift], f.n, "shift")[0]
     if not _independent(rows, f.n):
         raise SingularMatrixError("matrix is singular over F_2")
-    if not 0 <= shift < f.size:
-        raise ValueError(f"shift {shift} out of range")
     perm = _linear_index_map(rows) ^ shift
     return TruthTable._from_packed(f.n, _pack_values(f.values()[perm]))

@@ -28,6 +28,7 @@ from .boolfun import (
     _independent,
     _linear_index_map,
     _pack_values,
+    _vectors,
 )
 from .field import GF2k
 
@@ -94,15 +95,12 @@ def desarguesian(ctx: GF2k) -> list[SpreadLine]:
     return [SpreadLine(a) for a in ctx.elements()] + [SpreadLine.infinity()]
 
 
-def _columns(ctx: GF2k, lines: Iterable[SpreadLine]) -> np.ndarray:
+def _columns(ctx: GF2k, lines: Sequence[SpreadLine]) -> np.ndarray:
     """Spread columns of the lines: a for E_a, 2^k for the line at infinity.
     Every call that takes lines reads them here: their one range check."""
-    cols = []
-    for L in lines:
-        if not (L.is_infinity or 0 <= L.a < ctx.order):
-            raise ValueError(f"line element {L.a} outside GF(2^{ctx.k})")
-        cols.append(ctx.order if L.is_infinity else L.a)
-    return np.array(cols, dtype=np.int64)
+    cols = _vectors([0 if L.is_infinity else L.a for L in lines], ctx.k, "line element")
+    cols[[L.is_infinity for L in lines]] = ctx.order
+    return cols
 
 
 def _lines(ctx: GF2k, cols: np.ndarray) -> list[SpreadLine]:
@@ -239,29 +237,26 @@ def _family_points(n: int, subspace_bases: Sequence[Sequence[int]]) -> np.ndarra
     """The validated family's spans as an (m, 2^k) array, row i holding the
     points of subspace i in `subspace_span` order (the origin first).
 
-    Once every basis has k vectors in range, one count checks the rest: the
-    span points at nonzero indices, marked in one 2^n table, are all
-    distinct and all nonzero iff no basis is dependent (a dependent basis
-    has a nontrivial combination equal to the origin) and no two spans
-    share a nonzero point.  Only a family that fails is searched for its
-    first error, in the order range, dependent, dimension, then the first
-    sharing pair.
+    Every vector is checked for range before any rank.  Once every basis
+    has k vectors, one count checks the rest: the span points at nonzero
+    indices, marked in one 2^n table, are all distinct and all nonzero iff
+    no basis is dependent (a dependent basis has a nontrivial combination
+    equal to the origin) and no two spans share a nonzero point.  Only a
+    family that fails is searched for its first error, in the order
+    dependent, dimension, then the first sharing pair.
     """
     _check_n(n)
     if n % 2:
         raise ValueError(f"need even n, got {n}")
     k = n // 2
-    if all(len(b) == k and all(0 <= v < 1 << n for v in b) for b in subspace_bases):
-        bases = np.array(subspace_bases, dtype=np.int64).reshape(-1, k)
-        spans = _linear_index_map(bases.T).T
+    bases = [_vectors(b, n, f"subspace {i}: vector") for i, b in enumerate(subspace_bases)]
+    if all(len(b) == k for b in bases):
+        spans = _linear_index_map(np.array(bases, dtype=np.int64).reshape(-1, k).T).T
         seen = np.zeros(1 << n, dtype=bool)
         seen[spans[:, 1:]] = True
         if not seen[0] and np.count_nonzero(seen) == spans[:, 1:].size:
             return spans
-    for i, basis in enumerate(subspace_bases):
-        for v in basis:
-            if not 0 <= v < (1 << n):
-                raise ValueError(f"subspace {i}: vector {v} out of range")
+    for i, basis in enumerate(bases):
         if not _independent(basis, n):
             raise ValueError(f"subspace {i}: basis is linearly dependent")
         if len(basis) != k:

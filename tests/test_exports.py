@@ -130,3 +130,29 @@ def test_every_public_method_has_a_caller():
         if not attr.startswith("_") and attr not in named
     ]
     assert uncalled == []
+
+
+def test_vectors_are_checked_at_one_boundary():
+    # whether a value is a vector of F_2^w is decided by boolfun._vectors
+    # alone: no other function raises a range, sign or integer message of
+    # its own.  TruthTable.__getitem__ keeps its IndexError, which ends
+    # iteration over a table by the sequence protocol.
+    phrases = re.compile(r"out of range|is negative|is not an integer")
+    allowed = {("boolfun.py", "_vectors"), ("boolfun.py", "__getitem__")}
+    own = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        spans = [
+            (node.lineno, node.end_lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) in allowed
+        ]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            text = "".join(
+                part.value for part in ast.walk(node.exc)
+                if isinstance(part, ast.Constant) and isinstance(part.value, str)
+            )
+            if phrases.search(text) and not any(a <= node.lineno <= b for a, b in spans):
+                own.append(f"{path.name}:{node.lineno}")
+    assert own == []

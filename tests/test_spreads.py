@@ -134,7 +134,8 @@ def test_line_dual_and_dual_selection_match_scalar_inversion(k):
         sel = selection(ctx, rng.sample(lines, rng.randint(0, len(lines))))
         duals = selection(ctx, [line_dual(ctx, L) for L in sel.lines])
         assert duals == selection(ctx, map(want.get, sel.lines))
-    with pytest.raises(ValueError, match="outside"):
+    beyond = rf"^line element {ctx.order} out of range 0\.\.{ctx.order - 1}$"
+    with pytest.raises(ValueError, match=beyond):
         line_dual(ctx, SpreadLine(ctx.order))
 
 
@@ -253,7 +254,8 @@ def test_out_of_range_lines_fail_in_every_call(a):
         lambda: selection(F8, [bad, bad]),  # the range check comes first
         lambda: SpreadSelection(F8, (bad, SpreadLine(1), SpreadLine(2), SpreadLine(3))),
     ):
-        with pytest.raises(ValueError, match=rf"^line element {a} outside GF\(2\^3\)$"):
+        fault = "is negative" if a < 0 else r"out of range 0\.\.7"
+        with pytest.raises(ValueError, match=rf"^line element {a} {fault}$"):
             call()
 
 
@@ -415,12 +417,14 @@ def test_ps_general_validation_errors():
         ([E1, [0b0001, 0b0010], [0b1000, 0b1000]], "subspace 2: basis is linearly dependent"),
         ([E1, [0b0001, 0b0010], E2], "subspaces 0 and 1 share nonzero point 1"),
         ([[0, 1], E2], "subspace 0: basis is linearly dependent"),
-        ([E1, [2, 16]], "subspace 1: vector 16 out of range"),
-        ([E1, [2, -8]], "subspace 1: vector -8 out of range"),
-        ([[1 << 63, 1], E2], f"subspace 0: vector {1 << 63} out of range"),
-        ([E1, [2, 1 << 70]], f"subspace 1: vector {1 << 70} out of range"),
+        ([E1, [2, 16]], "subspace 1: vector 16 out of range 0..15"),
+        ([E1, [2, -8]], "subspace 1: vector -8 is negative"),
+        ([[1 << 63, 1], E2], f"subspace 0: vector {1 << 63} out of range 0..15"),
+        ([E1, [2, 1 << 70]], f"subspace 1: vector {1 << 70} out of range 0..15"),
         # range before rank: a dependent basis out of range is out of range
-        ([[1 << 70, 1 << 70], [2]], f"subspace 0: vector {1 << 70} out of range"),
+        ([[1 << 70, 1 << 70], [2]], f"subspace 0: vector {1 << 70} out of range 0..15"),
+        # ... and so is any later basis: every vector is read before any rank
+        ([[3, 3], [2, 16]], "subspace 1: vector 16 out of range 0..15"),
     ],
 )
 def test_family_errors_keep_the_per_subspace_order(bases, message):
